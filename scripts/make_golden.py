@@ -2,13 +2,16 @@
 
 import pathlib
 
-from nihoval import gf2m, geometry, gfun
+from nihoval import cli, gf2m, geometry, gfun
+from nihoval.reference import TABLE1, TABLE2
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-TABLE1 = (("hyperconic", None), ("translation", 2), ("segre", None),
-          ("subiaco_payne", None), ("cherowitzo", None), ("okeefe_penttila", None))
-TABLE2 = ("hyperconic", "subiaco", "subiaco2", "adelaide")
+# classify reports with origin and nucleus-shifted class representatives
+CLASSIFY = (("classify_hyperconic_m4.json", ["--family", "hyperconic", "--m", "4"]),
+            ("classify_lunelli_sce_m4.json", ["--family", "lunelli_sce", "--m", "4"]),
+            ("classify_translation_r2_m5.json",
+             ["--family", "translation", "--r", "2", "--m", "5"]))
 
 
 def main():
@@ -17,11 +20,11 @@ def main():
         P = gf2m.field_create(m)
         (GOLDEN / f"field_m{m}.json").write_text(P.to_json() + "\n")
     P5 = gf2m.field_create(5)
-    for fam, r in TABLE1:
+    for fam, r, _ in TABLE1:
         g = gfun.g_catalog(P5, fam, r=r)
         (GOLDEN / f"table1_{fam}.csv").write_text(g.serialize_csv())
     P6 = gf2m.field_create(6)
-    for fam in TABLE2:
+    for fam, _, _ in TABLE2:
         g = gfun.g_catalog(P6, fam)
         (GOLDEN / f"table2_{fam}.csv").write_text(g.serialize_csv())
     # section-4.6 hyperoval point sets in both models
@@ -33,6 +36,8 @@ def main():
             geometry.points_to_json(P, pts, "K") + "\n")
         (GOLDEN / f"sec46_{fam}_m{m}_H.json").write_text(
             geometry.points_to_json(P, pts, "H") + "\n")
+    for name, argv in CLASSIFY:
+        cli.main(["classify", *argv, "--out", str(GOLDEN / name)])
     print("golden files written to", GOLDEN)
 
 

@@ -14,7 +14,8 @@ at the origin the bent function is
 
     f(x) = sum_j sum_i ( sum_{v in O} v^{-(i(q-1)+2^j)} ) x^{i(q-1)+2^j}
 
-and the nucleus-shifted variants substitute the shifted oval's points.
+and the nucleus shift at s is this polynomial for the shifted oval O_s
+(gfun.shifted_oval_codes).
 Truth-table index order is the K code (a-bits low, b-bits high).
 """
 
@@ -189,8 +190,7 @@ def dual_lineoval_check(g) -> DualLineOvalReport:
     f = bent_from_g(g)
     d = dual(f)
     zeros = set(np.flatnonzero(d.table == 0).tolist())
-    lines = [geometry.LineK(P, int(u), int(v)) for u, v in zip(g.S.codes, g.values)]
-    covered = set(geometry.line_oval_points(lines))
+    covered = set(geometry.line_oval_points(g.lines()))
     return DualLineOvalReport(len(zeros), P.q * (P.q + 1) // 2, zeros == covered)
 
 
@@ -315,31 +315,11 @@ def f_univariate(params: FieldParams, oval_codes) -> NihoPolynomial:
 
 
 def f_shift(g, s_index: int) -> NihoPolynomial:
-    """Niho polynomial for the oval O_s of the hyperoval {u/g(u)} u {0}.
-
-    Coefficient of x^{i(q-1)+2^j} is
-    g(s)^{2^j}/s^{i(q-1)+2^j} + sum_{v != s} (g(s)g(v))^{2^j}/(g(s)v+s g(v))^e.
-    """
-    P = g.params
-    if np.any(g.values == 0):
+    """Niho polynomial of the nucleus shift at s: f_univariate of the oval O_s."""
+    from .gfun import shifted_oval_codes
+    if not g.is_zero_free():
         raise BentError("g must be nowhere zero (apply fix_zeros first)")
-    S = g.S.codes
-    s = int(S[s_index])
-    gs = int(g.values[s_index])
-    order = P.q ** 2 - 1
-    mask = np.arange(P.q + 1) != s_index
-    v = S[mask]
-    gv = g.values[mask].astype(np.uint32)
-    base = P.kmul_v(np.uint32(gs), v) ^ P.kmul_v(np.uint32(s), gv)
-    gsgv = P.kmul_v(np.uint32(gs), gv)
-
-    def coeff(i, j, e):
-        inv_pow = P.kpow_v(base, (-e) % order)
-        tail = np.bitwise_xor.reduce(P.kmul_v(P.kpow_v(gsgv, 1 << j), inv_pow))
-        head = P.kmul(P.kpow(gs, 1 << j), P.kpow(s, (-e) % order))
-        return head ^ int(tail)
-
-    return _niho_terms(P, coeff)
+    return f_univariate(g.params, shifted_oval_codes(g, s_index))
 
 
 def f_monomial(params: FieldParams, s: int) -> BooleanFn:

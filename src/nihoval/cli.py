@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bent, equiv, geometry, gfun, opoly
 from .gf2m import FieldError, field_create
+from .reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE2
 
 SLOW_M = 7  # classification work at q = 128 hides behind --allow-slow
 
@@ -96,29 +97,22 @@ def cmd_bent(args) -> int:
     f = bent.bent_from_g(g)
     spec = bent.walsh_spectrum(f)
     if args.check:
-        report = {"family": g.provenance, "m": P.m, "spectrum": spec.summary(),
-                  "validation": {"line_oval": None, "oval": None}}
         v = gfun.validate_g(g)
-        report["validation"] = {"line_oval": v.line_oval, "oval": v.oval_nucleus_origin,
-                                "bent": v.bent, "consistent": v.consistent}
+        report = {"family": g.provenance, "m": P.m, "spectrum": spec.summary(),
+                  "validation": {"line_oval": v.line_oval, "oval": v.oval_nucleus_origin,
+                                 "bent": v.bent, "consistent": v.consistent}}
         _write(args.out, json.dumps(report, sort_keys=True))
         return 0 if v.valid else 3
     if args.format == "bits":
         _write(args.out, f.to_bits())
-    elif args.format == "csv":
-        raise CliError("bent emits json, bits or spectrum binary; csv unsupported")
     elif args.spectrum:
         _write(args.out, spec.to_bytes())
     else:
-        s_index = args.s_index
-        if s_index is not None:
-            gz = gfun.fix_zeros(g)
-            poly = bent.f_shift(gz, s_index)
+        gz = gfun.fix_zeros(g)
+        if args.s_index is None:
+            poly = bent.f_univariate(P, gz.oval_codes_k())
         else:
-            gz = gfun.fix_zeros(g)
-            pts = [int(v) for v in
-                   P.kmul_v(gz.S.codes, P.kinv_v(gz.values.astype(np.uint32)))]
-            poly = bent.f_univariate(P, pts)
+            poly = bent.f_shift(gz, args.s_index)
         _write(args.out, poly.to_json())
     return 0
 
@@ -147,14 +141,6 @@ def cmd_classify(args) -> int:
     }
     _write(args.out, json.dumps(report, sort_keys=True))
     return 0
-
-
-TABLE1 = (("hyperconic", None, 163680), ("translation", 2, 4960), ("segre", None, 465),
-          ("subiaco_payne", None, 10), ("cherowitzo", None, 5),
-          ("okeefe_penttila", None, 3))
-TABLE2 = (("hyperconic", 1572480, (1, 65)), ("subiaco", 60, (1, 5, 60)),
-          ("subiaco2", 15, (1, 5, 15, 15, 15, 15)),
-          ("adelaide", 12, (1, 1, 4, 12, 12, 12, 12, 12)))
 
 
 def _reproduce_table1(threads: int):
@@ -194,18 +180,12 @@ def _reproduce_sec46(threads: int):
         g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
         return equiv.classify_bent(g, threads=threads)
 
-    for m, expect in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 2)):
+    for m, expect in SEC46_HYPERCONIC:
         res = classify(m, "hyperconic")
         rows.append({"family": "hyperconic", "m": m, "expected_classes": expect,
                      "computed_classes": res.class_count,
                      "ok": res.class_count == expect})
-    cases = ((4, "lunelli_sce", None, 1, None),
-             (5, "translation", 2, 3, None),
-             (5, "segre", None, 2, None),
-             (5, "subiaco_payne", None, 6, (1, 1, 2, 10, 10, 10)),
-             (5, "cherowitzo", None, 10, (1, 1, 1, 1, 5, 5, 5, 5, 5, 5)),
-             (5, "okeefe_penttila", None, 12, None))
-    for m, fam, r, expect, orbits in cases:
+    for m, fam, r, expect, orbits in SEC46_CASES:
         res = classify(m, fam, r)
         ok = res.class_count == expect and (orbits is None or res.orbit_sizes == orbits)
         row = {"family": fam, "m": m, "expected_classes": expect,
@@ -249,7 +229,7 @@ def _reproduce_theorems(threads: int):
     for m in (3, 4):
         P = field_create(m)
         g = gfun.g_catalog(P, "hyperconic")
-        oval = [int(v) for v in P.kmul_v(g.S.codes, P.kinv_v(g.values.astype(np.uint32)))]
+        oval = g.oval_codes_k()
         add(f"m={m} oval->g roundtrip",
             np.array_equal(gfun.g_from_oval(P, oval).values, g.values))
         poly = bent.f_univariate(P, oval)
@@ -280,6 +260,13 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 3
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nihoval",
                                  description="Niho bent functions from hyperovals")
@@ -289,16 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=5)
         p.add_argument("--modulus-hex", default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "bits"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--allow-slow", action="store_true")
         if family:
             p.add_argument("--family", default="hyperconic",
-                           choices=sorted(set(gfun.CATALOG_FAMILIES)
-                                          | {"glynn1", "glynn2"}))
+                           choices=sorted(gfun.CATALOG_FAMILIES))
             p.add_argument("--r", type=int, default=None)
-            p.add_argument("--d-hex", default=None)
-            p.add_argument("--s-index", type=int, default=None)
 
     p = sub.add_parser("field", help="emit field parameters")
     common(p, family=False)
@@ -306,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opoly", help="o-polynomial table")
     common(p)
+    p.add_argument("--d-hex", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_opoly)
 
     p = sub.add_parser("gfun", help="g-function table")
@@ -314,18 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bent", help="bent function artifacts")
     common(p)
+    p.add_argument("--format", choices=("json", "bits"), default="json")
+    p.add_argument("--s-index", type=int, default=None)
     p.add_argument("--check", action="store_true", help="validate and summarize")
     p.add_argument("--spectrum", action="store_true", help="emit spectrum binary")
-    p.set_defaults(func=cmd_bent, format="json")
+    p.set_defaults(func=cmd_bent)
 
     p = sub.add_parser("classify", help="equivalence classes for a hyperoval")
     common(p)
+    p.add_argument("--threads", type=positive_int, default=1)
+    p.add_argument("--allow-slow", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reproduce", help="check a reference target")
     p.add_argument("target", choices=("table1", "table2", "sec4.6", "theorems"))
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_reproduce)
     return ap

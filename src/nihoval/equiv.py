@@ -210,6 +210,8 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     results are merged in enumeration order, so counts, orbits and stored
     sample elements do not depend on chunk size or thread count.
     """
+    if threads < 1:
+        raise EquivError(f"threads must be >= 1, got {threads}")
     P = params
     q, m = P.q, P.m
     nsp = q * q + q + 1
@@ -433,20 +435,6 @@ class OrbitDecomposition:
         raise EquivError("index outside the hyperoval")  # pragma: no cover
 
 
-def _points_to_codes(params: FieldParams, points) -> list[int]:
-    out = []
-    for p in points:
-        if isinstance(p, geometry.ProjPointH):
-            out.append(p.code)
-        elif isinstance(p, geometry.ProjPointK):
-            out.append(geometry.k_to_h(p).code)
-        elif isinstance(p, (int, np.integer)):
-            out.append(int(p))
-        else:
-            raise EquivError(f"not a point: {p!r}")
-    return out
-
-
 def stabilizer(params: FieldParams, points, *, check: bool = True,
                complete_generators: bool = False,
                threads: int = 1) -> OrbitDecomposition:
@@ -456,7 +444,7 @@ def stabilizer(params: FieldParams, points, *, check: bool = True,
     increasingly fine stride through the hit stream) until their closure has
     exactly the stabilizer order; intended for q <= 32.
     """
-    codes = _points_to_codes(params, points)
+    codes = geometry._as_codes(params, points)
     if check and not geometry.no_three_collinear(params, codes):
         raise EquivError("input is not a hyperoval")
     if len(codes) != params.q + 2:
@@ -495,11 +483,11 @@ def are_equivalent(params: FieldParams, points_a, points_b,
                    marked: tuple | None = None, threads: int = 1) -> Collineation | None:
     """A collineation mapping set A onto set B (and marked_a to marked_b),
     or None after exhausting all candidate quadrangles."""
-    codes_a = _points_to_codes(params, points_a)
-    codes_b = _points_to_codes(params, points_b)
+    codes_a = geometry._as_codes(params, points_a)
+    codes_b = geometry._as_codes(params, points_b)
     mk = None
     if marked is not None:
-        ma, mb = _points_to_codes(params, list(marked))
+        ma, mb = geometry._as_codes(params, list(marked))
         mk = (ma, mb)
     res = _search(params, codes_a, codes_b, marked=mk, early_exit=True,
                   threads=threads)
@@ -602,28 +590,21 @@ def classify_bent(g: "gfun.GFunction", *, verify_pairwise: bool = True,
     P = g.params
     if not g.is_zero_free():
         raise EquivError("g has zeros; apply fix_zeros first")
-    # hyperoval points: index k < q+1 is u_k/g(u_k); index q+1 is 0
-    pts_k = P.kmul_v(g.S.codes, P.kinv_v(g.values.astype(np.uint32))).tolist()
-    h_codes = geometry.k_codes_to_h_codes(P, np.array(pts_k + [0], dtype=np.uint32))
-    dec = stabilizer(P, [int(c) for c in h_codes], threads=threads)
+    oval = g.oval_codes_k()
+    # hyperoval point k < q+1 is u_k/g(u_k), point q+1 is the nucleus 0
+    dec = stabilizer(P, g.hyperoval_codes_h(), threads=threads)
 
     classes = []
     for orbit in dec.orbits:
-        cands = []
-        for idx in orbit:
-            if idx == P.q + 1:
-                cands.append((None, gfun.GFunction(P, g.values, g.provenance)))
-            else:
-                cands.append((idx, gfun.g_shift(g, idx)))
+        cands = [(None, g) if idx == P.q + 1 else (idx, gfun.g_shift(g, idx))
+                 for idx in orbit]
         s_idx, g_rep = min(cands, key=lambda t: t[1].values.tobytes())
         if s_idx is None:
-            oval = pts_k
-            f_rep = bent_mod.f_univariate(P, np.array(oval, dtype=np.uint32))
-            oval_h = geometry.k_codes_to_h_codes(P, np.array(oval + [0], dtype=np.uint32))
+            rep_oval, f_rep = oval, bent_mod.f_univariate(P, oval)
         else:
-            oval = gfun.shifted_oval_codes(g, s_idx)
+            rep_oval = gfun.shifted_oval_codes(g, s_idx)
             f_rep = bent_mod.f_shift(g, s_idx)
-            oval_h = geometry.k_codes_to_h_codes(P, np.array(oval + [0], dtype=np.uint32))
+        oval_h = geometry.k_codes_to_h_codes(P, np.append(rep_oval, 0))
         if verify_bent:
             fb = bent_mod.bent_from_g(g_rep)
             if not bent_mod.is_bent(fb):

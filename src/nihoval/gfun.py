@@ -10,7 +10,8 @@ Constructions:
   * from an o-polynomial h:  g(u) = h^{-1}(<i,u>/<1,u>) <1,u> + <i,u>, g(1)=1
   * for a monomial t^s:      g(u) = <i,u>^{1/s} <1,u>^{q-1/s}   (g(1) = 0)
   * from an oval O in K:     g(u) = sum_i (sum_{v in O} v^{(q-1)i/2-1}) u^{i+1}
-  * nucleus shift g_s for the oval O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)}
+  * nucleus shift at s:      g_s = g_from_oval(O_s) for the oval with nucleus 0
+                             O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)}
 
 Division by 2 in exponents is multiplication by 2^{n-1} mod q^2-1.  g and
 g + <c,u> describe equivalent ovals; fix_zeros uses this to clear zeros, and
@@ -74,6 +75,13 @@ class GFunction:
 
     def hyperoval_codes_h(self) -> list[int]:
         return [geometry.k_to_h(p).code for p in self.hyperoval_points_k()]
+
+    def oval_codes_k(self) -> np.ndarray:
+        """The affine oval {u/g(u)} as K codes in unit-circle order; g zero-free."""
+        if not self.is_zero_free():
+            raise GFunError("g must be nowhere zero (apply fix_zeros first)")
+        P = self.params
+        return P.kmul_v(self.S.codes, P.kinv_v(self.values))
 
     def serialize_csv(self) -> str:
         header = {"field": json.loads(self.params.to_json()),
@@ -171,36 +179,24 @@ def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunct
 
 
 def g_shift(g: GFunction, s_index: int) -> GFunction:
-    """g_s for the shifted oval O_s of the hyperoval {u/g(u)} u {0}."""
-    P = g.params
-    if not g.is_zero_free():
-        raise GFunError("g must be nowhere zero (apply fix_zeros first)")
-    S = g.S.codes
-    s = int(S[s_index])
-    gs = int(g.values[s_index])
-    mask = np.arange(P.q + 1) != s_index
-    v = S[mask]
-    gv = g.values[mask].astype(np.uint32)
-    base = P.kmul_v(np.uint32(gs), v) ^ P.kmul_v(np.uint32(s), gv)
-    coeffs = []
-    for e in _half_exponents(P):
-        tail = np.bitwise_xor.reduce(P.kmul_v(gv, P.kpow_v(base, e)))
-        a = P.kmul(gs, P.kpow(s, e) ^ int(tail))
-        coeffs.append(a)
-    vals = _eval_power_series(P, coeffs)
-    return GFunction(P, vals, f"{g.provenance}|shift(s_index={s_index})")
+    """g_s: the g-function of the shifted oval O_s (see shifted_oval_codes)."""
+    return g_from_oval(g.params, shifted_oval_codes(g, s_index),
+                       f"{g.provenance}|shift(s_index={s_index})")
 
 
 def shifted_oval_codes(g: GFunction, s_index: int) -> list[int]:
-    """O_s = {v/g(v) + s/g(s) : v != s} u {s/g(s)} as K codes."""
-    P = g.params
-    if not g.is_zero_free():
-        raise GFunError("g must be nowhere zero")
-    pts = P.kmul_v(g.S.codes, P.kinv_v(g.values.astype(np.uint32)))
-    c = int(pts[s_index])
-    out = (pts ^ np.uint32(c)).tolist()
+    """O_s = {v/g(v) + s/g(s) : v != s} u {s/g(s)} as K codes.
+
+    Dropping s/g(s) from the hyperoval {u/g(u)} u {0} leaves an oval with
+    nucleus s/g(s); the translation x -> x + s/g(s) moves that nucleus to 0.
+    """
+    if not 0 <= s_index <= g.params.q:
+        raise GFunError(f"s_index must lie in 0..{g.params.q}, got {s_index}")
+    pts = g.oval_codes_k()
+    c = pts[s_index]
+    out = pts ^ c
     out[s_index] = c
-    return [int(x) for x in out]
+    return out.tolist()
 
 
 def g_from_pointset(params: FieldParams, hyperoval_codes, provenance: str = "") -> GFunction:
@@ -420,7 +416,6 @@ def validate_g(g: GFunction) -> GValidation:
     """Check the three equivalent validity conditions independently."""
     P = g.params
     lo = geometry.is_line_oval(g.lines())
-    codes = [geometry.k_to_h(p).code for p in g.hyperoval_points_k()]
-    ov = geometry.no_three_collinear(P, codes)
+    ov = geometry.no_three_collinear(P, g.hyperoval_codes_h())
     bt = bent.is_bent(bent.bent_from_g(g))
     return GValidation(lo, ov, bt)

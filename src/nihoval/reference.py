@@ -1,0 +1,26 @@
+"""Reference numbers from the paper, read by the CLI, the tests and the scripts.
+
+TABLE1   q = 32: (family, r, |Aut| of the hyperoval)
+TABLE2   q = 64: (family, |Aut|, point-orbit sizes under Aut)
+SEC46_*  section 4.6: number of inequivalent Niho bent functions per
+         hyperoval, i.e. stabilizer orbits on its q+2 points.
+"""
+
+TABLE1 = (("hyperconic", None, 163680), ("translation", 2, 4960), ("segre", None, 465),
+          ("subiaco_payne", None, 10), ("cherowitzo", None, 5),
+          ("okeefe_penttila", None, 3))
+TABLE2 = (("hyperconic", 1572480, (1, 65)), ("subiaco", 60, (1, 5, 60)),
+          ("subiaco2", 15, (1, 5, 15, 15, 15, 15)),
+          ("adelaide", 12, (1, 1, 4, 12, 12, 12, 12, 12)))
+
+# (m, classes) of the regular hyperoval; `reproduce sec4.6` checks these
+SEC46_HYPERCONIC = ((1, 1), (2, 1), (3, 2), (4, 2), (5, 2))
+# the q = 64 count needs the 1572480-element stabilizer: test suite only
+SEC46_HYPERCONIC_SLOW = ((6, 2),)
+# (m, family, r, classes, orbit sizes or None)
+SEC46_CASES = ((4, "lunelli_sce", None, 1, None),
+               (5, "translation", 2, 3, None),
+               (5, "segre", None, 2, None),
+               (5, "subiaco_payne", None, 6, (1, 1, 2, 10, 10, 10)),
+               (5, "cherowitzo", None, 10, (1, 1, 1, 1, 5, 5, 5, 5, 5, 5)),
+               (5, "okeefe_penttila", None, 12, None))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from nihoval import cli
+from nihoval.reference import TABLE1
+from conftest import GOLDEN
 
 
 def run(capsys, *argv):
@@ -83,6 +85,12 @@ def test_bent_artifacts(tmp_path):
     assert all("exp" in t for t in obj)
 
 
+@pytest.mark.parametrize("s_index", ["-1", "9"])
+def test_bent_s_index_out_of_range(capsys, s_index):
+    rc, _, err = run(capsys, "bent", "--m", "3", "--s-index", s_index)
+    assert rc == 2 and "s_index" in err
+
+
 def test_classify_report(capsys):
     rc, out, _ = run(capsys, "classify", "--family", "hyperconic", "--m", "3")
     assert rc == 0
@@ -93,6 +101,33 @@ def test_classify_report(capsys):
     for c in rep["classes"]:
         assert c["bent_check"] is True
         assert len(c["g_table"]) == 9
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("classify_hyperconic_m4.json", ["--family", "hyperconic", "--m", "4"]),
+    ("classify_lunelli_sce_m4.json", ["--family", "lunelli_sce", "--m", "4"]),
+    ("classify_translation_r2_m5.json", ["--family", "translation", "--r", "2", "--m", "5"]),
+])
+def test_classify_golden(tmp_path, name, argv):
+    # origin and nucleus-shifted representatives, byte for byte
+    out = tmp_path / name
+    assert cli.main(["classify", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--m", "3", "--threads", "0"],
+    ["reproduce", "theorems", "--threads", "-1"],
+    ["gfun", "--family", "subiaco", "--d-hex", "5"],
+    ["field", "--threads", "2"],
+    ["opoly", "--family", "segre", "--format", "bits"],
+    ["bent", "--m", "3", "--format", "csv"],
+    ["classify", "--m", "3", "--s-index", "1"],
+])
+def test_rejected_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_classify_slow_gate(capsys):
@@ -127,5 +162,5 @@ def test_reproduce_table1_end_to_end(capsys, tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["ok"] is True
-    assert [r["computed_aut"] for r in rep["rows"]] == [163680, 4960, 465, 10, 5, 3]
+    assert [r["computed_aut"] for r in rep["rows"]] == [aut for _, _, aut in TABLE1]
     assert all(r["g_is_hyperoval"] for r in rep["rows"])

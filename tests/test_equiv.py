@@ -6,6 +6,9 @@ from nihoval.equiv import (Collineation, EquivError, are_equivalent, classify_be
                            closure_order, collineation_from_k_multiplier,
                            pgammal_order, stabilizer)
 from nihoval.gf2m import field_create, unit_circle
+from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1
+
+TABLE1_AUT = {fam: aut for fam, _, aut in TABLE1}
 
 
 def hyperoval_codes(P, fam, r=None):
@@ -71,8 +74,8 @@ def test_generators_generate(m, fam, r):
 
 def test_generators_generate_q32_small_groups(P5):
     # q = 32 closure checks on the small stabilizers
-    for fam, order in (("okeefe_penttila", 3), ("cherowitzo", 5),
-                       ("subiaco_payne", 10)):
+    for fam in ("okeefe_penttila", "cherowitzo", "subiaco_payne"):
+        order = TABLE1_AUT[fam]
         dec = stabilizer(P5, hyperoval_codes(P5, fam), complete_generators=True)
         assert dec.stabilizer_order == order
         assert closure_order(list(dec.generators)) == order
@@ -87,6 +90,8 @@ def test_stabilizer_rejects_non_hyperoval(P3):
 
 def test_threads_do_not_change_results(P4):
     codes = hyperoval_codes(P4, "hyperconic")
+    with pytest.raises(EquivError):
+        stabilizer(P4, codes, threads=0)
     a = stabilizer(P4, codes, threads=1)
     b = stabilizer(P4, codes, threads=2)
     assert a.stabilizer_order == b.stabilizer_order
@@ -159,14 +164,9 @@ def test_frobenius_collineation_on_k_model(P5):
 
 
 @pytest.mark.parametrize("m,fam,r,classes", [
-    (1, "hyperconic", None, 1),
-    (2, "hyperconic", None, 1),
-    (3, "hyperconic", None, 2),
-    (4, "hyperconic", None, 2),
-    (4, "lunelli_sce", None, 1),
-    (5, "translation", 2, 3),
-    (5, "segre", None, 2),
-])
+    (m, "hyperconic", None, n) for m, n in SEC46_HYPERCONIC if m <= 4] + [
+    (m, fam, r, n) for m, fam, r, n, _ in SEC46_CASES
+    if fam in ("lunelli_sce", "translation", "segre")])
 def test_classify_counts(m, fam, r, classes):
     P = field_create(m)
     g = gfun.g_catalog(P, fam, r=r)
@@ -197,7 +197,8 @@ def test_classify_reps_are_canonical(P3):
 def test_generators_generate_q32_medium_groups(P5):
     # closure checks for the 465- and 4960-element stabilizers at q = 32;
     # the 163680-element hyperconic closure is capped out of the default suite
-    for fam, r, order in (("segre", None, 465), ("translation", 2, 4960)):
+    for fam, r in (("segre", None), ("translation", 2)):
+        order = TABLE1_AUT[fam]
         g = gfun.g_catalog(P5, fam, r=r)
         if not g.is_zero_free():
             g = gfun.fix_zeros(g)

@@ -6,6 +6,7 @@ from nihoval.gf2m import field_create, spread_i, unit_circle
 from nihoval.gfun import (GFunError, GFunction, fix_zeros, g_catalog, g_from_opoly,
                           g_from_oval, g_monomial, g_series, g_shift,
                           linear_shift_difference, validate_g)
+from nihoval.reference import TABLE1, TABLE2
 from conftest import GOLDEN
 
 CATALOG_CASES = [
@@ -135,6 +136,7 @@ def test_g_from_oval_roundtrip(P3, P4, P5):
         if not g.is_zero_free():
             g = fix_zeros(g)
         oval = P.kmul_v(g.S.codes, P.kinv_v(g.values.astype(np.uint32)))
+        assert np.array_equal(g.oval_codes_k(), oval)
         back = g_from_oval(P, oval)
         assert np.array_equal(back.values, g.values)
 
@@ -154,14 +156,17 @@ def test_g_from_oval_rejects_zero(P3):
         g_from_oval(P3, bad)
 
 
-def test_g_shift_dual_route(P3, P4):
-    for P in (P3, P4):
-        g = g_catalog(P, "hyperconic")
+def test_g_shift_dual_route(P3, P4, P5):
+    # defining property: the oval {u/g_s(u)} of g_s is O_s as a set
+    for P, fam in ((P3, "hyperconic"), (P4, "hyperconic"), (P4, "lunelli_sce"),
+                   (P5, "subiaco_payne")):
+        g = g_catalog(P, fam)
         for sidx in range(0, P.q + 1, 3):
             gs = g_shift(g, sidx)
             assert validate_g(gs).valid
             oval = gfun.shifted_oval_codes(g, sidx)
-            assert np.array_equal(g_from_oval(P, oval).values, gs.values)
+            assert len(set(oval)) == P.q + 1
+            assert set(gs.oval_codes_k().tolist()) == set(oval)
 
 
 def test_g_shift_requires_zero_free(P5):
@@ -169,6 +174,10 @@ def test_g_shift_requires_zero_free(P5):
     assert not g.is_zero_free()
     with pytest.raises(GFunError):
         g_shift(g, 0)
+    with pytest.raises(GFunError):
+        g.oval_codes_k()
+    with pytest.raises(bent.BentError):
+        bent.f_shift(g, 0)
     gz = fix_zeros(g)
     assert gz.is_zero_free()
     assert validate_g(gz).valid
@@ -237,13 +246,11 @@ def test_okp_epsilon(P5):
 
 
 def test_serialize_csv_golden(P5, P6):
-    for fam, r, P in (("hyperconic", None, P5), ("translation", 2, P5),
-                      ("segre", None, P5), ("subiaco_payne", None, P5),
-                      ("cherowitzo", None, P5), ("okeefe_penttila", None, P5)):
-        g = g_catalog(P, fam, r=r)
+    for fam, r, _ in TABLE1:
+        g = g_catalog(P5, fam, r=r)
         expect = (GOLDEN / f"table1_{fam}.csv").read_text()
         assert g.serialize_csv() == expect
-    for fam in ("hyperconic", "subiaco", "subiaco2", "adelaide"):
+    for fam, _, _ in TABLE2:
         g = g_catalog(P6, fam)
         expect = (GOLDEN / f"table2_{fam}.csv").read_text()
         assert g.serialize_csv() == expect
