@@ -32,8 +32,7 @@ class CliError(Exception):
 
 
 def _params(args):
-    modulus = int(args.modulus_hex, 16) if args.modulus_hex else None
-    return field_create(args.m, modulus)
+    return field_create(args.m, args.modulus_hex)
 
 
 def _write(path, data: str | bytes):
@@ -54,8 +53,8 @@ def _opoly_family(args) -> opoly.OPolyFamily:
         if args.r is None:
             raise CliError("translation needs --r")
         kwargs["r"] = args.r
-    if args.family == "subiaco" and args.d_hex:
-        kwargs["d"] = int(args.d_hex, 16)
+    if args.family == "subiaco" and args.d_hex is not None:
+        kwargs["d"] = args.d_hex
     return opoly.OPolyFamily(args.family, **kwargs)
 
 
@@ -267,6 +266,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def hex_int(text: str) -> int:
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a hexadecimal number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nihoval",
                                  description="Niho bent functions from hyperovals")
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, family=True):
         p.add_argument("--m", type=int, default=5)
-        p.add_argument("--modulus-hex", default=None)
+        p.add_argument("--modulus-hex", type=hex_int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if family:
             p.add_argument("--family", default="hyperconic",
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opoly", help="o-polynomial table")
     common(p)
-    p.add_argument("--d-hex", default=None)
+    p.add_argument("--d-hex", type=hex_int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_opoly)
 

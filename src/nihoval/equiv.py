@@ -1,25 +1,37 @@
 """Collineations of PG(2,q), hyperoval stabilizers and equivalence classes.
 
 A collineation is x -> M * x^(2^j) with M in PGL(3,q) (canonically scaled)
-and j a Frobenius power.  By the fundamental theorem of projective geometry
-a projectivity is pinned by the images of four points in general position,
-and every 4-subset of a hyperoval is in general position, so the stabilizer
-elements of a hyperoval H correspond bijectively to pairs (j, Q) where Q is
-an ordered 4-tuple of H mapped from a fixed quadrangle Q0:
+and j a Frobenius power.  The search finds every collineation mapping an arc
+S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
 
-    M = N_Q * N_{Q0^(2^j)}^{-1},   keep iff M maps H^(2^j) onto H.
+* Fix a source triangle (P0, P1, P2).  For each j and each ordered image
+  triangle (A, B, C) of T, the projectivities sending P_i^(2^j) to (A, B, C)
+  are diagonal in those bases: a two-dimensional torus.
+* A point Y of T off the triangle has the key
+  (log l0 - log l1, log l0 - log l2) in Z_(q-1)^2, where
+  l = (L_BC.Y, L_CA.Y, L_AB.Y) and L_BC = B x C is the line BC.  In that
+  basis a torus element acts on keys as a translation t, and the Frobenius
+  multiplies source keys by 2^j.  So (j, A, B, C, t) is a hit iff
+  2^j K_src(X) + t is a key of T for every other source point X.
+* log(L_ab . X_l) is tabulated once per point set with N^3 field products.
+  After that the search is integer work only: per triple, an image-index
+  table over the keys of T; candidate translations from the image of the
+  fourth source point; pruning by gathers from the table.
+* Every hit is one group element, so the hit count is the exact stabilizer
+  order.  The hits with A = P0 (the stabilizer of P0) and one hit for each
+  other A generate the group; table lookups give their point images, and
+  the closure of that relation is the orbit partition.  Matrices are built
+  only for the witness and the stored sample elements, from the four image
+  points of the source quadrangle (P0, P1, P2, P3).
+* A zero in the line-log table means three collinear points: the input is
+  not an arc and the search raises EquivError.
 
-The enumeration is vectorized: for every ordered triple (A,B,C) and fourth
-point D the frame solution (alpha,beta,gamma) = adj([A B C]) * D gives
-N_Q = [alpha*A | beta*B | gamma*C] up to scale; candidates are pruned by
-mapping one probe point of H and testing membership (expected O(1) survivors
-per false candidate), then a second probe, then fully verified.  Counting
-hits gives the exact stabilizer order; the image rows of the verified hits
-give the point orbits directly (the hits are *all* group elements).
-
-are_equivalent reuses the machinery with quadrangles drawn from the target
-set, optionally with a marked point (nucleus -> nucleus for oval
-equivalence), and early-exits on the first verified witness.
+Chunks run over the first image point A (one chunk when `marked` pins it);
+a chunk is cut into pieces when its table would exceed TABLE_BYTES.  Results
+are merged in A order, so they do not depend on the piece size or on the
+thread count.  are_equivalent runs the same search with an early exit on the
+first hit, optionally with a marked point (nucleus -> nucleus for oval
+equivalence).
 """
 
 from __future__ import annotations
@@ -32,7 +44,9 @@ from . import bent as bent_mod
 from . import geometry, gfun
 from .gf2m import FieldParams
 
-CHUNK_CELLS = 3_000_000          # candidate cells (triples x points) per chunk
+TABLE_BYTES = 1 << 22                    # image-index table bytes per piece of a chunk
+SAMPLE_POSITIONS = (0, 1, 2, 4, 8, 16, 32)  # stored hits per (first image, Frobenius) stream
+MAX_SAMPLES = 96                         # sample elements kept per search
 
 
 class EquivError(ValueError):
@@ -149,40 +163,50 @@ def _coords_of_codes(params: FieldParams, codes) -> np.ndarray:
     return np.stack([x, y, z], axis=-1).astype(np.uint32)
 
 
-def _matvec(P: FieldParams, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(3,3) @ (N,3) over GF."""
-    out = np.zeros_like(v)
-    for r in range(3):
-        acc = np.zeros(v.shape[0], dtype=np.uint32)
-        for k in range(3):
-            acc ^= P.fmul_v(np.uint32(int(M[r, k])), v[:, k])
-        out[:, r] = acc
-    return out
-
-
-def _scalar_adjugate(P: FieldParams, M: np.ndarray) -> np.ndarray:
-    flat = _adjugate3(P, [int(M[r, c]) for r in range(3) for c in range(3)])
-    return np.array(flat, dtype=np.uint32).reshape(3, 3)
-
-
 def _frame_matrix(P: FieldParams, quad: np.ndarray) -> np.ndarray:
     """3x3 taking the standard frame to the 4 rows of `quad` (up to scale)."""
     A, B, C, D = (quad[k] for k in range(4))
-    cols = np.stack([A, B, C], axis=-1)  # 3x3 with columns A,B,C
-    adj = _scalar_adjugate(P, cols)
-    s = np.zeros(3, dtype=np.uint32)
-    for r in range(3):
-        acc = 0
-        for k in range(3):
-            acc ^= P.fmul(int(adj[r, k]), int(D[k]))
-        s[r] = acc
-    if not all(int(v) for v in s):
+    cols = [int(v) for v in np.stack([A, B, C], axis=-1).reshape(-1)]
+    adj = _adjugate3(P, cols)
+    s = [P.fmul(adj[3 * r], int(D[0])) ^ P.fmul(adj[3 * r + 1], int(D[1]))
+         ^ P.fmul(adj[3 * r + 2], int(D[2])) for r in range(3)]
+    if not all(s):
         raise EquivError("frame points are not in general position")
-    out = np.zeros((3, 3), dtype=np.uint32)
-    for r in range(3):
-        for c in range(3):
-            out[r, c] = P.fmul(int(cols[r, c]), int(s[c]))
-    return out
+    return np.array([P.fmul(cols[3 * r + c], s[c]) for r in range(3) for c in range(3)],
+                    dtype=np.uint32).reshape(3, 3)
+
+
+def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
+    """log(L_ab . X_l) at flat index (a*N + b)*N + l; L_ab = X_a x X_b is the line XaXb.
+
+    L_aa vanishes and L_ab vanishes on X_a and X_b; any further zero means
+    three collinear (or two equal) points, which the torus keys cannot use.
+    """
+    fm = P.fmul_v
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    l0 = fm(y[:, None], z[None, :]) ^ fm(z[:, None], y[None, :])
+    l1 = fm(z[:, None], x[None, :]) ^ fm(x[:, None], z[None, :])
+    l2 = fm(x[:, None], y[None, :]) ^ fm(y[:, None], x[None, :])
+    dots = fm(l0[:, :, None], x) ^ fm(l1[:, :, None], y) ^ fm(l2[:, :, None], z)
+    n = len(pts)
+    if np.count_nonzero(dots == 0) != n * n + 2 * n * (n - 1):
+        raise EquivError("three of the points are collinear: not an arc")
+    return P.f_log[dots.reshape(-1)].astype(np.int32)
+
+
+def _keys(LL: np.ndarray, N: int, Q: int, a, b, c, y):
+    """Torus key of points y relative to the triangle (a, b, c), two arrays mod Q."""
+    bc = LL[(b * N + c) * N + y]
+    return (bc - LL[(a * N + c) * N + y]) % Q, (bc - LL[(a * N + b) * N + y]) % Q
+
+
+def _rows(n: int) -> tuple[np.ndarray, ...]:
+    """(i, k, l, row) over pairwise distinct positions in range(n), in (i, k, l)
+    order; row = i*(n-1) + k - (k > i) numbers the pairs (i, k)."""
+    p = np.arange(n)
+    i, k, l = np.nonzero((p[:, None, None] != p[:, None]) & (p[:, None, None] != p)
+                         & (p[:, None] != p))
+    return tuple(v.astype(np.int32) for v in (i, k, l, i * (n - 1) + k - (k > i)))
 
 
 # ----------------------------------------------------------- the enumeration
@@ -196,6 +220,20 @@ class _SearchResult:
     generators: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _Torus:
+    """What every chunk of one search shares (read only)."""
+    LL: np.ndarray          # destination line-log table (_line_logs)
+    N: int
+    Q: int                  # q - 1, the order of each torus coordinate
+    shifts: np.ndarray      # (m, N-4) source key offsets from the fourth point
+    src_order: np.ndarray   # source indices: base triangle, fourth point, the rest
+    rows: tuple             # _rows(N - 1)
+    want_orbits: bool
+    early_exit: bool
+    store_stride: int | None
+
+
 def _search(params: FieldParams, src_codes, dst_codes, *,
             marked: tuple[int, int] | None = None,
             early_exit: bool = False,
@@ -205,213 +243,156 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     """Count/find collineations mapping the src set onto the dst set.
 
     `marked` = (src_code, dst_code) pins the image of one point.  With
-    `early_exit` the first verified witness is returned.  With `want_orbits`
-    (src must equal dst) the orbit reach matrix is accumulated.  Chunk
-    results are merged in enumeration order, so counts, orbits and stored
-    sample elements do not depend on chunk size or thread count.
+    `early_exit` the first hit is returned as the witness.  With
+    `want_orbits` (src must equal dst) `reach` is the orbit relation on the
+    points.  Chunks (one per first image point) are merged in order, so
+    counts, orbits, the witness and the sample elements do not depend on
+    TABLE_BYTES or on the thread count.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
     P = params
-    q, m = P.q, P.m
-    nsp = q * q + q + 1
+    Q, m = P.q - 1, P.m
     src_codes = [int(c) for c in src_codes]
     dst_codes = [int(c) for c in dst_codes]
     N = len(src_codes)
     if len(dst_codes) != N:
         raise EquivError("point sets differ in size")
-
-    in_dst = np.zeros(nsp, dtype=bool)
-    dst_index = np.full(nsp, -1, dtype=np.int32)
-    for idx, c in enumerate(dst_codes):
-        in_dst[c] = True
-        dst_index[c] = idx
+    if N < 4:
+        raise EquivError("the search needs at least four points")
     src = _coords_of_codes(P, src_codes)
     dst = _coords_of_codes(P, dst_codes)
+    LLs = _line_logs(P, src)
+    LLd = LLs if dst_codes == src_codes else _line_logs(P, dst)
 
-    # source quadrangle: marked point first when present
-    order_src = list(range(N))
+    # source base triangle and fourth point: marked point first when present
+    order = list(range(N))
+    firsts = range(N)
     if marked is not None:
+        if marked[0] not in src_codes or marked[1] not in dst_codes:
+            raise EquivError("marked point is not in the point set")
         ms = src_codes.index(marked[0])
-        order_src = [ms] + [k for k in range(N) if k != ms]
-    q0_idx = order_src[:4]
-    probe_idx = order_src[4:6]  # may be empty at q = 2
+        order = [ms] + [k for k in range(N) if k != ms]
+        firsts = [dst_codes.index(marked[1])]
+    # keys of the other source points minus the fourth point's key, times 2^j,
+    # as flat offsets into a (2Q)^2 table
+    k0, k1 = _keys(LLs, N, Q, order[0], order[1], order[2], np.array(order[3:]))
+    d0, d1 = k0[1:] - k0[0], k1[1:] - k1[0]
+    shifts = np.array([(d0 * (1 << j)) % Q * (2 * Q) + (d1 * (1 << j)) % Q
+                       for j in range(m)], dtype=np.int64).reshape(m, N - 4)
+    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _rows(N - 1),
+                 want_orbits, early_exit, store_stride)
+    # hit (j, a, b, c, y) = N_(a,b,c,y) * frob_j(N_Q0^-1), Q0 the source quadrangle
+    base = Collineation.make(P, _frame_matrix(P, src[order[:4]]).reshape(-1), 0).inverse()
 
-    # per-Frobenius canonicalized source points V_j = N_{Q0^(2^j)}^{-1} src^(2^j)
-    Vs, A_inv = [], []
-    for j in range(m):
-        srcj = P.f_frob[j][src]
-        Aj = _scalar_adjugate(P, _frame_matrix(P, srcj[q0_idx]))
-        A_inv.append(Aj)
-        Vs.append(_matvec(P, Aj, srcj))
+    def build(hit) -> Collineation:
+        j, *quad = hit
+        return Collineation.make(P, _frame_matrix(P, dst[quad]).reshape(-1), j).compose(base)
 
-    # candidate pools in the destination
-    if marked is not None:
-        md = dst_codes.index(marked[1])
-        first_pool = [md]
-        other_pool = np.array([k for k in range(N) if k != md], dtype=np.int64)
-    else:
-        first_pool = list(range(N))
-        other_pool = np.arange(N, dtype=np.int64)
-    trip = []
-    for i0 in first_pool:
-        for i1 in other_pool:
-            if i1 == i0:
-                continue
-            for i2 in other_pool:
-                if i2 != i0 and i2 != i1:
-                    trip.append((i0, i1, i2))
-    triples = np.array(trip, dtype=np.int64)
-    d_pool = other_pool  # the fourth point never equals a marked image
-
-    chunk = max(1, CHUNK_CELLS // max(1, len(d_pool)))
-    starts = list(range(0, len(triples), chunk))
-    ctx = (P, d_pool, dst, Vs, A_inv, in_dst, dst_index, probe_idx,
-           early_exit, want_orbits, store_stride)
-
-    def run(start):
-        return _process_chunk(ctx, triples[start:start + chunk])
-
-    if threads > 1 and len(starts) > 1 and not early_exit:
+    if threads > 1 and len(firsts) > 1 and not early_exit:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(run, starts))
+            outs = list(pool.map(lambda a: _process_chunk(ctx, a), firsts))
     else:
         outs = []
-        for s in starts:
-            out = run(s)
-            outs.append(out)
-            if early_exit and out[3] is not None:
+        for a in firsts:
+            outs.append(_process_chunk(ctx, a))
+            if early_exit and outs[-1][3] is not None:
                 break
 
     res = _SearchResult()
     if want_orbits:
         res.reach = np.eye(N, dtype=bool)
-    first_per_j: dict[int, Collineation] = {}
-    stored_all: list[Collineation] = []
-    for count, reach, stored, witness in outs:
+    picks = []
+    for count, reach, chunk_picks, first in outs:
         res.order += count
-        if want_orbits and reach is not None:
+        if want_orbits:
             res.reach |= reach
-        for j, phi in stored:
-            if j not in first_per_j:
-                first_per_j[j] = phi
-            stored_all.append(phi)
-        if witness is not None and res.witness is None:
-            res.witness = witness
-    samples, seen = [], set()
-    for phi in [first_per_j[j] for j in sorted(first_per_j)] + stored_all:
-        if phi.key() not in seen:
-            seen.add(phi.key())
-            samples.append(phi)
-        if len(samples) >= 96:
-            break
-    res.generators = samples
+        picks += chunk_picks
+        if first is not None and res.witness is None:
+            res.witness = build(first)
+    if want_orbits:
+        # the recorded elements generate the group: close the relation
+        while True:
+            closed = res.reach | res.reach.T | (res.reach @ res.reach)
+            if np.array_equal(closed, res.reach):
+                break
+            res.reach = closed
+    first_per_j = {}
+    for hit in picks:
+        first_per_j.setdefault(hit[0], hit)
+    chosen = dict.fromkeys([first_per_j[j] for j in sorted(first_per_j)] + picks)
+    res.generators = [build(hit) for hit in list(chosen)[:MAX_SAMPLES]]
     return res
 
 
-def _process_chunk(ctx, tchunk):
-    """Pure chunk worker: returns (hit_count, reach|None, stored, witness)."""
-    (P, d_pool, dst, Vs, A_inv, in_dst, dst_index, probe_idx,
-     early_exit, want_orbits, store_stride) = ctx
-    fm = P.fmul_v
-    N = dst.shape[0]
-    A = dst[tchunk[:, 0]]
-    B = dst[tchunk[:, 1]]
-    C = dst[tchunk[:, 2]]
-    a0, a1, a2 = A[:, 0], A[:, 1], A[:, 2]
-    b0, b1, b2 = B[:, 0], B[:, 1], B[:, 2]
-    c0, c1, c2 = C[:, 0], C[:, 1], C[:, 2]
-    adj = [
-        fm(b1, c2) ^ fm(b2, c1), fm(b0, c2) ^ fm(b2, c0), fm(b0, c1) ^ fm(b1, c0),
-        fm(a1, c2) ^ fm(a2, c1), fm(a0, c2) ^ fm(a2, c0), fm(a0, c1) ^ fm(a1, c0),
-        fm(a1, b2) ^ fm(a2, b1), fm(a0, b2) ^ fm(a2, b0), fm(a0, b1) ^ fm(a1, b0),
-    ]
-    Dx = dst[d_pool]
-    alpha = fm(adj[0][:, None], Dx[None, :, 0]) ^ fm(adj[1][:, None], Dx[None, :, 1]) \
-        ^ fm(adj[2][:, None], Dx[None, :, 2])
-    beta = fm(adj[3][:, None], Dx[None, :, 0]) ^ fm(adj[4][:, None], Dx[None, :, 1]) \
-        ^ fm(adj[5][:, None], Dx[None, :, 2])
-    gamma = fm(adj[6][:, None], Dx[None, :, 0]) ^ fm(adj[7][:, None], Dx[None, :, 1]) \
-        ^ fm(adj[8][:, None], Dx[None, :, 2])
-    valid = (d_pool[None, :] != tchunk[:, 0][:, None]) \
-        & (d_pool[None, :] != tchunk[:, 1][:, None]) \
-        & (d_pool[None, :] != tchunk[:, 2][:, None])
+def _process_chunk(ctx: _Torus, a: int):
+    """All hits that map the source triangle to (a, b, c) for some b, c.
 
-    def images(al, be, ga, Arows, Brows, Crows, v):
-        out = []
-        for r in range(3):
-            out.append(fm(al, fm(np.uint32(int(v[0])), Arows[:, r]))
-                       ^ fm(be, fm(np.uint32(int(v[1])), Brows[:, r]))
-                       ^ fm(ga, fm(np.uint32(int(v[2])), Crows[:, r])))
-        return geometry.normalize_codes_v(P, out[0], out[1], out[2])
-
-    count = 0
-    reach = np.zeros((N, N), dtype=bool) if want_orbits else None
-    stored = []
-    for j in range(len(Vs)):
-        ti, di = np.nonzero(valid)
-        for p in probe_idx:
-            if len(ti) == 0:
-                break
-            codes = images(alpha[ti, di], beta[ti, di], gamma[ti, di],
-                           A[ti], B[ti], C[ti], Vs[j][p])
-            keep = in_dst[codes]
-            ti, di = ti[keep], di[keep]
-        if len(ti) == 0:
-            continue
-        al, be, ga = alpha[ti, di], beta[ti, di], gamma[ti, di]
-        At, Bt, Ct = A[ti], B[ti], C[ti]
-        V = Vs[j]
-        aV = fm(al[:, None], V[None, :, 0])
-        bV = fm(be[:, None], V[None, :, 1])
-        gV = fm(ga[:, None], V[None, :, 2])
-        y0 = fm(aV, At[:, 0][:, None]) ^ fm(bV, Bt[:, 0][:, None]) \
-            ^ fm(gV, Ct[:, 0][:, None])
-        y1 = fm(aV, At[:, 1][:, None]) ^ fm(bV, Bt[:, 1][:, None]) \
-            ^ fm(gV, Ct[:, 1][:, None])
-        y2 = fm(aV, At[:, 2][:, None]) ^ fm(bV, Bt[:, 2][:, None]) \
-            ^ fm(gV, Ct[:, 2][:, None])
-        codes = geometry.normalize_codes_v(P, y0, y1, y2)
-        ok = in_dst[codes].all(axis=1)
-        hit_rows = np.nonzero(ok)[0]
-        if len(hit_rows) == 0:
-            continue
-        if want_orbits:
-            img = dst_index[codes[hit_rows]]
-            for k in range(img.shape[1]):
-                reach[k, img[:, k]] = True
-        # deterministic samples: first few hits of each chunk/Frobenius layer,
-        # or a fixed stride through them when harvesting a generating set
-        if store_stride is None:
-            positions = [p for p in (0, 1, 2, 4, 8, 16, 32) if p < len(hit_rows)]
-        else:
-            positions = list(range(0, len(hit_rows), store_stride))[:256]
-        for pos in positions:
-            r = hit_rows[pos]
-            phi = _build_collineation(P, j, int(al[r]), int(be[r]), int(ga[r]),
-                                      At[r], Bt[r], Ct[r], A_inv[j])
-            stored.append((j, phi))
-            if early_exit:
-                return count + len(hit_rows), reach, stored, phi
-        count += len(hit_rows)
-    return count, reach, stored, None
-
-
-def _build_collineation(P, j, al, be, ga, Acol, Bcol, Ccol, Ainv) -> Collineation:
-    nq = np.zeros((3, 3), dtype=np.uint32)
-    for r in range(3):
-        nq[r, 0] = P.fmul(al, int(Acol[r]))
-        nq[r, 1] = P.fmul(be, int(Bcol[r]))
-        nq[r, 2] = P.fmul(ga, int(Ccol[r]))
-    M = np.zeros((3, 3), dtype=np.uint32)
-    for r in range(3):
-        for c in range(3):
-            acc = 0
-            for k in range(3):
-                acc ^= P.fmul(int(nq[r, k]), int(Ainv[k, c]))
-            M[r, c] = acc
-    return Collineation.make(P, M.reshape(-1), j)
+    Returns (hit count, reach | None, sample hits, first hit | None); a hit is
+    (j, a, b, c, y) with y the image of the fourth source point.  The
+    triangles (a, b, c) are cut into pieces whose image-index table fits in
+    TABLE_BYTES.
+    """
+    N, Q, LL, shifts = ctx.N, ctx.Q, ctx.LL, ctx.shifts
+    m = shifts.shape[0]
+    W = 2 * Q
+    cells = W * W
+    lifts = (0, Q, Q * W, Q * W + Q)
+    dtype = np.min_scalar_type(N)            # image index + 1; 0 = no point
+    step = max(1, TABLE_BYTES // (cells * dtype.itemsize))
+    wanted = (SAMPLE_POSITIONS if ctx.store_stride is None
+              else range(0, 256 * ctx.store_stride, ctx.store_stride))
+    others = np.delete(np.arange(N), a)
+    I, K, L, R = ctx.rows
+    count = [0] * m
+    reach = np.zeros((N, N), dtype=bool) if ctx.want_orbits else None
+    picks = [[] for _ in range(m)]
+    for lo in range(0, (N - 1) * (N - 2), step):
+        s = slice(lo * (N - 3), (lo + step) * (N - 3))
+        b, c, y = others[I[s]], others[K[s]], others[L[s]]
+        k0, k1 = _keys(LL, N, Q, a, b, c, y)
+        # a key is stored at its four lifts in Z_2Q^2, so key + shift needs no
+        # reduction mod Q
+        base = (R[s] - lo).astype(np.int64) * cells + k0 * W + k1
+        table = np.zeros(min(step, (N - 1) * (N - 2) - lo) * cells, dtype=dtype)
+        for off in lifts:
+            table[base + off] = y + 1
+        first = None
+        for j in range(m):
+            sh = shifts[j]
+            # one candidate translation per (b, c, y), y the fourth point's image;
+            # prune on the fifth and sixth source points, then check all at once
+            alive = np.flatnonzero(table[base + sh[0]]) if len(sh) else np.arange(len(base))
+            if len(sh) > 1:
+                alive = alive[table[base[alive] + sh[1]] != 0]
+            img = table[base[alive, None] + sh]
+            ok = img.all(axis=1)
+            hits = alive[ok]
+            if not len(hits):
+                continue
+            if ctx.early_exit:
+                # first hit in (b, c, j, y) order, whatever the piece size
+                if first is None or hits[0] // (N - 3) < first[0] // (N - 3):
+                    first = (hits[0], j)
+                continue
+            # Stab(P0) is the chunk a = P0 and every other chunk is one of its
+            # cosets: record all hits of the first, one hit group of each other
+            if reach is not None and (a == ctx.src_order[0] or not reach.any()):
+                images = np.column_stack([np.full(len(hits), a), b[hits], c[hits], y[hits],
+                                          img[ok].astype(np.int64) - 1])
+                reach[np.broadcast_to(ctx.src_order, images.shape), images] = True
+            for p in wanted:
+                if p >= count[j] + len(hits):
+                    break
+                if p >= count[j]:
+                    h = hits[p - count[j]]
+                    picks[j].append((j, a, int(b[h]), int(c[h]), int(y[h])))
+            count[j] += len(hits)
+        if first is not None:
+            h, j = first
+            return 1, reach, [], (j, a, int(b[h]), int(c[h]), int(y[h]))
+    return sum(count), reach, [h for per_j in picks for h in per_j], None
 
 
 # ----------------------------------------------------------------- public API
@@ -442,7 +423,8 @@ def stabilizer(params: FieldParams, points, *, check: bool = True,
 
     With complete_generators the sample elements are re-harvested (with an
     increasingly fine stride through the hit stream) until their closure has
-    exactly the stabilizer order; intended for q <= 32.
+    exactly the stabilizer order, and EquivError is raised if stride 1 still
+    falls short; intended for q <= 32.
     """
     codes = geometry._as_codes(params, points)
     if check and not geometry.no_three_collinear(params, codes):
@@ -454,15 +436,15 @@ def stabilizer(params: FieldParams, points, *, check: bool = True,
         gens = list(res.generators)
         stride = None
         while closure_order(gens, limit=res.order) < res.order:
+            if stride == 1:
+                raise EquivError("the harvested elements do not generate the stabilizer")
             stride = max(1, res.order // 64) if stride is None else max(1, stride // 4)
             extra = _search(params, codes, codes, store_stride=stride,
                             threads=threads)
             keys = {g.key() for g in gens}
             gens += [g for g in extra.generators if g.key() not in keys]
-            if stride == 1:
-                break
         res.generators = gens
-    # orbits = unique rows of the reach matrix (hits cover the whole group)
+    # reach is the orbit relation: its distinct rows are the orbits
     seen = {}
     for k in range(len(codes)):
         key = res.reach[k].tobytes()
@@ -481,8 +463,8 @@ def orbits_on_points(params: FieldParams, points, *, threads: int = 1):
 
 def are_equivalent(params: FieldParams, points_a, points_b,
                    marked: tuple | None = None, threads: int = 1) -> Collineation | None:
-    """A collineation mapping set A onto set B (and marked_a to marked_b),
-    or None after exhausting all candidate quadrangles."""
+    """A collineation mapping arc A onto arc B (and marked_a to marked_b),
+    or None after exhausting all candidates."""
     codes_a = geometry._as_codes(params, points_a)
     codes_b = geometry._as_codes(params, points_b)
     mk = None

@@ -123,6 +123,8 @@ def test_classify_golden(tmp_path, name, argv):
     ["opoly", "--family", "segre", "--format", "bits"],
     ["bent", "--m", "3", "--format", "csv"],
     ["classify", "--m", "3", "--s-index", "1"],
+    ["field", "--modulus-hex", "zz"],
+    ["opoly", "--family", "subiaco", "--d-hex", "zz"],
 ])
 def test_rejected_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
