@@ -15,7 +15,15 @@ at the origin the bent function is
     f(x) = sum_j sum_i ( sum_{v in O} v^{-(i(q-1)+2^j)} ) x^{i(q-1)+2^j}
 
 and the nucleus shift at s is this polynomial for the shifted oval O_s
-(gfun.shifted_oval_codes).
+(gfun.shifted_oval_codes).  Only the q+1 sums for 2^j = 1 are formed; the
+others are their Frobenius images.
+
+Sparse polynomials (Niho polynomials and trace forms) are evaluated in
+polar form: for x = lambda*u, x^e = lambda^(e mod q-1) * u^(e mod q+1), so
+the terms are summed on the q+1 points of S, one sum per residue of e mod
+q-1 (at most m for Niho exponents), and each sum is spread over the lines
+u*F* with F-multiplies.  The cost is terms*(q+1) + residues*q^2 instead of
+terms*q^2.
 Truth-table index order is the K code (a-bits low, b-bits high).
 """
 
@@ -76,24 +84,60 @@ def bent_from_g(g) -> BooleanFn:
     return BooleanFn(P, table)
 
 
+def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
+    """sum c*x^e at every x in K, as K codes in code order; terms are (e, c).
+
+    Polar form: x = lambda*u with lambda = f_exp[k] in F* and u = w^l in S
+    (unit_circle order), so x^e = lambda^(e mod q-1) * u^(e mod q+1).
+    Terms with equal r = e mod (q-1) are summed on S first, c_r(u) =
+    sum c*u^e by index gathers into the unit circle; then sum_r lambda^r *
+    c_r(u) is formed on the (q-1) x (q+1) grid, two F products per entry and
+    residue, and scattered to the codes x = lambda*u.  The value at x = 0 uses
+    the polynomial convention 0^0 = 1, 0^e = 0 for e != 0.
+    """
+    q, m = P.q, P.m
+    qm1 = q - 1
+    S = unit_circle(P).codes
+    ls = np.arange(q + 1, dtype=np.int64)
+    groups: dict[int, list] = {}
+    at_zero = 0
+    for e, c in terms:
+        if e == 0:
+            at_zero ^= int(c)
+        groups.setdefault(e % qm1, []).append((e % (q + 1), c))
+    log_a = P.f_log[S & np.uint32(qm1)]
+    log_b = P.f_log[S >> np.uint32(m)]
+    k = np.arange(qm1, dtype=np.int64)[:, None]
+    lo = np.zeros((qm1, q + 1), dtype=np.uint32)
+    hi = np.zeros((qm1, q + 1), dtype=np.uint32)
+    for r, group in groups.items():
+        es = np.array([eu for eu, _ in group], dtype=np.int64)
+        cs = np.array([c for _, c in group], dtype=np.uint32)
+        cu = np.bitwise_xor.reduce(P.kmul_v(cs[:, None], S[es[:, None] * ls % (q + 1)]),
+                                   axis=0)
+        rk = r * k % qm1
+        lo ^= P.f_exp[rk + P.f_log[cu & np.uint32(qm1)]]
+        hi ^= P.f_exp[rk + P.f_log[cu >> np.uint32(m)]]
+    acc = np.empty(q * q, dtype=np.uint32)
+    acc[P.f_exp[k + log_a] | (P.f_exp[k + log_b] << np.uint32(m))] = lo | (hi << np.uint32(m))
+    acc[0] = at_zero
+    return acc
+
+
 def evaluate_trace_form(params: FieldParams, terms, mode: str = "abs") -> BooleanFn:
     """Truth table of x -> Tr(sum c*x^e) ("abs") or tr(sum c*x^e) ("rel").
 
     `terms` is a list of (coeff K code, exponent).  In "rel" mode every sum
     must land in the base field F.
     """
-    q = params.q
-    x = np.arange(q * q, dtype=np.uint32)
-    acc = np.zeros(q * q, dtype=np.uint32)
-    for coeff, e in terms:
-        acc ^= params.kmul_v(np.uint32(coeff), params.kpow_v(x, e))
+    if mode not in ("abs", "rel"):
+        raise BentError("mode must be 'abs' or 'rel'")
+    acc = _eval_sparse(params, [(e, c) for c, e in terms])
     if mode == "abs":
         return BooleanFn(params, params.ktr_abs_v(acc).astype(np.uint8))
-    if mode == "rel":
-        if np.any(acc >> params.m):
-            raise BentError("trace-form values left the base field")
-        return BooleanFn(params, params.f_tr[acc].astype(np.uint8))
-    raise BentError("mode must be 'abs' or 'rel'")
+    if np.any(acc >> params.m):
+        raise BentError("trace-form values left the base field")
+    return BooleanFn(params, params.f_tr[acc].astype(np.uint8))
 
 
 # ------------------------------------------------------------------- Walsh
@@ -269,14 +313,10 @@ class NihoPolynomial:
     terms: tuple[tuple[int, int], ...]  # (exponent, coeff K code), sorted
 
     def evaluate(self) -> BooleanFn:
-        P = self.params
-        x = np.arange(P.q ** 2, dtype=np.uint32)
-        acc = np.zeros(P.q ** 2, dtype=np.uint32)
-        for e, c in self.terms:
-            acc ^= P.kmul_v(np.uint32(c), P.kpow_v(x, e))
+        acc = _eval_sparse(self.params, self.terms)
         if np.any(acc > 1):
             raise BentError("polynomial is not F_2-valued")
-        return BooleanFn(P, acc.astype(np.uint8))
+        return BooleanFn(self.params, acc.astype(np.uint8))
 
     def exponents(self) -> list[int]:
         return [e for e, _ in self.terms]
@@ -286,32 +326,28 @@ class NihoPolynomial:
                            for e, c in self.terms])
 
 
-def _niho_terms(params: FieldParams, coeff_of_exp) -> NihoPolynomial:
-    q, m = params.q, params.m
-    terms = []
-    for i in range(q + 1):
-        for j in range(m):
-            e = i * (q - 1) + (1 << j)
-            c = coeff_of_exp(i, j, e)
-            if c:
-                terms.append((e, int(c)))
-    return NihoPolynomial(params, tuple(sorted(terms)))
-
-
 def f_univariate(params: FieldParams, oval_codes) -> NihoPolynomial:
     """Niho polynomial of the bent function of an oval with nucleus 0.
 
-    Coefficient of x^{i(q-1)+2^j} is sum_{v in O} v^{-(i(q-1)+2^j)}.
+    Coefficient of x^{i(q-1)+2^j} is sum_{v in O} v^{-(i(q-1)+2^j)}.  Only
+    the q+1 sums b_i = sum_{v in O} v^{-(i(q-1)+1)} are formed: since
+    2^j (i'(q-1)+1) = i(q-1)+2^j mod q^2-1 for i' = i*2^{-j} mod q+1, the
+    coefficient is the Frobenius image b_{i'}^{2^j}.
     """
     O = np.asarray(oval_codes, dtype=np.uint32)
-    if len(O) != params.q + 1 or np.any(O == 0):
+    q = params.q
+    if len(O) != q + 1 or np.any(O == 0):
         raise BentError("need q+1 nonzero oval points")
-    order = params.q ** 2 - 1
-
-    def coeff(i, j, e):
-        return np.bitwise_xor.reduce(params.kpow_v(O, (-e) % order))
-
-    return _niho_terms(params, coeff)
+    order = q * q - 1
+    b = np.array([np.bitwise_xor.reduce(params.kpow_v(O, -(i * (q - 1) + 1) % order))
+                  for i in range(q + 1)], dtype=np.uint32)
+    i = np.arange(q + 1)
+    terms = []
+    for j in range(params.m):
+        coeff = b[i * pow(2, -j, q + 1) % (q + 1)]   # b_{i'}^{2^j}
+        terms += [(int(t) * (q - 1) + (1 << j), int(coeff[t])) for t in np.flatnonzero(coeff)]
+        b = params.kmul_v(b, b)
+    return NihoPolynomial(params, tuple(sorted(terms)))
 
 
 def f_shift(g, s_index: int) -> NihoPolynomial:

@@ -416,8 +416,7 @@ class OrbitDecomposition:
         raise EquivError("index outside the hyperoval")  # pragma: no cover
 
 
-def stabilizer(params: FieldParams, points, *, check: bool = True,
-               complete_generators: bool = False,
+def stabilizer(params: FieldParams, points, *, complete_generators: bool = False,
                threads: int = 1) -> OrbitDecomposition:
     """Exact stabilizer order, orbits and sample elements of a hyperoval.
 
@@ -427,8 +426,6 @@ def stabilizer(params: FieldParams, points, *, check: bool = True,
     falls short; intended for q <= 32.
     """
     codes = geometry._as_codes(params, points)
-    if check and not geometry.no_three_collinear(params, codes):
-        raise EquivError("input is not a hyperoval")
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
     res = _search(params, codes, codes, want_orbits=True, threads=threads)

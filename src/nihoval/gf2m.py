@@ -18,7 +18,11 @@ Multiplication uses exp/log tables (built on a primitive modulus so that x
 itself generates F*).  Scalar operations work on plain ints; the *_v methods
 operate on numpy arrays of codes and back all bulk computation in the other
 modules.  Tables for K are built lazily and are kept for m <= 10; scalar K
-arithmetic works for any m <= 16.
+arithmetic works for any m <= 16.  The K exp table is filled by doubling,
+exp[n:2n] = exp[:n] * g^n with the products taken on the F tables, so it
+costs about log2(q^2) vectorized multiplies instead of q^2 scalar ones; the
+log table is its inverse permutation.  No Frobenius table is kept for K
+(F keeps one per power, m arrays of q entries).
 """
 
 from __future__ import annotations
@@ -354,21 +358,20 @@ class FieldParams:
         g = self.k_generator()
         exp = np.zeros(4 * order + 1, dtype=np.uint32)
         log = np.zeros(q2, dtype=np.uint32)
-        x = 1
-        for k in range(order):
-            exp[k] = x
-            log[x] = k
-            x = self.kmul(x, g)
-        assert x == 1
+        # Doubling: exp[n:2n] = exp[:n] * g^n, multiplied on the F tables
+        # (kmul_v falls back to them until _k_built is set).
+        exp[0] = 1
+        n = 1
+        while n < order:
+            step = min(n, order - n)
+            exp[n:n + step] = self.kmul_v(exp[:step], np.uint32(self.kmul(int(exp[n - 1]), g)))
+            n += step
+        assert self.kmul(int(exp[order - 1]), g) == 1
         exp[order:2 * order] = exp[:order]
+        log[exp[:order]] = np.arange(order, dtype=np.uint32)
         log[0] = 2 * order
         self.k_exp = exp
         self.k_log = log
-        sq = self.kmul_v(np.arange(q2, dtype=np.uint32), np.arange(q2, dtype=np.uint32))
-        frob = [np.arange(q2, dtype=np.uint32)]
-        for _ in range(1, self.n):
-            frob.append(sq[frob[-1]])
-        self.k_frob = frob
         self._k_built = True
 
     def k_generator(self) -> int:

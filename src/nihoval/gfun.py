@@ -20,6 +20,7 @@ table comparisons are offered both pointwise and up to such a linear shift.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -225,15 +226,20 @@ def g_from_pointset(params: FieldParams, hyperoval_codes, provenance: str = "") 
 
 
 def fix_zeros(g: GFunction) -> GFunction:
-    """Replace g by g + <c,u> with the first c (0, i*F, then all K) clearing zeros."""
+    """Replace g by g + <c,u> with the first c clearing zeros.
+
+    Candidates in order: c = 0, then i*lambda for lambda = 1..q-1, then every
+    other nonzero c in ascending code order.
+    """
     P = g.params
     if g.is_zero_free():
         return g
     i = spread_i(P).code
-    candidates = [P.kmul(i, lam) for lam in range(1, P.q)]
-    candidates += [c for c in range(P.q ** 2) if c not in set(candidates) | {0}]
+    first = [P.kmul(i, lam) for lam in range(1, P.q)]
+    skip = set(first) | {0}
+    rest = (c for c in range(1, P.q ** 2) if c not in skip)
     S = g.S.codes
-    for c in candidates:
+    for c in itertools.chain(first, rest):
         vals = g.values ^ P.bform_v(np.uint32(c), S)
         if not np.any(vals == 0):
             return GFunction(P, vals, f"{g.provenance}|+<{P.k_hex(c)},u>")

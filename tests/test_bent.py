@@ -209,3 +209,88 @@ def test_m1_anchor_function():
     f = evaluate_trace_form(P, [(1, 3)], mode="rel")
     assert is_bent(f)
     assert f == bent_from_g(gfun.g_catalog(P, "hyperconic"))
+
+
+# ------------------------------------------- oracles for the polar fast paths
+
+
+def eval_termwise(P, terms):
+    """sum c*x^e over all of K, one kpow_v over q^2 points per (e, c) term."""
+    x = np.arange(P.q ** 2, dtype=np.uint32)
+    acc = np.zeros(P.q ** 2, dtype=np.uint32)
+    for e, c in terms:
+        acc ^= P.kmul_v(np.uint32(c), P.kpow_v(x, e))
+    return acc
+
+
+def random_terms(P, rng):
+    """Seeded sparse (e, c) terms: e = 0, multiples of q^2-1, e past q^2-1,
+    Niho exponents and arbitrary ones; zero coefficients included."""
+    q, order = P.q, P.q ** 2 - 1
+    pool = [0, order, 2 * order, order + 1, 3 * order + 7,
+            int(rng.integers(q + 1)) * (q - 1) + (1 << int(rng.integers(P.m)))]
+    terms = []
+    for _ in range(int(rng.integers(0, 9))):
+        e = int(rng.choice(pool)) if rng.random() < 0.4 else int(rng.integers(1, 4 * order))
+        terms.append((e, int(rng.integers(q * q))))
+    return terms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_eval_sparse_matches_termwise(m):
+    P = field_create(m)
+    rng = np.random.default_rng(100 + m)
+    for _ in range(40):
+        terms = random_terms(P, rng)
+        assert np.array_equal(bent._eval_sparse(P, terms), eval_termwise(P, terms)), terms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_trace_forms_match_termwise(m):
+    P = field_create(m)
+    rng = np.random.default_rng(200 + m)
+    for _ in range(20):
+        terms = random_terms(P, rng)
+        acc = eval_termwise(P, terms)
+        cterms = [(c, e) for e, c in terms]
+        assert np.array_equal(evaluate_trace_form(P, cterms, "abs").table,
+                              P.ktr_abs_v(acc))
+        # c x^e + conj(c) x^(qe) = T(c x^e) is F-valued, so "rel" accepts it
+        rel = cterms + [(P.kconj(c), e * P.q) for c, e in cterms]
+        acc_rel = eval_termwise(P, [(e, c) for c, e in rel])
+        assert not np.any(acc_rel >> P.m)
+        assert np.array_equal(evaluate_trace_form(P, rel, "rel").table, P.f_tr[acc_rel])
+        if np.any(acc >> P.m):
+            with pytest.raises(BentError, match="base field"):
+                evaluate_trace_form(P, cterms, "rel")
+    with pytest.raises(BentError, match="mode"):
+        evaluate_trace_form(P, [(1, 3)], "both")
+
+
+def test_niho_evaluate_rejects_non_boolean(P3):
+    with pytest.raises(BentError, match="F_2-valued"):
+        bent.NihoPolynomial(P3, ((1, 1),)).evaluate()  # x itself
+
+
+def f_univariate_termwise(P, oval):
+    """The coefficient sum of every (i, j) by its own kpow_v over the oval."""
+    O = np.asarray(oval, dtype=np.uint32)
+    q, order = P.q, P.q ** 2 - 1
+    terms = []
+    for i in range(q + 1):
+        for j in range(P.m):
+            e = i * (q - 1) + (1 << j)
+            c = int(np.bitwise_xor.reduce(P.kpow_v(O, -e % order)))
+            if c:
+                terms.append((e, c))
+    return tuple(sorted(terms))
+
+
+@pytest.mark.parametrize("m,fam", [(1, "hyperconic"), (4, "lunelli_sce"),
+                                   (5, "cherowitzo"), (6, "subiaco2")])
+def test_f_univariate_matches_termwise_on_shifted_ovals(m, fam):
+    P = field_create(m)
+    g = gfun.fix_zeros(gfun.g_catalog(P, fam))
+    for sidx in sorted({0, 1, P.q // 2, P.q}):
+        oval = gfun.shifted_oval_codes(g, sidx)
+        assert f_univariate(P, oval).terms == f_univariate_termwise(P, oval)

@@ -277,3 +277,29 @@ def test_exponent_reduce():
     assert exponent_reduce(-3, 31) == 28
     assert exponent_reduce(1000000, 31) == 1000000 % 31
     assert exponent_reduce(0, 33) == 0
+
+
+def k_tables_scalar(P):
+    """K exp/log tables by one scalar multiply per power of the generator."""
+    order = P.q * P.q - 1
+    g = P.k_generator()
+    exp = np.zeros(4 * order + 1, dtype=np.uint32)
+    log = np.zeros(order + 1, dtype=np.uint32)
+    x = 1
+    for k in range(order):
+        exp[k] = x
+        log[x] = k
+        x = P.kmul(x, g)
+    assert x == 1
+    exp[order:2 * order] = exp[:order]
+    log[0] = 2 * order
+    return exp, log
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 9)] + [(4, 0b11111)])
+def test_k_tables_match_scalar_loop(m, modulus):
+    P = gf2m.FieldParams(m, modulus)
+    P.kinv_v(np.ones(1, dtype=np.uint32))  # the first K inverse builds the tables
+    exp, log = k_tables_scalar(P)
+    assert np.array_equal(P.k_exp, exp)
+    assert np.array_equal(P.k_log, log)

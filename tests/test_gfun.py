@@ -205,6 +205,45 @@ def test_fix_zeros_translation_zero_locations(P5):
     assert bad == wq13
 
 
+def first_clearing_shift(g):
+    """(values, provenance) for the first c clearing g's zeros, by brute force
+    over 0, i*lambda (lambda = 1..q-1), then the rest of K ascending."""
+    P = g.params
+    i = spread_i(P).code
+    order = [0] + [P.kmul(i, lam) for lam in range(1, P.q)]
+    order += [c for c in range(P.q ** 2) if c not in order]
+    for c in order:
+        vals = g.values ^ np.array([P.bform(c, int(u)) for u in g.S.codes], dtype=np.uint32)
+        if not np.any(vals == 0):
+            return vals, g.provenance + (f"|+<{P.k_hex(c)},u>" if c else "")
+    return None
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_fix_zeros_matches_brute_force(m):
+    # every catalog g with zeros, and seeded g + <c,u> of every catalog g
+    P = field_create(m)
+    rng = np.random.default_rng(m)
+    cases = []
+    for fam in gfun.CATALOG_FAMILIES:
+        for r in (range(1, m) if fam == "translation" else [None]):
+            try:
+                g = g_catalog(P, fam, r=r)
+            except (GFunError, opoly.OPolyError):
+                continue
+            cases.append(g)
+            for c in rng.integers(1, P.q ** 2, 3):
+                vals = g.values ^ P.bform_v(np.uint32(c), g.S.codes)
+                cases.append(GFunction(P, vals, f"{g.provenance}|seed+<{int(c)}>"))
+    with_zeros = [g for g in cases if not g.is_zero_free()]
+    assert len(with_zeros) >= 5
+    for g in with_zeros:
+        fixed = fix_zeros(g)
+        vals, prov = first_clearing_shift(g)
+        assert np.array_equal(fixed.values, vals)
+        assert fixed.provenance == prov
+
+
 def test_validate_g_negative_and_consistency(P3):
     zero = GFunction(P3, np.zeros(P3.q + 1, dtype=np.uint32))
     v = validate_g(zero)
