@@ -20,7 +20,7 @@ from .bent import (BooleanFn, NihoPolynomial, WalshSpectrum, bent_from_g, dual,
                    dual_lineoval_check, f_shift, f_translation, f_univariate,
                    is_bent, walsh_spectrum)
 from .equiv import (BentClass, ClassifyResult, Collineation, OrbitDecomposition,
-                    are_equivalent, classify_bent, closure_order, orbits_on_points,
+                    are_equivalent, classify_bent, orbits_on_points,
                     stabilizer)
 
 __version__ = "0.1.0"

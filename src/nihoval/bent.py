@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,9 +60,6 @@ class BooleanFn:
     def __eq__(self, other) -> bool:
         return (isinstance(other, BooleanFn) and self.params == other.params
                 and np.array_equal(self.table, other.table))
-
-    def weight(self) -> int:
-        return int(self.table.sum())
 
     def __add__(self, other: "BooleanFn") -> "BooleanFn":
         return BooleanFn(self.params, self.table ^ other.table)
@@ -163,14 +161,19 @@ class WalshSpectrum:
         return self.values.astype("<i4").tobytes()
 
 
+@lru_cache(maxsize=None)
 def _scalar_index_map(params: FieldParams) -> np.ndarray:
-    """phi with tr(<b, x>) = standard_dot(phi[b], x); phi[b] = Gram * b."""
+    """phi with tr(<b, x>) = standard_dot(phi[b], x); phi[b] = Gram * b.
+
+    Built once per field and shared, so the int32 array is read-only.
+    """
     n = params.n
     rows = params.dot_rows()
-    idx = np.arange(params.q ** 2, dtype=np.int64)
+    idx = np.arange(params.q ** 2, dtype=np.int32)
     phi = np.zeros_like(idx)
     for i in range(n):
-        phi ^= np.where((idx >> i) & 1, np.int64(rows[i]), 0)
+        phi ^= np.where((idx >> i) & 1, np.int32(rows[i]), 0)
+    phi.flags.writeable = False
     return phi
 
 

@@ -18,11 +18,15 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   table over the keys of T; candidate translations from the image of the
   fourth source point; pruning by gathers from the table.
 * Every hit is one group element, so the hit count is the exact stabilizer
-  order.  The hits with A = P0 (the stabilizer of P0) and one hit for each
-  other A generate the group; table lookups give their point images, and
-  the closure of that relation is the orbit partition.  Matrices are built
-  only for the witness and the stored sample elements, from the four image
-  points of the source quadrangle (P0, P1, P2, P3).
+  order.  The hits with first image A form the coset {g : g(P0) = A}, so
+  each chunk counts |Stab(P0)| hits or none; the search checks this.  The
+  hits with A = P0 (the stabilizer of P0) and one hit for each other A
+  generate the group; table lookups give their point images, and the
+  closure of that relation is the orbit partition.
+* The sample elements are one hit per coset of each stabilizer along the
+  base (P0, P1, P2, P3), so they generate the group (Schreier).  Matrices
+  are built only for them and for the witness, from the four image points
+  of the source quadrangle (P0, P1, P2, P3).
 * A zero in the line-log table means three collinear points: the input is
   not an arc and the search raises EquivError.
 
@@ -45,8 +49,6 @@ from . import geometry, gfun
 from .gf2m import FieldParams
 
 TABLE_BYTES = 1 << 22                    # image-index table bytes per piece of a chunk
-SAMPLE_POSITIONS = (0, 1, 2, 4, 8, 16, 32)  # stored hits per (first image, Frobenius) stream
-MAX_SAMPLES = 96                         # sample elements kept per search
 
 
 class EquivError(ValueError):
@@ -231,23 +233,23 @@ class _Torus:
     rows: tuple             # _rows(N - 1)
     want_orbits: bool
     early_exit: bool
-    store_stride: int | None
 
 
 def _search(params: FieldParams, src_codes, dst_codes, *,
             marked: tuple[int, int] | None = None,
             early_exit: bool = False,
             want_orbits: bool = False,
-            store_stride: int | None = None,
             threads: int = 1) -> _SearchResult:
     """Count/find collineations mapping the src set onto the dst set.
 
     `marked` = (src_code, dst_code) pins the image of one point.  With
     `early_exit` the first hit is returned as the witness.  With
     `want_orbits` (src must equal dst) `reach` is the orbit relation on the
-    points.  Chunks (one per first image point) are merged in order, so
-    counts, orbits, the witness and the sample elements do not depend on
-    TABLE_BYTES or on the thread count.
+    points, `generators` generate the group, and EquivError is raised unless
+    every chunk counts |Stab(P0)| hits or none (orbit-stabilizer).  Chunks
+    (one per first image point) are merged in order, so counts, orbits, the
+    witness and the sample elements do not depend on TABLE_BYTES or on the
+    thread count.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
@@ -281,7 +283,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     shifts = np.array([(d0 * (1 << j)) % Q * (2 * Q) + (d1 * (1 << j)) % Q
                        for j in range(m)], dtype=np.int64).reshape(m, N - 4)
     ctx = _Torus(LLd, N, Q, shifts, np.array(order), _rows(N - 1),
-                 want_orbits, early_exit, store_stride)
+                 want_orbits, early_exit)
     # hit (j, a, b, c, y) = N_(a,b,c,y) * frob_j(N_Q0^-1), Q0 the source quadrangle
     base = Collineation.make(P, _frame_matrix(P, src[order[:4]]).reshape(-1), 0).inverse()
 
@@ -312,17 +314,18 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         if first is not None and res.witness is None:
             res.witness = build(first)
     if want_orbits:
+        # chunk a holds the coset {g : g(P0) = a}: |Stab(P0)| hits or none
+        counts = {a: out[0] for a, out in zip(firsts, outs)}
+        stab = counts.get(order[0], 0)
+        if stab < 1 or any(c not in (0, stab) for c in counts.values()):
+            raise EquivError("chunk hit counts break the orbit-stabilizer identity")
         # the recorded elements generate the group: close the relation
         while True:
             closed = res.reach | res.reach.T | (res.reach @ res.reach)
             if np.array_equal(closed, res.reach):
                 break
             res.reach = closed
-    first_per_j = {}
-    for hit in picks:
-        first_per_j.setdefault(hit[0], hit)
-    chosen = dict.fromkeys([first_per_j[j] for j in sorted(first_per_j)] + picks)
-    res.generators = [build(hit) for hit in list(chosen)[:MAX_SAMPLES]]
+    res.generators = [build(hit) for hit in dict.fromkeys(picks)]
     return res
 
 
@@ -333,6 +336,12 @@ def _process_chunk(ctx: _Torus, a: int):
     (j, a, b, c, y) with y the image of the fourth source point.  The
     triangles (a, b, c) are cut into pieces whose image-index table fits in
     TABLE_BYTES.
+
+    The samples (orbit searches only) are one hit per coset of each
+    stabilizer along the base (P0, P1, P2, P3): chunk a != P0 is one coset of
+    Stab(P0), and in chunk P0 the cosets are told apart by the image of P1,
+    of P2 (P1 fixed), of P3 (P1, P2 fixed) and by j (all four fixed).  By
+    Schreier's lemma the samples of all chunks generate the group.
     """
     N, Q, LL, shifts = ctx.N, ctx.Q, ctx.LL, ctx.shifts
     m = shifts.shape[0]
@@ -341,13 +350,12 @@ def _process_chunk(ctx: _Torus, a: int):
     lifts = (0, Q, Q * W, Q * W + Q)
     dtype = np.min_scalar_type(N)            # image index + 1; 0 = no point
     step = max(1, TABLE_BYTES // (cells * dtype.itemsize))
-    wanted = (SAMPLE_POSITIONS if ctx.store_stride is None
-              else range(0, 256 * ctx.store_stride, ctx.store_stride))
     others = np.delete(np.arange(N), a)
     I, K, L, R = ctx.rows
     count = [0] * m
     reach = np.zeros((N, N), dtype=bool) if ctx.want_orbits else None
-    picks = [[] for _ in range(m)]
+    p0, *base_pts = (int(v) for v in ctx.src_order[:4])
+    samples = {}                             # (level, image, j) -> first such hit
     for lo in range(0, (N - 1) * (N - 2), step):
         s = slice(lo * (N - 3), (lo + step) * (N - 3))
         b, c, y = others[I[s]], others[K[s]], others[L[s]]
@@ -376,23 +384,34 @@ def _process_chunk(ctx: _Torus, a: int):
                 if first is None or hits[0] // (N - 3) < first[0] // (N - 3):
                     first = (hits[0], j)
                 continue
+            count[j] += len(hits)
+            if reach is None:
+                continue
             # Stab(P0) is the chunk a = P0 and every other chunk is one of its
             # cosets: record all hits of the first, one hit group of each other
-            if reach is not None and (a == ctx.src_order[0] or not reach.any()):
+            if a == p0 or not reach.any():
                 images = np.column_stack([np.full(len(hits), a), b[hits], c[hits], y[hits],
                                           img[ok].astype(np.int64) - 1])
                 reach[np.broadcast_to(ctx.src_order, images.shape), images] = True
-            for p in wanted:
-                if p >= count[j] + len(hits):
-                    break
-                if p >= count[j]:
-                    h = hits[p - count[j]]
-                    picks[j].append((j, a, int(b[h]), int(c[h]), int(y[h])))
-            count[j] += len(hits)
+            if a != p0:
+                h = hits[0]
+                samples.setdefault((0, a, j), (j, a, int(b[h]), int(c[h]), int(y[h])))
+                continue
+            rows = np.column_stack([b[hits], c[hits], y[hits], np.full(len(hits), j)])
+            for level in range(4):
+                on = rows[(rows[:, :level] == base_pts[:level]).all(axis=1)]
+                vals, at = np.unique(on[:, level], return_index=True)
+                for v, row in zip(vals, on[at]):
+                    samples.setdefault((level + 1, int(v), j), (j, a, *map(int, row[:3])))
         if first is not None:
             h, j = first
             return 1, reach, [], (j, a, int(b[h]), int(c[h]), int(y[h]))
-    return sum(count), reach, [h for per_j in picks for h in per_j], None
+    # first hit per stream in (b, c, y) order; the lowest j wins, so the choice
+    # does not depend on the piece size
+    kept = {}
+    for (level, v, _), hit in sorted(samples.items()):
+        kept.setdefault((level, v), hit)
+    return sum(count), reach, list(kept.values()), None
 
 
 # ----------------------------------------------------------------- public API
@@ -404,43 +423,19 @@ class OrbitDecomposition:
     point_codes: tuple[int, ...]          # H-model codes, input order
     stabilizer_order: int
     orbits: tuple[tuple[int, ...], ...]   # tuples of indices into point_codes
-    generators: tuple[Collineation, ...]  # sample elements (see closure_order)
+    # sample elements; they generate the group (tested on the catalog, q <= 32)
+    generators: tuple[Collineation, ...]
 
     def orbit_sizes(self) -> list[int]:
         return sorted(len(o) for o in self.orbits)
 
-    def orbit_of_index(self, idx: int) -> tuple[int, ...]:
-        for o in self.orbits:
-            if idx in o:
-                return o
-        raise EquivError("index outside the hyperoval")  # pragma: no cover
 
-
-def stabilizer(params: FieldParams, points, *, complete_generators: bool = False,
-               threads: int = 1) -> OrbitDecomposition:
-    """Exact stabilizer order, orbits and sample elements of a hyperoval.
-
-    With complete_generators the sample elements are re-harvested (with an
-    increasingly fine stride through the hit stream) until their closure has
-    exactly the stabilizer order, and EquivError is raised if stride 1 still
-    falls short; intended for q <= 32.
-    """
+def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecomposition:
+    """Exact stabilizer order, orbits and sample elements of a hyperoval."""
     codes = geometry._as_codes(params, points)
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
     res = _search(params, codes, codes, want_orbits=True, threads=threads)
-    if complete_generators:
-        gens = list(res.generators)
-        stride = None
-        while closure_order(gens, limit=res.order) < res.order:
-            if stride == 1:
-                raise EquivError("the harvested elements do not generate the stabilizer")
-            stride = max(1, res.order // 64) if stride is None else max(1, stride // 4)
-            extra = _search(params, codes, codes, store_stride=stride,
-                            threads=threads)
-            keys = {g.key() for g in gens}
-            gens += [g for g in extra.generators if g.key() not in keys]
-        res.generators = gens
     # reach is the orbit relation: its distinct rows are the orbits
     seen = {}
     for k in range(len(codes)):
@@ -481,58 +476,6 @@ def are_equivalent(params: FieldParams, points_a, points_b,
     return phi
 
 
-def _compose_batch(P: FieldParams, mats, js, gmat, gj):
-    """(M, j) -> (M * frob_j(Mg), j + jg) for a batch, canonically scaled."""
-    out = np.empty_like(mats)
-    outj = (js + gj) % P.m
-    for j in np.unique(js):
-        rows = np.nonzero(js == j)[0]
-        Rg = P.f_frob[int(j)][np.asarray(gmat, dtype=np.uint32)]
-        Mr = mats[rows]
-        res = np.empty_like(Mr)
-        for r in range(3):
-            for c in range(3):
-                acc = P.fmul_v(Mr[:, 3 * r], np.uint32(int(Rg[c])))
-                acc = acc ^ P.fmul_v(Mr[:, 3 * r + 1], np.uint32(int(Rg[3 + c])))
-                acc = acc ^ P.fmul_v(Mr[:, 3 * r + 2], np.uint32(int(Rg[6 + c])))
-                res[:, 3 * r + c] = acc
-        out[rows] = res
-    lead_idx = (out != 0).argmax(axis=1)
-    lead = out[np.arange(len(out)), lead_idx]
-    out = P.fmul_v(out, P.finv_v(lead)[:, None])
-    return out, outj
-
-
-def closure_order(generators, limit: int = 10_000_000) -> int:
-    """Order of the group generated by the given collineations (batched BFS)."""
-    if not generators:
-        return 1
-    P = generators[0].params
-    gens = [(np.array(g.matrix, dtype=np.uint32), g.frob) for g in generators]
-    ident = np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=np.uint32)
-    seen = {ident.tobytes() + bytes([0])}
-    frontier_m = ident[None, :]
-    frontier_j = np.zeros(1, dtype=np.int64)
-    total = 1
-    while len(frontier_m):
-        new_m, new_j = [], []
-        for gmat, gj in gens:
-            pm, pj = _compose_batch(P, frontier_m, frontier_j, gmat, gj)
-            for row, j in zip(pm, pj):
-                key = row.tobytes() + bytes([int(j)])
-                if key not in seen:
-                    seen.add(key)
-                    new_m.append(row)
-                    new_j.append(int(j))
-                    total += 1
-                    if total > limit:
-                        raise EquivError("closure exceeded limit")
-        frontier_m = (np.array(new_m, dtype=np.uint32) if new_m
-                      else np.empty((0, 9), dtype=np.uint32))
-        frontier_j = np.array(new_j, dtype=np.int64)
-    return total
-
-
 # --------------------------------------------------------- bent class counts
 
 
@@ -558,8 +501,7 @@ class ClassifyResult:
         return len(self.classes)
 
 
-def classify_bent(g: "gfun.GFunction", *, verify_pairwise: bool = True,
-                  verify_bent: bool = True, threads: int = 1) -> ClassifyResult:
+def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
     """One Niho bent class per stabilizer orbit of the hyperoval of g.
 
     g must be nowhere zero (apply gfun.fix_zeros first).  Representatives are
@@ -584,23 +526,21 @@ def classify_bent(g: "gfun.GFunction", *, verify_pairwise: bool = True,
             rep_oval = gfun.shifted_oval_codes(g, s_idx)
             f_rep = bent_mod.f_shift(g, s_idx)
         oval_h = geometry.k_codes_to_h_codes(P, np.append(rep_oval, 0))
-        if verify_bent:
-            fb = bent_mod.bent_from_g(g_rep)
-            if not bent_mod.is_bent(fb):
-                raise EquivError("class representative is not bent")  # pragma: no cover
-            if fb != f_rep.evaluate():
-                raise EquivError("polynomial/table mismatch")  # pragma: no cover
+        fb = bent_mod.bent_from_g(g_rep)
+        if not bent_mod.is_bent(fb):
+            raise EquivError("class representative is not bent")  # pragma: no cover
+        if fb != f_rep.evaluate():
+            raise EquivError("polynomial/table mismatch")  # pragma: no cover
         classes.append(BentClass(s_idx, g_rep, f_rep,
                                  tuple(int(c) for c in oval_h), len(orbit)))
 
-    if verify_pairwise:
-        origin = 0  # H-code of the K point 0 is (0:0:1) -> code 0
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                w = are_equivalent(P, list(classes[i].oval_h_codes),
-                                   list(classes[j].oval_h_codes),
-                                   marked=(origin, origin), threads=threads)
-                if w is not None:
-                    raise EquivError("orbit representatives are equivalent")  # pragma: no cover
+    origin = 0  # H-code of the K point 0 is (0:0:1) -> code 0
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            w = are_equivalent(P, list(classes[i].oval_h_codes),
+                               list(classes[j].oval_h_codes),
+                               marked=(origin, origin), threads=threads)
+            if w is not None:
+                raise EquivError("orbit representatives are equivalent")  # pragma: no cover
     return ClassifyResult(P, g.provenance, dec.stabilizer_order,
                           tuple(dec.orbit_sizes()), tuple(classes))

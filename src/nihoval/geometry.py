@@ -74,10 +74,6 @@ class ProjPointH:
             return ProjPointH(params, code - q * q, 1, 0)
         return ProjPointH(params, 1, 0, 0)
 
-    def frobenius(self, j: int) -> "ProjPointH":
-        fr = self.params.f_frob[j % self.params.m]
-        return ProjPointH(self.params, int(fr[self.x]), int(fr[self.y]), int(fr[self.z]))
-
     def hex(self) -> str:
         h = self.params.f_hex
         return f"{h(self.x)}:{h(self.y)}:{h(self.z)}"
@@ -195,19 +191,19 @@ def no_three_collinear(params: FieldParams, codes: list[int], method: str | None
 # --------------------------------------------------------------- predicates
 
 
-def is_hyperoval(params: FieldParams, points, method: str | None = None) -> bool:
+def is_hyperoval(params: FieldParams, points) -> bool:
     """True iff `points` is a set of q+2 points with no three collinear."""
     codes = _as_codes(params, points)
     if len(codes) != params.q + 2:
         raise GeometryError(f"a hyperoval has q+2 = {params.q + 2} points, got {len(codes)}")
-    return no_three_collinear(params, codes, method)
+    return no_three_collinear(params, codes)
 
 
-def is_oval(params: FieldParams, points, method: str | None = None) -> bool:
+def is_oval(params: FieldParams, points) -> bool:
     codes = _as_codes(params, points)
     if len(codes) != params.q + 1:
         raise GeometryError(f"an oval has q+1 = {params.q + 1} points, got {len(codes)}")
-    return no_three_collinear(params, codes, method)
+    return no_three_collinear(params, codes)
 
 
 def nucleus(params: FieldParams, points) -> ProjPointH:
@@ -431,9 +427,9 @@ class Hyperoval:
     codes: tuple[int, ...]
 
     @staticmethod
-    def make(params: FieldParams, points, method: str | None = None) -> "Hyperoval":
+    def make(params: FieldParams, points) -> "Hyperoval":
         codes = sorted(_as_codes(params, points))
-        if not is_hyperoval(params, codes, method):
+        if not is_hyperoval(params, codes):
             raise GeometryError("points do not form a hyperoval")
         return Hyperoval(params, tuple(codes))
 

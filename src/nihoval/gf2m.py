@@ -169,7 +169,6 @@ class FieldParams:
 
         # K tables are lazy; scalar K ops only need the F tables.
         self._k_built = False
-        self._artin_f: dict[int, int] | None = None
         self._artin_k: dict[int, int] | None = None
         self._gen_k: int | None = None
         self._ext_eta: int | None = None
@@ -271,13 +270,7 @@ class FieldParams:
         vals = self.f_exp[self.f_log[a].astype(np.int64) * r % (self.q - 1)]
         return np.where(np.asarray(a) == 0, 0, vals).astype(np.uint32)
 
-    def ffrob_v(self, a, j: int):
-        return self.f_frob[j % self.m][a]
-
     # ------------------------------------------------------------------ K
-
-    def kcode(self, a: int, b: int) -> int:
-        return a | (b << self.m)
 
     def ksplit(self, x: int) -> tuple[int, int]:
         return x & (self.q - 1), x >> self.m
@@ -342,11 +335,6 @@ class FieldParams:
     def bform(self, x: int, y: int) -> int:
         """<x, y> = T(x * conj(y)), an element of F."""
         return self.kT(self.kmul(x, self.kconj(y)))
-
-    def kfrob(self, x: int, j: int) -> int:
-        for _ in range(j % self.n):
-            x = self.ksq(x)
-        return x
 
     def _ensure_k_tables(self) -> None:
         if self._k_built:
@@ -426,16 +414,6 @@ class FieldParams:
         return self.f_tr[x >> np.uint32(self.m)]
 
     # --------------------------------------------------- quadratic solving
-
-    def artin_solve_f(self, c: int) -> int | None:
-        """Some z in F with z^2 + z = c, or None when tr(c) = 1."""
-        if self._artin_f is None:
-            table: dict[int, int] = {}
-            for z in range(self.q):
-                key = self.fmul(z, z) ^ z
-                table.setdefault(key, z)
-            self._artin_f = table
-        return self._artin_f.get(c)
 
     def artin_solve_k(self, c: int) -> int | None:
         """Some z in K with z^2 + z = c, or None when Tr(c) = 1."""
@@ -614,14 +592,6 @@ class ExtElement:
 
     def trace(self) -> int:
         return self.params.ktr_abs(self.code)
-
-    def in_f(self) -> bool:
-        return self.code >> self.params.m == 0
-
-    def as_f(self) -> FieldElement:
-        if not self.in_f():
-            raise FieldError(f"{self!r} is not in the base field")
-        return FieldElement(self.params, self.code)
 
     def hex(self) -> str:
         return self.params.k_hex(self.code)

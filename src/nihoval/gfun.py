@@ -284,20 +284,6 @@ def hyperconic_g_squared_route(params: FieldParams) -> GFunction:
     return GFunction(params, vals, "hyperconic-t2-closed")
 
 
-def hyperconic_g_root_route(params: FieldParams) -> GFunction:
-    """1/(u + conj u) + <i^2, u> for u != 1: the h = t^{1/2} class form.
-
-    Boundary pinned to the monomial normalization (value 0 at u = 1), so the
-    table coincides with g_monomial(2^{m-1}) pointwise.
-    """
-    i2 = params.ksq(spread_i(params).code)
-    S = unit_circle(params).codes
-    t = params.kT_v(S)
-    vals = params.finv_v(t, zero_to_zero=True) ^ params.bform_v(np.uint32(i2), S)
-    vals[0] = 0
-    return GFunction(params, vals, "hyperconic-t12-closed")
-
-
 def segre_class_g(params: FieldParams, which: int) -> GFunction:
     """The four Segre class forms (0..3) for odd m >= 5.
 

@@ -13,6 +13,13 @@ from nihoval.gf2m import field_create, spread_i, unit_circle
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_walsh_fast_equals_naive(m):
     P = field_create(m)
+    # both transforms share one read-only index map per field: tr(<b, x>) is
+    # the parity of phi[b] & x
+    phi = bent._scalar_index_map(P)
+    assert phi is bent._scalar_index_map(P) and not phi.flags.writeable
+    for b in range(P.q ** 2):
+        for x in range(P.q ** 2):
+            assert P.f_tr[P.bform(b, x)] == bin(int(phi[b]) & x).count("1") % 2
     rng = np.random.default_rng(m)
     for _ in range(25):
         f = BooleanFn(P, rng.integers(0, 2, P.q ** 2, dtype=np.uint8))

@@ -195,10 +195,19 @@ def test_non_arc_raises(P3):
         are_equivalent(P3, bad, H, marked=(bad[0], H[0]))
 
 
-def test_complete_generators_raises_when_short(P3, monkeypatch):
-    monkeypatch.setattr(equiv, "closure_order", lambda gens, limit=0: 1)
-    with pytest.raises(EquivError, match="generate"):
-        stabilizer(P3, hyperoval(P3), complete_generators=True)
+@pytest.mark.parametrize("a,scale,add", [(0, 1, 1), (0, 0, 0), (9, 1, 1), (9, 0, 1)])
+def test_chunk_counts_break_orbit_stabilizer_raises(P3, monkeypatch, a, scale, add):
+    # every chunk must count |Stab(P0)| hits or none, and chunk P0 at least
+    # one; chunk a's count becomes count * scale + add
+    real = equiv._process_chunk
+
+    def patched(ctx, first):
+        count, *rest = real(ctx, first)
+        return (count * scale + add if first == a else count, *rest)
+
+    monkeypatch.setattr(equiv, "_process_chunk", patched)
+    with pytest.raises(EquivError, match="orbit-stabilizer"):
+        stabilizer(P3, hyperoval(P3))
 
 
 def test_marked_point_outside_set_raises(P3):
