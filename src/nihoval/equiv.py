@@ -14,9 +14,11 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   multiplies source keys by 2^j.  So (j, A, B, C, t) is a hit iff
   2^j K_src(X) + t is a key of T for every other source point X.
 * log(L_ab . X_l) is tabulated once per point set with N^3 field products.
-  After that the search is integer work only: per triple, an image-index
-  table over the keys of T; candidate translations from the image of the
-  fourth source point; pruning by gathers from the table.
+  After that the search is integer work only.  On an arc the keys relative
+  to a triangle form a permutation graph k1 = pi(k0), so one row of 2(q-1)
+  slots per image pair (B, C) holds k1 and the image index at k0 and at
+  k0 + q - 1.  Candidate translations come from the image of the fourth
+  source point; gathers from the rows prune them.
 * Every hit is one group element, so the hit count is the exact stabilizer
   order.  The hits with first image A form the coset {g : g(P0) = A}, so
   each chunk counts |Stab(P0)| hits or none; the search checks this.  The
@@ -30,12 +32,11 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
 * A zero in the line-log table means three collinear points: the input is
   not an arc and the search raises EquivError.
 
-Chunks run over the first image point A (one chunk when `marked` pins it);
-a chunk is cut into pieces when its table would exceed TABLE_BYTES.  Results
-are merged in A order, so they do not depend on the piece size or on the
-thread count.  are_equivalent runs the same search with an early exit on the
-first hit, optionally with a marked point (nucleus -> nucleus for oval
-equivalence).
+Chunks run over the first image point A (one chunk when `marked` pins it),
+each over all of its triangles at once.  Results are merged in A order, so
+they do not depend on the thread count.  are_equivalent runs the same
+search with an early exit on the first hit, optionally with a marked point
+(nucleus -> nucleus for oval equivalence).
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ import numpy as np
 from . import bent as bent_mod
 from . import geometry, gfun
 from .gf2m import FieldParams
-
-TABLE_BYTES = 1 << 22                    # image-index table bytes per piece of a chunk
 
 
 class EquivError(ValueError):
@@ -193,22 +192,30 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     if np.count_nonzero(dots == 0) != n * n + 2 * n * (n - 1):
         raise EquivError("three of the points are collinear: not an arc")
-    return P.f_log[dots.reshape(-1)].astype(np.int32)
+    return P.f_log[dots.reshape(-1)].astype(_key_dtype(P.q - 1))
+
+
+def _key_dtype(Q: int):
+    """Narrowest dtype for logs, keys, key offsets and point indices: the
+    search also forms -2Q - key, so int16 only while 3Q < 2^15 (m <= 13)."""
+    return np.int16 if 3 * Q < 1 << 15 else np.int32
 
 
 def _keys(LL: np.ndarray, N: int, Q: int, a, b, c, y):
     """Torus key of points y relative to the triangle (a, b, c), two arrays mod Q."""
     bc = LL[(b * N + c) * N + y]
-    return (bc - LL[(a * N + c) * N + y]) % Q, (bc - LL[(a * N + b) * N + y]) % Q
+    k0, k1 = bc - LL[(a * N + c) * N + y], bc - LL[(a * N + b) * N + y]
+    for k in (k0, k1):            # a difference of two logs in [0, Q) wraps once
+        k += (k < 0) * k.dtype.type(Q)
+    return k0, k1
 
 
-def _rows(n: int) -> tuple[np.ndarray, ...]:
-    """(i, k, l, row) over pairwise distinct positions in range(n), in (i, k, l)
-    order; row = i*(n-1) + k - (k > i) numbers the pairs (i, k)."""
+def _triples(n: int) -> np.ndarray:
+    """Flat positions (i*n + k)*n + l in an n^3 cube of the pairwise distinct
+    (i, k, l) in range(n), in (i, k, l) order: entry h has pair row h // (n-2)."""
     p = np.arange(n)
-    i, k, l = np.nonzero((p[:, None, None] != p[:, None]) & (p[:, None, None] != p)
-                         & (p[:, None] != p))
-    return tuple(v.astype(np.int32) for v in (i, k, l, i * (n - 1) + k - (k > i)))
+    return np.flatnonzero((p[:, None, None] != p[:, None]) & (p[:, None, None] != p)
+                          & (p[:, None] != p)).astype(np.int32)
 
 
 # ----------------------------------------------------------- the enumeration
@@ -228,9 +235,9 @@ class _Torus:
     LL: np.ndarray          # destination line-log table (_line_logs)
     N: int
     Q: int                  # q - 1, the order of each torus coordinate
-    shifts: np.ndarray      # (m, N-4) source key offsets from the fourth point
+    shifts: np.ndarray      # (m, 2, N-4) source key offsets (d0, d1) from the fourth point
     src_order: np.ndarray   # source indices: base triangle, fourth point, the rest
-    rows: tuple             # _rows(N - 1)
+    triples: np.ndarray     # _triples(N - 1)
     want_orbits: bool
     early_exit: bool
 
@@ -248,8 +255,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     points, `generators` generate the group, and EquivError is raised unless
     every chunk counts |Stab(P0)| hits or none (orbit-stabilizer).  Chunks
     (one per first image point) are merged in order, so counts, orbits, the
-    witness and the sample elements do not depend on TABLE_BYTES or on the
-    thread count.
+    witness and the sample elements do not depend on the thread count.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
@@ -276,13 +282,12 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         ms = src_codes.index(marked[0])
         order = [ms] + [k for k in range(N) if k != ms]
         firsts = [dst_codes.index(marked[1])]
-    # keys of the other source points minus the fourth point's key, times 2^j,
-    # as flat offsets into a (2Q)^2 table
+    # keys of the other source points minus the fourth point's key, times 2^j
     k0, k1 = _keys(LLs, N, Q, order[0], order[1], order[2], np.array(order[3:]))
-    d0, d1 = k0[1:] - k0[0], k1[1:] - k1[0]
-    shifts = np.array([(d0 * (1 << j)) % Q * (2 * Q) + (d1 * (1 << j)) % Q
-                       for j in range(m)], dtype=np.int64).reshape(m, N - 4)
-    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _rows(N - 1),
+    d = np.stack([k0[1:] - k0[0], k1[1:] - k1[0]])
+    shifts = np.array([d.astype(np.int64) * (1 << j) % Q for j in range(m)],
+                      dtype=LLs.dtype)
+    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _triples(N - 1),
                  want_orbits, early_exit)
     # hit (j, a, b, c, y) = N_(a,b,c,y) * frob_j(N_Q0^-1), Q0 the source quadrangle
     base = Collineation.make(P, _frame_matrix(P, src[order[:4]]).reshape(-1), 0).inverse()
@@ -333,9 +338,12 @@ def _process_chunk(ctx: _Torus, a: int):
     """All hits that map the source triangle to (a, b, c) for some b, c.
 
     Returns (hit count, reach | None, sample hits, first hit | None); a hit is
-    (j, a, b, c, y) with y the image of the fourth source point.  The
-    triangles (a, b, c) are cut into pieces whose image-index table fits in
-    TABLE_BYTES.
+    (j, a, b, c, y) with y the image of the fourth source point.  The keys of
+    the points off a triangle form a permutation graph k1 = pi(k0) (an arc
+    meets each line through c in at most one more point), so the row of the
+    pair (b, c) holds k1 and the image index at column k0 of each point, and
+    again at k0 + Q: k0 + offset needs no reduction.  A slot left empty (an
+    arc smaller than a hyperoval) holds k1 = -2Q and never matches.
 
     The samples (orbit searches only) are one hit per coset of each
     stabilizer along the base (P0, P1, P2, P3): chunk a != P0 is one coset of
@@ -343,71 +351,79 @@ def _process_chunk(ctx: _Torus, a: int):
     of P2 (P1 fixed), of P3 (P1, P2 fixed) and by j (all four fixed).  By
     Schreier's lemma the samples of all chunks generate the group.
     """
-    N, Q, LL, shifts = ctx.N, ctx.Q, ctx.LL, ctx.shifts
-    m = shifts.shape[0]
-    W = 2 * Q
-    cells = W * W
-    lifts = (0, Q, Q * W, Q * W + Q)
-    dtype = np.min_scalar_type(N)            # image index + 1; 0 = no point
-    step = max(1, TABLE_BYTES // (cells * dtype.itemsize))
+    N, Q, shifts, tri = ctx.N, ctx.Q, ctx.shifts, ctx.triples
+    m, n, W = len(shifts), N - 1, 2 * Q
     others = np.delete(np.arange(N), a)
-    I, K, L, R = ctx.rows
+    k0, k1 = (k.reshape(-1)[tri] for k in
+              _keys(ctx.LL, N, Q, a, others[:, None, None], others[:, None], others))
+    # candidate (b, c, y) sits at column k0(y) of pair row (b, c)
+    rows = len(tri) // (N - 3)
+    at = np.int32 if rows * W < 1 << 31 else np.int64
+    base = ((np.arange(rows, dtype=at) * W)[:, None] + k0.reshape(-1, N - 3)).reshape(-1)
+    k1row = np.full(rows * W, -W, dtype=ctx.LL.dtype)
+    yrow = np.zeros(len(k1row), dtype=ctx.LL.dtype)      # index into others
+    l = tri % n
+    for lift in (0, Q):
+        k1row[base + lift] = k1
+        yrow[base + lift] = l
+
+    def corners(t):                      # (b, c, y) of triple positions t
+        return others[t // (n * n)], others[t // n % n], others[t % n]
+
+    def holds(cand, d0, d1):
+        # the slot at k0 + d0 of the candidate's row holds k1 + d1 mod Q
+        diff = k1row[base[cand] + d0] - k1[cand]
+        return (diff == d1) | (diff == d1 - Q)
+
     count = [0] * m
     reach = np.zeros((N, N), dtype=bool) if ctx.want_orbits else None
     p0, *base_pts = (int(v) for v in ctx.src_order[:4])
     samples = {}                             # (level, image, j) -> first such hit
-    for lo in range(0, (N - 1) * (N - 2), step):
-        s = slice(lo * (N - 3), (lo + step) * (N - 3))
-        b, c, y = others[I[s]], others[K[s]], others[L[s]]
-        k0, k1 = _keys(LL, N, Q, a, b, c, y)
-        # a key is stored at its four lifts in Z_2Q^2, so key + shift needs no
-        # reduction mod Q
-        base = (R[s] - lo).astype(np.int64) * cells + k0 * W + k1
-        table = np.zeros(min(step, (N - 1) * (N - 2) - lo) * cells, dtype=dtype)
-        for off in lifts:
-            table[base + off] = y + 1
-        first = None
-        for j in range(m):
-            sh = shifts[j]
-            # one candidate translation per (b, c, y), y the fourth point's image;
-            # prune on the fifth and sixth source points, then check all at once
-            alive = np.flatnonzero(table[base + sh[0]]) if len(sh) else np.arange(len(base))
-            if len(sh) > 1:
-                alive = alive[table[base[alive] + sh[1]] != 0]
-            img = table[base[alive, None] + sh]
-            ok = img.all(axis=1)
-            hits = alive[ok]
-            if not len(hits):
-                continue
-            if ctx.early_exit:
-                # first hit in (b, c, j, y) order, whatever the piece size
-                if first is None or hits[0] // (N - 3) < first[0] // (N - 3):
-                    first = (hits[0], j)
-                continue
-            count[j] += len(hits)
-            if reach is None:
-                continue
-            # Stab(P0) is the chunk a = P0 and every other chunk is one of its
-            # cosets: record all hits of the first, one hit group of each other
-            if a == p0 or not reach.any():
-                images = np.column_stack([np.full(len(hits), a), b[hits], c[hits], y[hits],
-                                          img[ok].astype(np.int64) - 1])
-                reach[np.broadcast_to(ctx.src_order, images.shape), images] = True
-            if a != p0:
-                h = hits[0]
-                samples.setdefault((0, a, j), (j, a, int(b[h]), int(c[h]), int(y[h])))
-                continue
-            rows = np.column_stack([b[hits], c[hits], y[hits], np.full(len(hits), j)])
-            for level in range(4):
-                on = rows[(rows[:, :level] == base_pts[:level]).all(axis=1)]
-                vals, at = np.unique(on[:, level], return_index=True)
-                for v, row in zip(vals, on[at]):
-                    samples.setdefault((level + 1, int(v), j), (j, a, *map(int, row[:3])))
-        if first is not None:
-            h, j = first
-            return 1, reach, [], (j, a, int(b[h]), int(c[h]), int(y[h]))
-    # first hit per stream in (b, c, y) order; the lowest j wins, so the choice
-    # does not depend on the piece size
+    first = None
+    for j in range(m):
+        d0, d1 = shifts[j]
+        # one candidate translation per (b, c, y), y the fourth point's image;
+        # prune on the fifth and sixth source points, then check all at once
+        alive = (np.flatnonzero(holds(slice(None), d0[0], d1[0])) if len(d0)
+                 else np.arange(len(base)))
+        if len(d0) > 1:
+            alive = alive[holds(alive, d0[1], d1[1])]
+        if ctx.early_exit:
+            # only the first hit in (b, c, j, y) order counts: check the
+            # survivors in doubling blocks
+            hits, lo = alive[:0], 0
+            while lo < len(alive) and not len(hits):
+                block = alive[lo:2 * lo + 64]
+                hits, lo = block[holds(block[:, None], d0, d1).all(axis=1)], 2 * lo + 64
+            if len(hits) and (first is None or hits[0] // (N - 3) < first[0] // (N - 3)):
+                first = (hits[0], j)
+            continue
+        hits = alive[holds(alive[:, None], d0, d1).all(axis=1)]
+        if not len(hits):
+            continue
+        count[j] += len(hits)
+        if reach is None:
+            continue
+        b, c, y = corners(tri[hits])
+        # Stab(P0) is the chunk a = P0 and every other chunk is one of its
+        # cosets: record all hits of the first, one hit group of each other
+        if a == p0 or not reach.any():
+            images = np.column_stack([np.full(len(hits), a), b, c, y,
+                                      others[yrow[base[hits, None] + d0]]])
+            reach[np.broadcast_to(ctx.src_order, images.shape), images] = True
+        if a != p0:
+            samples.setdefault((0, a, j), (j, a, int(b[0]), int(c[0]), int(y[0])))
+            continue
+        rows = np.column_stack([b, c, y, np.full(len(hits), j)])
+        for level in range(4):
+            on = rows[(rows[:, :level] == base_pts[:level]).all(axis=1)]
+            vals, at = np.unique(on[:, level], return_index=True)
+            for v, row in zip(vals, on[at]):
+                samples.setdefault((level + 1, int(v), j), (j, a, *map(int, row[:3])))
+    if first is not None:
+        h, j = first
+        return 1, reach, [], (j, a, *map(int, corners(tri[h])))
+    # first hit per stream in (b, c, y) order; the lowest j wins
     kept = {}
     for (level, v, _), hit in sorted(samples.items()):
         kept.setdefault((level, v), hit)

@@ -19,13 +19,10 @@ E(O) consists of the pairwise intersection points, each on exactly two lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .gf2m import ExtElement, FieldParams, spread_i, unit_circle
-
-TRIPLE_CHECK_MAX_M = 4  # use the O(n^3) collinearity scan up to here
 
 
 class GeometryError(ValueError):
@@ -149,43 +146,18 @@ def codes_to_coords_v(params: FieldParams, codes) -> tuple[np.ndarray, np.ndarra
     return x.astype(np.uint32), y.astype(np.uint32), z.astype(np.uint32)
 
 
-def _no_three_collinear_triples(params: FieldParams, codes: list[int]) -> bool:
-    xs, ys, zs = codes_to_coords_v(params, np.array(codes, dtype=np.int64))
-    n = len(codes)
-    idx = np.array(list(combinations(range(n), 3)), dtype=np.int64)
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    a = params.fmul_v(ys[i], zs[j]) ^ params.fmul_v(zs[i], ys[j])
-    b = params.fmul_v(zs[i], xs[j]) ^ params.fmul_v(xs[i], zs[j])
-    c = params.fmul_v(xs[i], ys[j]) ^ params.fmul_v(ys[i], xs[j])
-    det = params.fmul_v(a, xs[k]) ^ params.fmul_v(b, ys[k]) ^ params.fmul_v(c, zs[k])
-    return not np.any(det == 0)
-
-
-def _no_three_collinear_slopes(params: FieldParams, codes: list[int]) -> bool:
-    # Through each point, the other points must use pairwise distinct lines.
-    xs, ys, zs = codes_to_coords_v(params, np.array(codes, dtype=np.int64))
-    n = len(codes)
-    for p in range(n):
-        others = np.arange(n) != p
-        a = params.fmul_v(ys[p], zs[others]) ^ params.fmul_v(zs[p], ys[others])
-        b = params.fmul_v(zs[p], xs[others]) ^ params.fmul_v(xs[p], zs[others])
-        c = params.fmul_v(xs[p], ys[others]) ^ params.fmul_v(ys[p], xs[others])
-        lcodes = normalize_codes_v(params, a, b, c)
-        if len(np.unique(lcodes)) != n - 1:
-            return False
-    return True
-
-
-def no_three_collinear(params: FieldParams, codes: list[int], method: str | None = None) -> bool:
+def no_three_collinear(params: FieldParams, codes: list[int]) -> bool:
+    """True iff the points are distinct and no three are collinear: through
+    each point, the lines to the other points are pairwise distinct."""
     if len(set(codes)) != len(codes):
         return False
-    if method is None:
-        method = "triples" if params.m <= TRIPLE_CHECK_MAX_M else "slopes"
-    if method == "triples":
-        return _no_three_collinear_triples(params, codes)
-    if method == "slopes":
-        return _no_three_collinear_slopes(params, codes)
-    raise GeometryError(f"unknown method {method!r}")
+    x, y, z = (v[:, None] for v in codes_to_coords_v(params, np.array(codes, dtype=np.int64)))
+    fm = params.fmul_v
+    lines = normalize_codes_v(params, fm(y, z.T) ^ fm(z, y.T), fm(z, x.T) ^ fm(x, z.T),
+                              fm(x, y.T) ^ fm(y, x.T))
+    np.fill_diagonal(lines, -1)
+    lines.sort(axis=1)
+    return not np.any(lines[:, 1:] == lines[:, :-1])
 
 
 # --------------------------------------------------------------- predicates

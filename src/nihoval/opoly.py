@@ -116,6 +116,8 @@ def validate_family(params: FieldParams, fam: OPolyFamily) -> None:
         if m < 4:
             raise OPolyError("subiaco needs m >= 4")
         d = fam.d if fam.d is not None else subiaco_default_d(params)
+        if not 1 <= d <= q - 1:
+            raise OPolyError(f"subiaco needs 0 < d < q = {q:#x}, got d = {d:#x}")
         if params.ftr(params.finv(d)) != 1:
             raise OPolyError("subiaco needs tr(1/d) = 1")
         if m % 4 == 2 and params.fpow(d, 4) == d:

@@ -47,6 +47,12 @@ def test_opoly_validation_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("d_hex", ["40", "0"])
+def test_subiaco_d_out_of_range_exits_2(capsys, d_hex):
+    rc, _, err = run(capsys, "opoly", "--family", "subiaco", "--m", "5", "--d-hex", d_hex)
+    assert rc == 2 and f"d = 0x{d_hex}" in err
+
+
 def test_gfun_deterministic(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

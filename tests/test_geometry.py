@@ -1,5 +1,8 @@
 import json
+import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nihoval import gf2m, geometry as geo
@@ -76,21 +79,45 @@ def test_model_conversion_preserves_incidence(m):
             assert all(incident_h(p, hline) for p in pts)
 
 
+def no_three_collinear_triples(P, codes) -> bool:
+    """Oracle: no triple of the points has a zero determinant."""
+    xs, ys, zs = geo.codes_to_coords_v(P, np.array(codes, dtype=np.int64))
+    i, j, k = np.array(list(combinations(range(len(codes)), 3)), dtype=np.int64).T
+    a = P.fmul_v(ys[i], zs[j]) ^ P.fmul_v(zs[i], ys[j])
+    b = P.fmul_v(zs[i], xs[j]) ^ P.fmul_v(xs[i], zs[j])
+    c = P.fmul_v(xs[i], ys[j]) ^ P.fmul_v(ys[i], xs[j])
+    det = P.fmul_v(a, xs[k]) ^ P.fmul_v(b, ys[k]) ^ P.fmul_v(c, zs[k])
+    return not np.any(det == 0)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_hyperconic_is_hyperoval(m):
     P = field_create(m)
     pts = hyperconic_points(P)
     assert is_hyperoval(P, pts)
     codes = [p.code for p in pts]
-    assert no_three_collinear(P, codes, "triples") == no_three_collinear(P, codes, "slopes")
+    assert no_three_collinear(P, codes) == no_three_collinear_triples(P, codes) == True
 
 
 def test_hyperoval_methods_agree_on_negatives(P4):
     pts = hyperconic_points(P4)
     bad = [ProjPointH.make(P4, t, 0, 1) for t in range(3)] + pts[3:-1]
     codes = [p.code for p in bad]
-    assert no_three_collinear(P4, codes, "triples") == \
-        no_three_collinear(P4, codes, "slopes") == False
+    assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
+    # exactly one collinear triple (h0, h1, c), its points at random positions
+    rng = random.Random(4)
+    for _ in range(20):
+        sub = rng.sample([p.code for p in pts], 8)
+        line = line_through(*(ProjPointH.from_code(P4, c) for c in sub[:2]))
+        c = next(s.code for s in all_points_h(P4) if incident_h(s, line) and s.code not in sub
+                 and no_three_collinear_triples(P4, sub[1:] + [s.code])
+                 and no_three_collinear_triples(P4, sub[:1] + sub[2:] + [s.code]))
+        codes = sub + [c]
+        rng.shuffle(codes)
+        assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
+    # a repeated point: the oracle sees a zero determinant, the scan a repeat
+    codes = [p.code for p in pts[:-1]] + [pts[0].code]
+    assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
 
 
 def test_collinear_detection(P3):
