@@ -15,11 +15,13 @@ at the origin the bent function is
     f(x) = sum_j sum_i ( sum_{v in O} v^{-(i(q-1)+2^j)} ) x^{i(q-1)+2^j}
 
 and the nucleus shift at s is this polynomial for the shifted oval O_s
-(gfun.shifted_oval_codes).  Only the q+1 sums for 2^j = 1 are formed; the
-others are their Frobenius images.
+(gfun.shifted_oval_codes).  Only the q+1 sums for 2^j = 1 are formed
+(gf2m.niho_power_sums, shared with gfun.g_from_oval); the others are their
+Frobenius images.
 
-Sparse polynomials (Niho polynomials and trace forms) are evaluated in
-polar form: for x = lambda*u, x^e = lambda^(e mod q-1) * u^(e mod q+1), so
+Every table on K is written in polar form x = lambda*u, scattered through
+gf2m.polar_grid: f from g, g back from f, and sparse polynomials (Niho
+polynomials and trace forms).  For x^e = lambda^(e mod q-1) * u^(e mod q+1)
 the terms are summed on the q+1 points of S, one sum per residue of e mod
 q-1 (at most m for Niho exponents), and each sum is spread over the lines
 u*F* with F-multiplies.  The cost is terms*(q+1) + residues*q^2 instead of
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .gf2m import FieldParams, spread_i, unit_circle
+from .gf2m import FieldParams, niho_power_sums, polar_grid, spread_i, unit_circle
 
 
 class BentError(ValueError):
@@ -68,17 +70,17 @@ class BooleanFn:
         return np.packbits(self.table, bitorder="little").tobytes()
 
 
+def _line_traces(P: FieldParams, c) -> np.ndarray:
+    """tr(lambda_k * c_l) on the polar grid, for F values c_l indexed like S."""
+    k = np.arange(P.q - 1)[:, None]
+    return P.f_tr[P.f_exp[k + P.f_log[c]]]
+
+
 def bent_from_g(g) -> BooleanFn:
     """Truth table of f(lambda*u) = tr(lambda*g(u)), f(0) = 0."""
     P = g.params
-    q = P.q
-    S = g.S.codes
-    table = np.zeros(q * q, dtype=np.uint8)
-    lam = np.arange(1, q, dtype=np.uint32)
-    for idx in range(q + 1):
-        gu = int(g.values[idx])
-        x = P.kmul_v(lam, np.uint32(S[idx]))
-        table[x] = P.f_tr[P.fmul_v(lam, np.uint32(gu))]
+    table = np.zeros(P.q * P.q, dtype=np.uint8)
+    table[polar_grid(P)] = _line_traces(P, g.values)
     return BooleanFn(P, table)
 
 
@@ -90,8 +92,8 @@ def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
     Terms with equal r = e mod (q-1) are summed on S first, c_r(u) =
     sum c*u^e by index gathers into the unit circle; then sum_r lambda^r *
     c_r(u) is formed on the (q-1) x (q+1) grid, two F products per entry and
-    residue, and scattered to the codes x = lambda*u.  The value at x = 0 uses
-    the polynomial convention 0^0 = 1, 0^e = 0 for e != 0.
+    residue, and scattered to the codes x = lambda*u of polar_grid.  The
+    value at x = 0 uses the polynomial convention 0^0 = 1, 0^e = 0 for e != 0.
     """
     q, m = P.q, P.m
     qm1 = q - 1
@@ -103,8 +105,6 @@ def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
         if e == 0:
             at_zero ^= int(c)
         groups.setdefault(e % qm1, []).append((e % (q + 1), c))
-    log_a = P.f_log[S & np.uint32(qm1)]
-    log_b = P.f_log[S >> np.uint32(m)]
     k = np.arange(qm1, dtype=np.int64)[:, None]
     lo = np.zeros((qm1, q + 1), dtype=np.uint32)
     hi = np.zeros((qm1, q + 1), dtype=np.uint32)
@@ -117,7 +117,7 @@ def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
         lo ^= P.f_exp[rk + P.f_log[cu & np.uint32(qm1)]]
         hi ^= P.f_exp[rk + P.f_log[cu >> np.uint32(m)]]
     acc = np.empty(q * q, dtype=np.uint32)
-    acc[P.f_exp[k + log_a] | (P.f_exp[k + log_b] << np.uint32(m))] = lo | (hi << np.uint32(m))
+    acc[polar_grid(P)] = lo | (hi << np.uint32(m))
     acc[0] = at_zero
     return acc
 
@@ -287,21 +287,14 @@ def recover_g_values(f: BooleanFn) -> np.ndarray | None:
     P = f.params
     if f.table[0]:
         return None
-    S = unit_circle(P)
-    duals = _trace_dual_basis(P)
-    vals = np.zeros(P.q + 1, dtype=np.uint32)
-    lam = np.arange(1, P.q, dtype=np.uint32)
-    for idx in range(P.q + 1):
-        u = np.uint32(S.codes[idx])
-        c = 0
-        for k in range(P.m):
-            if f.table[P.kmul(1 << k, int(u))]:
-                c ^= duals[k]
-        # verify linearity on the whole line
-        if not np.array_equal(f.table[P.kmul_v(lam, u)],
-                              P.f_tr[P.fmul_v(lam, np.uint32(c))]):
-            return None
-        vals[idx] = c
+    lines = f.table[polar_grid(P)]  # f(lambda_k * u_l)
+    # c_l from f(e_j * u_l) = tr(e_j c_l) on the power basis e_j = 2^j
+    basis = lines[P.f_log[1 << np.arange(P.m)]]
+    duals = np.array(_trace_dual_basis(P), dtype=np.uint32)
+    vals = np.bitwise_xor.reduce(np.where(basis, duals[:, None], 0), axis=0)
+    # verify linearity on every whole line
+    if not np.array_equal(lines, _line_traces(P, vals)):
+        return None
     return vals
 
 
@@ -341,9 +334,7 @@ def f_univariate(params: FieldParams, oval_codes) -> NihoPolynomial:
     q = params.q
     if len(O) != q + 1 or np.any(O == 0):
         raise BentError("need q+1 nonzero oval points")
-    order = q * q - 1
-    b = np.array([np.bitwise_xor.reduce(params.kpow_v(O, -(i * (q - 1) + 1) % order))
-                  for i in range(q + 1)], dtype=np.uint32)
+    b = niho_power_sums(params, O)
     i = np.arange(q + 1)
     terms = []
     for j in range(params.m):
@@ -390,8 +381,8 @@ def f_translation_forms(params: FieldParams, r: int, a_code: int | None = None
     num = params.kT_v(params.kpow_v(x, 1 + e))
     den = params.kT_v(params.kpow_v(x, e))
     off_f = params.f_tr[params.fmul_v(num, params.finv_v(den, zero_to_zero=True))]
-    lam = params.f_tr[np.array([params.fsqrt(params.knorm(int(c))) for c in range(q * q)],
-                               dtype=np.uint32)]
+    lam = np.zeros(q * q, dtype=np.uint8)  # tr(lambda) at x = lambda*u
+    lam[polar_grid(params)] = params.f_tr[params.f_exp[:q - 1, None]]
     piecewise = BooleanFn(params, np.where(den == 0, lam, off_f).astype(np.uint8))
 
     if a_code is None:

@@ -541,7 +541,7 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
         else:
             rep_oval = gfun.shifted_oval_codes(g, s_idx)
             f_rep = bent_mod.f_shift(g, s_idx)
-        oval_h = geometry.k_codes_to_h_codes(P, np.append(rep_oval, 0))
+        oval_h = geometry.k_codes_to_h_codes(P, np.append(rep_oval, 0), 1)
         fb = bent_mod.bent_from_g(g_rep)
         if not bent_mod.is_bent(fb):
             raise EquivError("class representative is not bent")  # pragma: no cover

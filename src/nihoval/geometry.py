@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import ExtElement, FieldParams, spread_i, unit_circle
+from .gf2m import ExtElement, FieldParams, polar_v, spread_i, unit_circle
 
 
 class GeometryError(ValueError):
@@ -244,16 +244,12 @@ class ProjPointK:
             return ProjPointK(params, params.kmul(xcode, params.finv(z)), 1)
         if xcode == 0:
             raise GeometryError("(0:0) is not a projective point")
-        lam = params.fsqrt(params.knorm(xcode))
-        return ProjPointK(params, params.kmul(xcode, params.finv(lam)), 0)
+        _, l = polar_v(params, xcode)
+        return ProjPointK(params, int(unit_circle(params).codes[l]), 0)
 
     @staticmethod
     def affine(params: FieldParams, xcode: int) -> "ProjPointK":
         return ProjPointK(params, xcode, 1)
-
-    @staticmethod
-    def at_infinity(params: FieldParams, ucode: int) -> "ProjPointK":
-        return ProjPointK.make(params, ucode, 0)
 
     @property
     def x(self) -> ExtElement:
@@ -312,21 +308,16 @@ def h_to_k(p: ProjPointH) -> ProjPointK:
     return ProjPointK.make(P, xc, 0)
 
 
-def k_codes_to_h_codes(params: FieldParams, kcodes, at_infinity=None) -> np.ndarray:
-    """Vectorized affine K -> H conversion (codes); optional infinite points."""
+def k_codes_to_h_codes(params: FieldParams, xcodes, z) -> np.ndarray:
+    """Vectorized K -> H conversion of the points (x : z), as H codes.
+
+    (x : z) is (<i,x> : <1,x> : z) in the H model; z = 1 for affine codes.
+    """
     i = spread_i(params).code
-    kcodes = np.asarray(kcodes, dtype=np.uint32)
-    x = params.bform_v(np.uint32(i), kcodes)
-    y = params.kT_v(kcodes)  # <1, x> = x + conj x = T(x)
-    z = np.ones_like(x)
-    if at_infinity is not None:
-        u = np.asarray(at_infinity, dtype=np.uint32)
-        xi = params.bform_v(np.uint32(i), u)
-        yi = params.kT_v(u)
-        x = np.concatenate([x, xi])
-        y = np.concatenate([y, yi])
-        z = np.concatenate([z, np.zeros_like(xi)])
-    return normalize_codes_v(params, x, y, z)
+    xcodes = np.asarray(xcodes, dtype=np.uint32)
+    x = params.bform_v(np.uint32(i), xcodes)
+    y = params.kT_v(xcodes)  # <1, x> = x + conj x = T(x)
+    return normalize_codes_v(params, x, y, np.asarray(z, dtype=np.uint32))
 
 
 # ---------------------------------------------------------------- line ovals

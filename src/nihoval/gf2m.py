@@ -12,7 +12,10 @@ In this basis the structure maps are one-liners:
 
 The unit circle S = {u : u * conj(u) = 1} is the group of (q+1)st roots of
 unity; every nonzero x in K factors uniquely as x = lambda * u with lambda in
-F* and u in S (polar decomposition).
+F* and u in S.  This polar map is kept in one place: polar_grid lists the
+codes lambda_k * u_l, polar_v inverts it on the F tables, and
+niho_power_sums forms the power sums over an oval that both the oval -> g
+series and the Niho coefficients are made of.
 
 Multiplication uses exp/log tables (built on a primitive modulus so that x
 itself generates F*).  Scalar operations work on plain ints; the *_v methods
@@ -28,6 +31,7 @@ log table is its inverse permutation.  No Frobenius table is kept for K
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -615,12 +619,8 @@ def bilinear_form(x: ExtElement, y: ExtElement) -> FieldElement:
 
 def polar_decompose(x: ExtElement) -> tuple[FieldElement, ExtElement]:
     """Unique (lambda, u) with x = lambda*u, lambda in F*, u in S."""
-    if not x:
-        raise FieldError("polar decomposition of 0")
-    params = x.params
-    lam = params.fsqrt(params.knorm(x.code))
-    u = params.kmul(x.code, params.kinv(lam))
-    return FieldElement(params, lam), ExtElement(params, u)
+    k, l = polar_v(x.params, x.code)
+    return FieldElement(x.params, int(x.params.f_exp[k])), unit_circle(x.params).element(int(l))
 
 
 class UnitCircle:
@@ -643,7 +643,7 @@ class UnitCircle:
         if x != 1 or len(set(codes.tolist())) != q + 1:
             raise FieldError("unit circle enumeration failed")
         self.codes = codes
-        self._index = {int(c): k for k, c in enumerate(codes)}
+        self._order = np.argsort(codes)
 
     @property
     def w(self) -> ExtElement:
@@ -658,12 +658,19 @@ class UnitCircle:
     def element(self, k: int) -> ExtElement:
         return ExtElement(self.params, int(self.codes[k % len(self)]))
 
+    def _positions(self, codes) -> np.ndarray:
+        """Index k with codes[k] nearest above each code; exact for codes on S."""
+        pos = np.searchsorted(self.codes, codes, sorter=self._order)
+        return self._order[np.minimum(pos, self.params.q)]
+
     def index(self, u: ExtElement | int) -> int:
-        code = u if isinstance(u, int) else u.code
-        try:
-            return self._index[code]
-        except KeyError:
-            raise FieldError(f"element {code} is not on the unit circle") from None
+        """Position of u on S; u is an ExtElement or any int-like K code."""
+        code = u.code if isinstance(u, ExtElement) else operator.index(u)
+        if 0 <= code < self.params.q ** 2:
+            k = int(self._positions(code))
+            if self.codes[k] == code:
+                return k
+        raise FieldError(f"element {code} is not on the unit circle")
 
     def omega(self) -> ExtElement:
         """A primitive cube root of unity w^((q+1)/3); needs 3 | q+1 (m odd)."""
@@ -675,6 +682,50 @@ class UnitCircle:
 @lru_cache(maxsize=None)
 def unit_circle(params: FieldParams) -> UnitCircle:
     return UnitCircle(params)
+
+
+def polar_grid(params: FieldParams) -> np.ndarray:
+    """Codes of lambda_k * u_l on the (q-1) x (q+1) grid, lambda_k = f_exp[k]
+    and u_l = unit_circle(params).codes[l]; each nonzero code appears once."""
+    P = params
+    S = unit_circle(P).codes
+    k = np.arange(P.q - 1)[:, None]
+    lo = P.f_exp[k + P.f_log[S & np.uint32(P.q - 1)]]
+    return lo | (P.f_exp[k + P.f_log[S >> np.uint32(P.m)]] << np.uint32(P.m))
+
+
+def polar_v(params: FieldParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """(k, l) with x = f_exp[k] * unit_circle(params).codes[l] for nonzero K codes.
+
+    lambda = sqrt(N(x)) and u = x/lambda are formed on the F tables (halving
+    a log is multiplying it by 2^(m-1) mod q-1); u is found on S by binary
+    search.  Works elementwise on arrays of any shape.
+    """
+    P = params
+    qm1 = P.q - 1
+    x = np.asarray(x, dtype=np.uint32)
+    if np.any(x == 0):
+        raise FieldError("polar decomposition of 0")
+    a, b = x & np.uint32(qm1), x >> np.uint32(P.m)
+    norm = P.fmul_v(a, a ^ b) ^ P.fmul_v(np.uint32(P.delta), P.fmul_v(b, b))
+    k = P.f_log[norm].astype(np.int64) * (1 << (P.m - 1)) % qm1
+    inv = P.f_exp[qm1 - k]
+    u = P.fmul_v(a, inv) | (P.fmul_v(b, inv) << np.uint32(P.m))
+    return k, unit_circle(P)._positions(u)
+
+
+def niho_power_sums(params: FieldParams, oval_codes) -> np.ndarray:
+    """b_t = sum_{v in O} v^-(t(q-1)+1) = sum_v lambda_v^-1 u_v^(2t-1), t = 0..q.
+
+    With v = lambda_v * u_v every term is a point of the polar grid, at row
+    -k_v and column (2t-1)*l_v mod q+1, so the (q+1)^2 terms are one gather.
+    """
+    q = params.q
+    k, l = polar_v(params, oval_codes)
+    t = np.arange(q + 1)[:, None]
+    cols = (2 * t - 1) * l % (q + 1)
+    terms = polar_grid(params)[(q - 1 - k) % (q - 1), cols]
+    return np.bitwise_xor.reduce(terms, axis=1)
 
 
 def spread_i(params: FieldParams) -> ExtElement:

@@ -13,8 +13,9 @@ Constructions:
   * nucleus shift at s:      g_s = g_from_oval(O_s) for the oval with nucleus 0
                              O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)}
 
-Division by 2 in exponents is multiplication by 2^{n-1} mod q^2-1.  g and
-g + <c,u> describe equivalent ovals; fix_zeros uses this to clear zeros, and
+The inner sums are the Niho power sums b_t of gf2m.niho_power_sums at
+t = -i/2 mod q+1, and each term c_i u^{i+1} is one point of the polar grid.  g
+and g + <c,u> describe equivalent ovals; fix_zeros uses this to clear zeros, and
 table comparisons are offered both pointwise and up to such a linear shift.
 """
 
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bent, geometry, opoly
-from .gf2m import (ExtElement, FieldParams, exponent_inverse, spread_i,
-                   unit_circle)
+from .gf2m import (ExtElement, FieldParams, exponent_inverse, niho_power_sums,
+                   polar_grid, polar_v, spread_i, unit_circle)
 
 
 class GFunError(ValueError):
@@ -66,16 +67,16 @@ class GFunction:
         return [geometry.LineK(self.params, int(u), int(v))
                 for u, v in zip(self.S.codes, self.values)]
 
-    def oval_points_k(self) -> list[geometry.ProjPointK]:
-        """{(u : g(u))}: affine u/g(u), or the direction point when g(u) = 0."""
-        return [geometry.ProjPointK.make(self.params, int(u), int(v))
-                for u, v in zip(self.S.codes, self.values)]
-
     def hyperoval_points_k(self) -> list[geometry.ProjPointK]:
-        return self.oval_points_k() + [geometry.ProjPointK.affine(self.params, 0)]
+        """{(u : g(u))} (affine u/g(u), or the direction u when g(u) = 0), then 0."""
+        pts = zip(self.S.codes, self.values)
+        return ([geometry.ProjPointK.make(self.params, int(u), int(v)) for u, v in pts]
+                + [geometry.ProjPointK.affine(self.params, 0)])
 
     def hyperoval_codes_h(self) -> list[int]:
-        return [geometry.k_to_h(p).code for p in self.hyperoval_points_k()]
+        """H codes of hyperoval_points_k(): (u_k : g(u_k)) at index k, the origin last."""
+        return geometry.k_codes_to_h_codes(self.params, np.append(self.S.codes, 0),
+                                           np.append(self.values, 1)).tolist()
 
     def oval_codes_k(self) -> np.ndarray:
         """The affine oval {u/g(u)} as K codes in unit-circle order; g zero-free."""
@@ -104,14 +105,16 @@ def g_series(params: FieldParams, const: int, terms, provenance: str = "") -> GF
 
 
 def linear_shift_difference(g1: GFunction, g2: GFunction) -> int | None:
-    """c with g1 + g2 = <c, u>, or None; equality up to linear shift."""
+    """c with g1 + g2 = <c, u>, or None; equality up to linear shift.
+
+    <c, u> is fixed by its values d(1), d(w) at u = 1 and u = w, which give
+    c = (d(w) + d(1) w) / T(w); that c is then checked on all of S.
+    """
     P = g1.params
     d = g1.values ^ g2.values
-    S = g1.S.codes
-    for c in range(P.q ** 2):
-        if np.array_equal(P.bform_v(np.uint32(c), S), d):
-            return c
-    return None
+    w = g1.S.w_code
+    c = P.kmul(int(d[1]) ^ P.kmul(int(d[0]), w), P.finv(P.kT(w)))
+    return c if np.array_equal(P.bform_v(np.uint32(c), g1.S.codes), d) else None
 
 
 # ------------------------------------------------------------- constructions
@@ -145,27 +148,6 @@ def g_monomial(params: FieldParams, s: int) -> GFunction:
     return GFunction(params, vals, f"monomial(s={s})")
 
 
-def _half_exponents(params: FieldParams) -> list[int]:
-    """e_i = (q-1)*i/2 - 1 mod q^2-1 for i = 0..q (division by 2 = sqrt power)."""
-    q = params.q
-    order = q * q - 1
-    inv2 = pow(2, params.n - 1, order)
-    return [((q - 1) * i * inv2 - 1) % order for i in range(q + 1)]
-
-
-def _eval_power_series(params: FieldParams, coeffs) -> np.ndarray:
-    """sum_i coeffs[i] * u^{i+1} over all u in S; result must lie in F."""
-    S = unit_circle(params).codes
-    acc = np.zeros(params.q + 1, dtype=np.uint32)
-    upow = S.copy()  # u^1
-    for i in range(params.q + 1):
-        acc ^= params.kmul_v(np.uint32(int(coeffs[i])), upow)
-        upow = params.kmul_v(upow, S)
-    if np.any(acc >> params.m):
-        raise GFunError("power series values left the base field")
-    return acc
-
-
 def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunction:
     """The unique g with {u/g(u)} = O, for an oval O in K with nucleus 0."""
     O = np.asarray(oval_codes, dtype=np.uint32)
@@ -173,9 +155,17 @@ def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunct
         raise GFunError("need q+1 oval points")
     if np.any(O == 0):
         raise GFunError("0 cannot lie on an oval with nucleus at the origin")
-    exps = _half_exponents(params)
-    coeffs = [int(np.bitwise_xor.reduce(params.kpow_v(O, e))) for e in exps]
-    vals = _eval_power_series(params, coeffs)
+    q = params.q
+    idx = np.arange(q + 1)
+    # sum_v v^{(q-1)i/2-1} is the power sum b_t at t = -i/2 mod q+1
+    coeffs = niho_power_sums(params, O)[-idx * (q // 2 + 1) % (q + 1)]
+    # c_i = f_exp[k] w^j, so c_i u_l^{i+1} is the grid point (k, j + (i+1)l)
+    i = np.flatnonzero(coeffs)
+    k, j = polar_v(params, coeffs[i])
+    cols = (j[:, None] + (i[:, None] + 1) * idx) % (q + 1)
+    vals = np.bitwise_xor.reduce(polar_grid(params)[k[:, None], cols], axis=0)
+    if np.any(vals >> params.m):
+        raise GFunError("power series values left the base field")
     return GFunction(params, vals, provenance or "from-oval")
 
 
@@ -198,31 +188,6 @@ def shifted_oval_codes(g: GFunction, s_index: int) -> list[int]:
     out = pts ^ c
     out[s_index] = c
     return out.tolist()
-
-
-def g_from_pointset(params: FieldParams, hyperoval_codes, provenance: str = "") -> GFunction:
-    """Recover g from a hyperoval given as K codes containing 0.
-
-    The nonzero points must hit every spread direction exactly once; then
-    g(u) = 1/lambda for the point lambda*u.
-    """
-    codes = sorted(set(int(c) for c in hyperoval_codes))
-    if len(codes) != params.q + 2 or 0 not in codes:
-        raise GFunError("need q+2 distinct points including 0")
-    S = unit_circle(params)
-    vals = np.zeros(params.q + 1, dtype=np.uint32)
-    seen = set()
-    for c in codes:
-        if c == 0:
-            continue
-        lam = params.fsqrt(params.knorm(c))
-        u = params.kmul(c, params.finv(lam))
-        idx = S.index(u)
-        if idx in seen:
-            raise GFunError("two points share a spread direction")
-        seen.add(idx)
-        vals[idx] = params.finv(lam)
-    return GFunction(params, vals, provenance or "from-pointset")
 
 
 def fix_zeros(g: GFunction) -> GFunction:
@@ -340,7 +305,7 @@ def g_catalog(params: FieldParams, family: str, r: int | None = None) -> GFuncti
     if family == "payne":
         if m % 2 == 0 or m < 5:
             raise GFunError("payne needs odd m >= 5")
-        return g_from_pointset(params, payne_pointset_codes(params), "payne")
+        return g_from_oval(params, payne_pointset_codes(params)[1:], "payne")
     if family == "subiaco_payne":
         if m != 5:
             raise GFunError("the published subiaco/payne table is for m = 5")

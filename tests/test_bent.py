@@ -92,6 +92,57 @@ def test_recover_g_roundtrip(P4):
     assert recover_g_values(f) is None
 
 
+def loop_bent_table(g):
+    """f(lambda*u) = tr(lambda*g(u)) filled one line u*F* at a time."""
+    P = g.params
+    table = np.zeros(P.q ** 2, dtype=np.uint8)
+    lam = np.arange(1, P.q, dtype=np.uint32)
+    for u, gu in zip(g.S.codes, g.values):
+        table[P.kmul_v(lam, u)] = P.f_tr[P.fmul_v(lam, gu)]
+    return table
+
+
+def loop_recover_g_values(f):
+    """g read off one line u*F* at a time from f on the basis 2^k * u."""
+    P = f.params
+    if f.table[0]:
+        return None
+    duals = bent._trace_dual_basis(P)
+    vals = np.zeros(P.q + 1, dtype=np.uint32)
+    lam = np.arange(1, P.q, dtype=np.uint32)
+    for idx, u in enumerate(unit_circle(P).codes):
+        c = 0
+        for k in range(P.m):
+            if f.table[P.kmul(1 << k, int(u))]:
+                c ^= duals[k]
+        if not np.array_equal(f.table[P.kmul_v(lam, u)], P.f_tr[P.fmul_v(lam, np.uint32(c))]):
+            return None
+        vals[idx] = c
+    return vals
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_polar_tables_match_line_loops(m):
+    P = field_create(m)
+    rng = np.random.default_rng(200 + m)
+    for _ in range(10):
+        g = gfun.GFunction(P, rng.integers(0, P.q, P.q + 1))  # any table, zeros too
+        f = bent_from_g(g)
+        assert np.array_equal(f.table, loop_bent_table(g))
+        assert np.array_equal(recover_g_values(f), loop_recover_g_values(f))
+        assert np.array_equal(recover_g_values(f), g.values)
+        # f(0) = 1, and (for m > 1, where a line has 3 points) a table that
+        # is not linear on one line
+        for x in [0] if m == 1 else [0, int(rng.integers(1, P.q ** 2))]:
+            bad = f.table.copy()
+            bad[x] ^= 1
+            bad_f = BooleanFn(P, bad)
+            assert recover_g_values(bad_f) is None and loop_recover_g_values(bad_f) is None
+    if m > 1:
+        f = BooleanFn(P, rng.integers(0, 2, P.q ** 2, dtype=np.uint8))
+        assert recover_g_values(f) is loop_recover_g_values(f) is None
+
+
 @pytest.mark.parametrize("m,rs", [(4, (1, 3)), (5, (1, 2, 3, 4)), (6, (1, 5))])
 def test_translation_forms_agree(m, rs):
     P = field_create(m)

@@ -206,7 +206,7 @@ def test_same_orbit_shifts_are_equivalent(P3):
     ovals = []
     for sidx in pts:
         o = gfun.shifted_oval_codes(g, sidx) + [0]
-        ovals.append(geo.k_codes_to_h_codes(P3, np.array(o, dtype=np.uint32)))
+        ovals.append(geo.k_codes_to_h_codes(P3, np.array(o, dtype=np.uint32), 1))
     w = are_equivalent(P3, [int(c) for c in ovals[0]], [int(c) for c in ovals[1]],
                        marked=(0, 0))
     assert w is not None

@@ -7,8 +7,9 @@ import pytest
 from nihoval import gf2m
 from nihoval.gf2m import (ExtElement, FieldElement, FieldError, bilinear_form,
                           dickson_eval, dickson_eval_code, dickson_recurrence,
-                          exponent_inverse, field_create, one_minus_2r_inverse,
-                          polar_decompose, spread_i, unit_circle)
+                          exponent_inverse, field_create, niho_power_sums,
+                          one_minus_2r_inverse, polar_decompose, polar_grid, polar_v,
+                          spread_i, unit_circle)
 
 
 def test_field_create_defaults():
@@ -127,6 +128,47 @@ def test_unit_circle(P5):
     # norm-1 elements are exactly S
     count = sum(1 for x in range(P5.q ** 2) if P5.knorm(x) == 1)
     assert count == P5.q + 1
+    for k, code in enumerate(S.codes):
+        # numpy integers are codes as well as ints and ExtElements
+        assert S.index(code) == S.index(int(code)) == S.index(S.element(k)) == k
+    assert S.index(np.uint16(1)) == 0
+    off = [x for x in range(P5.q ** 2) if P5.knorm(x) != 1][:3]
+    for bad in off + [np.uint32(off[0]), -1, P5.q ** 2, 1 << 40]:
+        with pytest.raises(FieldError):
+            S.index(bad)
+    with pytest.raises(TypeError):
+        S.index(1.0)
+
+
+@pytest.mark.parametrize("m,modulus", [(1, None), (2, None), (3, None), (4, None),
+                                       (5, None), (6, None), (4, 0x1f)])
+def test_polar_v_matches_scalar_decomposition(m, modulus):
+    P = field_create(m, modulus)
+    S = unit_circle(P)
+    x = np.arange(1, P.q ** 2, dtype=np.uint32)
+    k, l = polar_v(P, x)
+    for code, kk, ll in zip(x.tolist(), k, l):
+        lam = P.fsqrt(P.knorm(code))  # lambda^2 = x^(q+1) = N(x)
+        assert P.f_exp[kk] == lam
+        assert S.codes[ll] == P.kmul(code, P.finv(lam))
+    grid = polar_grid(P)
+    assert grid.shape == (P.q - 1, P.q + 1)
+    assert np.array_equal(np.sort(grid, axis=None), x)  # every nonzero code once
+    assert np.array_equal(grid[k, l], x)
+    with pytest.raises(FieldError):
+        polar_v(P, [1, 0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_niho_power_sums_match_kpow(m):
+    P = field_create(m)
+    q, order = P.q, P.q ** 2 - 1
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        O = rng.integers(1, q * q, q + 1).astype(np.uint32)
+        expect = [np.bitwise_xor.reduce(P.kpow_v(O, -(t * (q - 1) + 1) % order))
+                  for t in range(q + 1)]
+        assert np.array_equal(niho_power_sums(P, O), expect)
 
 
 def test_unit_circle_m2():

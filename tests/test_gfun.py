@@ -8,6 +8,7 @@ from nihoval.gfun import (GFunError, GFunction, fix_zeros, g_catalog, g_from_opo
                           linear_shift_difference, validate_g)
 from nihoval.reference import TABLE1, TABLE2
 from conftest import GOLDEN
+from test_acceptance import catalog_sweep_cases
 
 CATALOG_CASES = [
     (1, "hyperconic", None), (2, "hyperconic", None), (3, "hyperconic", None),
@@ -156,6 +157,90 @@ def test_g_from_oval_rejects_zero(P3):
         g_from_oval(P3, bad)
 
 
+def series_g_from_oval(P, O):
+    """The oval -> g series term by term, one kpow_v per exponent: the
+    coefficient of u^{i+1} is sum_{v in O} v^{(q-1)i/2-1}."""
+    O = np.asarray(O, dtype=np.uint32)
+    if len(O) != P.q + 1 or np.any(O == 0):
+        raise GFunError("need q+1 nonzero oval points")
+    q, order = P.q, P.q ** 2 - 1
+    inv2 = pow(2, P.n - 1, order)
+    S = unit_circle(P).codes
+    acc = np.zeros(q + 1, dtype=np.uint32)
+    for i in range(q + 1):
+        c = np.bitwise_xor.reduce(P.kpow_v(O, ((q - 1) * i * inv2 - 1) % order))
+        acc ^= P.kmul_v(np.uint32(c), P.kpow_v(S, i + 1))
+    if np.any(acc >> P.m):
+        raise GFunError("power series values left the base field")
+    return acc
+
+
+def test_g_from_oval_matches_term_series():
+    # every nucleus shift of every catalog case with m <= 6
+    shifts = 0
+    for m, fam, r in catalog_sweep_cases():
+        P = field_create(m)
+        g = fix_zeros(g_catalog(P, fam, r=r))
+        for sidx in range(P.q + 1):
+            oval = gfun.shifted_oval_codes(g, sidx)
+            assert np.array_equal(g_from_oval(P, oval).values, series_g_from_oval(P, oval))
+            shifts += 1
+    assert shifts > 800
+
+
+def test_g_from_oval_error_paths_match_term_series(P3, P4):
+    S = unit_circle(P3).codes
+    for bad in (np.append(S[:-1], 0), S[:-1]):  # a zero point, the wrong length
+        for route in (g_from_oval, series_g_from_oval):
+            with pytest.raises(GFunError):
+                route(P3, bad)
+    # point sets that are not ovals give some table, the same on both routes;
+    # its oval {u/g(u)} is not the input
+    rng = np.random.default_rng(34)
+    for P in (P3, P4):
+        for _ in range(20):
+            O = rng.integers(1, P.q ** 2, P.q + 1).astype(np.uint32)
+            g = g_from_oval(P, O)
+            assert np.array_equal(g.values, series_g_from_oval(P, O))
+            assert not geo.is_oval(P, geo.k_codes_to_h_codes(P, O, 1).tolist())
+            if g.is_zero_free():
+                assert set(g.oval_codes_k().tolist()) != set(O.tolist())
+
+
+def pointset_g(P, codes):
+    """g(u) = 1/lambda at each nonzero point lambda*u, decomposed one by one."""
+    S = unit_circle(P)
+    vals = np.zeros(P.q + 1, dtype=np.uint32)
+    seen = set()
+    for c in codes:
+        if c:
+            lam = P.fsqrt(P.knorm(c))
+            idx = S.index(P.kmul(c, P.finv(lam)))
+            assert idx not in seen  # one point per spread direction
+            seen.add(idx)
+            vals[idx] = P.finv(lam)
+    assert len(seen) == P.q + 1
+    return vals
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_payne_matches_pointset_decomposition(m):
+    P = field_create(m)
+    g = g_catalog(P, "payne")
+    assert np.array_equal(g.values, pointset_g(P, gfun.payne_pointset_codes(P)))
+
+
+def test_hyperoval_codes_h_matches_scalar_route():
+    with_zeros = 0
+    for m, fam, r in catalog_sweep_cases():
+        g = g_catalog(field_create(m), fam, r=r)
+        with_zeros += not g.is_zero_free()
+        for h in (g, fix_zeros(g)):
+            scalar = [geo.k_to_h(p).code for p in h.hyperoval_points_k()]
+            assert h.hyperoval_codes_h() == scalar
+    assert with_zeros >= 4
+
+
 def test_g_shift_dual_route(P3, P4, P5):
     # defining property: the oval {u/g_s(u)} of g_s is O_s as a set
     for P, fam in ((P3, "hyperconic"), (P4, "hyperconic"), (P4, "lunelli_sce"),
@@ -273,6 +358,37 @@ def test_linear_shift_difference(P4):
     assert linear_shift_difference(g, shifted) == 9
     other = GFunction(P4, g.values ^ 1)  # constant shift is not <c, u>
     assert linear_shift_difference(g, other) is None
+
+
+def scan_shift_difference(g1, g2):
+    """The least c with g1 + g2 = <c, u>, by trying every c in K."""
+    P = g1.params
+    d = g1.values ^ g2.values
+    for c in range(P.q ** 2):
+        if np.array_equal(P.bform_v(np.uint32(c), g1.S.codes), d):
+            return c
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_linear_shift_difference_matches_scan(m):
+    P = field_create(m)
+    S = unit_circle(P).codes
+    rng = np.random.default_rng(100 + m)
+    found = 0
+    for n in range(40):
+        g1 = GFunction(P, rng.integers(0, P.q, P.q + 1))
+        if n % 4 == 0:  # not a linear shift: a random table
+            vals = rng.integers(0, P.q, P.q + 1)
+        elif n % 4 == 1:  # not a linear shift: a nonzero constant
+            vals = g1.values ^ int(rng.integers(1, P.q))
+        else:
+            vals = g1.values ^ P.bform_v(np.uint32(rng.integers(0, P.q ** 2)), S)
+        g2 = GFunction(P, vals)
+        c = linear_shift_difference(g1, g2)
+        assert c == scan_shift_difference(g1, g2)
+        found += c is not None
+    assert found >= 20
 
 
 def test_okp_epsilon(P5):
