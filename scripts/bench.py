@@ -1,0 +1,156 @@
+"""Time nihoval end to end in fresh processes, for one or more source trees.
+
+    python scripts/bench.py --tree parent=DIR --tree change=. [--repeats 3]
+        [--workloads stab-q32,classify-q32 --seeds 44-53] [--out FILE]
+
+The commands are `nihoval reproduce table1|table2|sec4.6|theorems`,
+`nihoval classify --m 5` and `--m 6`, and the Tier-1 test suite.  Each runs
+--repeats times in a fresh interpreter, with the tree as working directory
+and TREE/src on PYTHONPATH.  Within a repeat every command runs once per
+tree, and the tree that runs first alternates between repeats, so the runs
+of the trees interleave.  The record
+keeps each wall time and the child's peak RSS, their medians, and the
+machine (bench/baseline.py).
+
+With --workloads, TREE/bench/run.py also runs once per workload, seed and
+tree (interleaved the same way, seeds in place of repeats, for the run time
+BENCHMARK.json sets), and the record keeps its end-to-end
+metrics.  For each metric it counts the seeds on which the last tree beats
+the first, and gives the interquartile range of the first tree's values.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from baseline import machine, parse_seeds  # noqa: E402
+
+COMMANDS = {
+    "reproduce table1": ["-m", "nihoval.cli", "reproduce", "table1", "--quiet"],
+    "reproduce table2": ["-m", "nihoval.cli", "reproduce", "table2", "--quiet"],
+    "reproduce sec4.6": ["-m", "nihoval.cli", "reproduce", "sec4.6", "--quiet"],
+    "reproduce theorems": ["-m", "nihoval.cli", "reproduce", "theorems", "--quiet"],
+    "classify --m 5": ["-m", "nihoval.cli", "classify", "--m", "5"],
+    "classify --m 6": ["-m", "nihoval.cli", "classify", "--m", "6"],
+    "tier-1": ["-m", "pytest", "-q", "--continue-on-collection-errors",
+               "-p", "no:cacheprovider"],
+}
+
+
+def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:
+    """(wall seconds, peak RSS in MiB, stdout) of one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryFile() as out:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, *args], cwd=tree, env=env,
+                                 stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        text = out.read().decode()
+    if child.returncode:
+        raise RuntimeError(f"{' '.join(args)} in {tree} exited with {child.returncode}")
+    return wall, usage.ru_maxrss / 1024, text
+
+
+def iqr(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def interleaved(trees: dict[str, Path], i: int) -> list[tuple[str, Path]]:
+    """The trees in the order of run i: reversed on every other run."""
+    items = list(trees.items())
+    return items[::-1] if i % 2 else items
+
+
+def time_commands(trees: dict[str, Path], repeats: int) -> dict:
+    runs = {label: {name: {"s": [], "peak_rss_mib": []} for name in COMMANDS}
+            for label in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(repeats):
+            for name, args in COMMANDS.items():
+                if name != "tier-1":
+                    args = args + ["--out", str(Path(tmp) / "report.json")]
+                for label, tree in interleaved(trees, i):
+                    wall, rss, _ = run_child(tree, args)
+                    runs[label][name]["s"].append(round(wall, 3))
+                    runs[label][name]["peak_rss_mib"].append(round(rss, 1))
+                    print(f"{label:10s} {name:20s} {wall:8.2f} s {rss:7.1f} MiB", flush=True)
+    for per_tree in runs.values():
+        for rec in per_tree.values():
+            rec["median_s"] = statistics.median(rec["s"])
+            rec["median_peak_rss_mib"] = statistics.median(rec["peak_rss_mib"])
+    return runs
+
+
+def run_workloads(trees: dict[str, Path], workloads: list[str], seeds: list[int]) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    first, last = list(trees)[0], list(trees)[-1]
+    report = {}
+    for name in workloads:
+        values = {label: {} for label in trees}
+        for i, seed in enumerate(seeds):
+            for label, tree in interleaved(trees, i):
+                args = ["bench/run.py", "--workload", name, "--seed", str(seed),
+                        "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+                _, _, out = run_child(tree, args)
+                res = json.loads(out.strip().splitlines()[-1])
+                if not res["correct"] or res["failed"]:
+                    raise RuntimeError(f"{name} seed {seed} in {tree}: {res}")
+                for metric, v in res["metrics"].items():
+                    values[label].setdefault(metric, []).append(v["value"])
+                print(f"{label:10s} {name} seed {seed}: " + ", ".join(
+                    f"{k} {v[-1]:.4g}" for k, v in values[label].items()), flush=True)
+        summary = {}
+        for metric, sign in better.items():
+            a, b = values[first][metric], values[last][metric]
+            wins = sum((y > x) if sign == "higher" else (y < x) for x, y in zip(a, b))
+            summary[metric] = {"median": {label: statistics.median(values[label][metric])
+                                          for label in trees},
+                               f"{first}_iqr": iqr(a) if len(a) > 1 else None,
+                               f"{last}_wins": wins, "pairs": len(a)}
+        report[name] = {"seeds": seeds, "values": values, "summary": summary}
+    return report
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True,
+                    help="LABEL=DIR, a source tree to time (repeatable)")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--workloads", default="", help="comma list of BENCHMARK.json workloads")
+    ap.add_argument("--seeds", default="44-53")
+    ap.add_argument("--out", default=None)
+    args = ap.parse_args(argv)
+    trees = {}
+    for item in args.tree:
+        label, _, path = item.partition("=")
+        trees[label] = Path(path).resolve()
+    record = {"machine": machine(), "trees": list(trees), "repeats": args.repeats}
+    if args.repeats:
+        record["commands"] = time_commands(trees, args.repeats)
+    if args.workloads:
+        record["workloads"] = run_workloads(trees, args.workloads.split(","),
+                                            parse_seeds(args.seeds))
+    text = json.dumps(record, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text if not args.out else f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,28 +19,31 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   slots per image pair (B, C) holds k1 and the image index at k0 and at
   k0 + q - 1.  Candidate translations come from the image of the fourth
   source point; gathers from the rows prune them.
-* Every hit is one group element, so the hit count is the exact stabilizer
-  order.  The hits with first image A form the coset {g : g(P0) = A}, so
-  each chunk counts |Stab(P0)| hits or none; the search checks this.  The
-  hits with A = P0 (the stabilizer of P0) and one hit for each other A
-  generate the group; table lookups give their point images, and the
-  closure of that relation is the orbit partition.
+* Every hit is one group element, and the hits with first image A form the
+  coset {g : g(P0) = A}.  A stabilizer search counts only the chunk A = P0,
+  Stab(P0), in full: |G| = |Stab(P0)| * |P0^G|.  Every other A needs one hit
+  or a proof of none, and no chunk at all once the elements found so far
+  put it in P0's orbit or in the orbit of a point without a hit.  Stab(P0) and
+  one hit per reached A generate the group, so the closure of their point
+  images (table lookups) is the orbit partition.
 * The sample elements are one hit per coset of each stabilizer along the
-  base (P0, P1, P2, P3), so they generate the group (Schreier).  Matrices
+  base (P0, P1, P2, P3), so they generate Stab(P0) (Schreier).  Matrices
   are built only for them and for the witness, from the four image points
   of the source quadrangle (P0, P1, P2, P3).
 * A zero in the line-log table means three collinear points: the input is
   not an arc and the search raises EquivError.
 
 Chunks run over the first image point A (one chunk when `marked` pins it),
-each over all of its triangles at once.  Results are merged in A order, so
-they do not depend on the thread count.  are_equivalent runs the same
+each over all of its triangles at once.  Results are committed in A order,
+so they do not depend on the thread count.  are_equivalent runs the same
 search with an early exit on the first hit, optionally with a marked point
 (nucleus -> nucleus for oval equivalence).
 """
 
 from __future__ import annotations
 
+import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,7 +227,7 @@ def _triples(n: int) -> np.ndarray:
 @dataclass
 class _SearchResult:
     order: int = 0
-    reach: np.ndarray | None = None
+    classes: np.ndarray | None = None   # orbit searches: least point of each point's orbit
     witness: Collineation | None = None
     generators: list = field(default_factory=list)
 
@@ -238,8 +241,6 @@ class _Torus:
     shifts: np.ndarray      # (m, 2, N-4) source key offsets (d0, d1) from the fourth point
     src_order: np.ndarray   # source indices: base triangle, fourth point, the rest
     triples: np.ndarray     # _triples(N - 1)
-    want_orbits: bool
-    early_exit: bool
 
 
 def _search(params: FieldParams, src_codes, dst_codes, *,
@@ -250,12 +251,26 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     """Count/find collineations mapping the src set onto the dst set.
 
     `marked` = (src_code, dst_code) pins the image of one point.  With
-    `early_exit` the first hit is returned as the witness.  With
-    `want_orbits` (src must equal dst) `reach` is the orbit relation on the
-    points, `generators` generate the group, and EquivError is raised unless
-    every chunk counts |Stab(P0)| hits or none (orbit-stabilizer).  Chunks
-    (one per first image point) are merged in order, so counts, orbits, the
-    witness and the sample elements do not depend on the thread count.
+    `early_exit` the first hit is returned as the witness; otherwise every
+    chunk (one per first image point) is counted in full, except that
+    `want_orbits` (src = dst) finds the group G by orbit-stabilizer:
+
+    * chunk P0 is counted in full, for |Stab(P0)| and its samples;
+    * each other first image a is visited in index order.  It is skipped if
+      the relation "x ~ g(x)" over the elements recorded so far puts it in
+      P0's class (then a is in P0^G) or in the class of a point whose chunk
+      has no hit (G preserves P0^G, so a is outside it too).  Otherwise
+      chunk a runs with early exit: a hit records one element g with
+      g(P0) = a, no hit puts a outside P0^G.
+
+    Stab(P0) and one element per positive chunk generate G, so the final
+    classes are the orbits (`classes`), the order is |Stab(P0)| times the
+    size of P0's orbit and `generators` generate G.  EquivError is raised
+    when chunk P0 has no hit or a point whose chunk has none ends up in
+    P0's orbit.  With threads > 1 the next `threads` undecided points run at
+    once and are committed in index order; a result whose point an earlier
+    commit decided is dropped.  So the chunks that count, the order, the
+    orbits, the witness and the samples do not depend on the thread count.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
@@ -282,13 +297,15 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         ms = src_codes.index(marked[0])
         order = [ms] + [k for k in range(N) if k != ms]
         firsts = [dst_codes.index(marked[1])]
+    p0 = order[0]
+    if want_orbits and (dst_codes != src_codes or p0 not in firsts):
+        raise EquivError("an orbit search maps a point set (and a marked point) to itself")
     # keys of the other source points minus the fourth point's key, times 2^j
     k0, k1 = _keys(LLs, N, Q, order[0], order[1], order[2], np.array(order[3:]))
     d = np.stack([k0[1:] - k0[0], k1[1:] - k1[0]])
     shifts = np.array([d.astype(np.int64) * (1 << j) % Q for j in range(m)],
                       dtype=LLs.dtype)
-    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _triples(N - 1),
-                 want_orbits, early_exit)
+    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _triples(N - 1))
     # hit (j, a, b, c, y) = N_(a,b,c,y) * frob_j(N_Q0^-1), Q0 the source quadrangle
     base = Collineation.make(P, _frame_matrix(P, src[order[:4]]).reshape(-1), 0).inverse()
 
@@ -296,60 +313,84 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         j, *quad = hit
         return Collineation.make(P, _frame_matrix(P, dst[quad]).reshape(-1), j).compose(base)
 
-    if threads > 1 and len(firsts) > 1 and not early_exit:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda a: _process_chunk(ctx, a), firsts))
-    else:
-        outs = []
-        for a in firsts:
-            outs.append(_process_chunk(ctx, a))
-            if early_exit and outs[-1][3] is not None:
-                break
-
     res = _SearchResult()
-    if want_orbits:
-        res.reach = np.eye(N, dtype=bool)
-    picks = []
-    for count, reach, chunk_picks, first in outs:
-        res.order += count
-        if want_orbits:
-            res.reach |= reach
-        picks += chunk_picks
-        if first is not None and res.witness is None:
-            res.witness = build(first)
-    if want_orbits:
-        # chunk a holds the coset {g : g(P0) = a}: |Stab(P0)| hits or none
-        counts = {a: out[0] for a, out in zip(firsts, outs)}
-        stab = counts.get(order[0], 0)
-        if stab < 1 or any(c not in (0, stab) for c in counts.values()):
-            raise EquivError("chunk hit counts break the orbit-stabilizer identity")
-        # the recorded elements generate the group: close the relation
-        while True:
-            closed = res.reach | res.reach.T | (res.reach @ res.reach)
-            if np.array_equal(closed, res.reach):
+    if early_exit:
+        for a in firsts:
+            res.order, found = _process_chunk(ctx, a, True)
+            if found:
+                res.witness = build(found[0][0])
                 break
-            res.reach = closed
+        return res
+    if threads > 1:        # imported here: it (and logging) would slow the package import
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        def run(chunks, early: bool) -> list:
+            if pool is None:
+                return [_process_chunk(ctx, a, early) for a in chunks]
+            return list(pool.map(lambda a: _process_chunk(ctx, a, early), chunks))
+
+        if not want_orbits:
+            res.order = sum(count for count, _ in run(firsts, False))
+            return res
+        stab, found = _process_chunk(ctx, p0, False)
+        if stab < 1:
+            raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
+        least = np.arange(N)        # least[x]: the least point of the class of x
+        picks, negative = [], []
+        for hit, images in found:
+            picks.append(hit)
+            _join(least, images)
+
+        def decided(a) -> bool:
+            return least[a] == least[p0] or least[a] in least[negative]
+
+        todo = (a for a in firsts if a != p0 and not decided(a))
+        while window := list(itertools.islice(todo, threads)):
+            for a, (count, found) in zip(window, run(window, True)):
+                if decided(a):                  # by an earlier commit of this window
+                    continue
+                if count:
+                    picks.append(found[0][0])
+                    _join(least, found[0][1])
+                else:
+                    negative.append(a)
+    if np.any(least[negative] == least[p0]):
+        raise EquivError("a point whose chunk has no hit lies in P0's orbit, "
+                         "against orbit-stabilizer")
+    res.order = stab * int(np.count_nonzero(least == least[p0]))
+    res.classes = least
     res.generators = [build(hit) for hit in dict.fromkeys(picks)]
     return res
 
 
-def _process_chunk(ctx: _Torus, a: int):
-    """All hits that map the source triangle to (a, b, c) for some b, c.
+def _join(least: np.ndarray, images: np.ndarray) -> None:
+    """Merge the classes of x and images[x] for every point x, in place;
+    least[x] is the least point of the class of x."""
+    for x in np.flatnonzero(least != least[images]):
+        u, v = least[x], least[images[x]]
+        if u != v:
+            least[least == max(u, v)] = min(u, v)
 
-    Returns (hit count, reach | None, sample hits, first hit | None); a hit is
-    (j, a, b, c, y) with y the image of the fourth source point.  The keys of
-    the points off a triangle form a permutation graph k1 = pi(k0) (an arc
-    meets each line through c in at most one more point), so the row of the
-    pair (b, c) holds k1 and the image index at column k0 of each point, and
-    again at k0 + Q: k0 + offset needs no reduction.  A slot left empty (an
-    arc smaller than a hyperoval) holds k1 = -2Q and never matches.
 
-    The samples (orbit searches only) are one hit per coset of each
-    stabilizer along the base (P0, P1, P2, P3): chunk a != P0 is one coset of
-    Stab(P0), and in chunk P0 the cosets are told apart by the image of P1,
-    of P2 (P1 fixed), of P3 (P1, P2 fixed) and by j (all four fixed).  By
-    Schreier's lemma the samples of all chunks generate the group.
+def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
+    """The hits that map the source triangle to (a, b, c) for some b, c.
+
+    Returns (hit count, found).  A hit is (j, a, b, c, y) with y the image of
+    the fourth source point, and `found` lists (hit, images) pairs, images[x]
+    the image of source point x.  With `early_exit` the count is 0 or 1 and
+    `found` holds the first hit in (b, c, j, y) order.  Otherwise every hit
+    is counted and `found` holds the samples: one hit per coset of each
+    stabilizer along the base (P0, P1, P2, P3).  In chunk P0, the stabilizer
+    of P0, the cosets are told apart by the image of P1, of P2 (P1 fixed), of
+    P3 (P1, P2 fixed) and by j (all four fixed), so by Schreier's lemma the
+    samples generate Stab(P0).  Point images are gathered for them only.
+
+    The keys of the points off a triangle form a permutation graph
+    k1 = pi(k0) (an arc meets each line through c in at most one more
+    point), so the row of the pair (b, c) holds k1 and the image index at
+    column k0 of each point, and again at k0 + Q: k0 + offset needs no
+    reduction.  A slot left empty (an arc smaller than a hyperoval) holds
+    k1 = -2Q and never matches.
     """
     N, Q, shifts, tri = ctx.N, ctx.Q, ctx.shifts, ctx.triples
     m, n, W = len(shifts), N - 1, 2 * Q
@@ -375,10 +416,16 @@ def _process_chunk(ctx: _Torus, a: int):
         diff = k1row[base[cand] + d0] - k1[cand]
         return (diff == d1) | (diff == d1 - Q)
 
-    count = [0] * m
-    reach = np.zeros((N, N), dtype=bool) if ctx.want_orbits else None
-    p0, *base_pts = (int(v) for v in ctx.src_order[:4])
-    samples = {}                             # (level, image, j) -> first such hit
+    def element(h, j):                   # the hit of candidate h and its point images
+        b, c, y = (int(v) for v in corners(tri[h]))
+        images = np.empty(N, dtype=np.int64)
+        images[ctx.src_order] = np.concatenate(
+            ([a, b, c, y], others[yrow[base[h] + shifts[j][0]]]))
+        return (j, a, b, c, y), images
+
+    count = 0
+    base_pts = ctx.src_order[1:4]
+    samples = {}                          # (level, image, j) -> first such candidate
     first = None
     for j in range(m):
         d0, d1 = shifts[j]
@@ -388,46 +435,39 @@ def _process_chunk(ctx: _Torus, a: int):
                  else np.arange(len(base)))
         if len(d0) > 1:
             alive = alive[holds(alive, d0[1], d1[1])]
-        if ctx.early_exit:
-            # only the first hit in (b, c, j, y) order counts: check the
-            # survivors in doubling blocks
-            hits, lo = alive[:0], 0
-            while lo < len(alive) and not len(hits):
-                block = alive[lo:2 * lo + 64]
-                hits, lo = block[holds(block[:, None], d0, d1).all(axis=1)], 2 * lo + 64
+        # check the survivors in blocks doubling up to 2^14, which bounds the
+        # memory; an early exit needs only the first block with a hit
+        hits, lo = [], 0
+        while lo < len(alive) and not (early_exit and hits):
+            block = alive[lo:lo + min(lo + 64, 1 << 14)]
+            lo += len(block)
+            block = block[holds(block[:, None], d0, d1).all(axis=1)]
+            if len(block):
+                hits.append(block)
+        hits = np.concatenate(hits) if hits else alive[:0]
+        if early_exit:
+            # only the first hit in (b, c, j, y) order counts
             if len(hits) and (first is None or hits[0] // (N - 3) < first[0] // (N - 3)):
                 first = (hits[0], j)
             continue
-        hits = alive[holds(alive[:, None], d0, d1).all(axis=1)]
-        if not len(hits):
-            continue
-        count[j] += len(hits)
-        if reach is None:
-            continue
-        b, c, y = corners(tri[hits])
-        # Stab(P0) is the chunk a = P0 and every other chunk is one of its
-        # cosets: record all hits of the first, one hit group of each other
-        if a == p0 or not reach.any():
-            images = np.column_stack([np.full(len(hits), a), b, c, y,
-                                      others[yrow[base[hits, None] + d0]]])
-            reach[np.broadcast_to(ctx.src_order, images.shape), images] = True
-        if a != p0:
-            samples.setdefault((0, a, j), (j, a, int(b[0]), int(c[0]), int(y[0])))
-            continue
-        rows = np.column_stack([b, c, y, np.full(len(hits), j)])
-        for level in range(4):
-            on = rows[(rows[:, :level] == base_pts[:level]).all(axis=1)]
-            vals, at = np.unique(on[:, level], return_index=True)
-            for v, row in zip(vals, on[at]):
-                samples.setdefault((level + 1, int(v), j), (j, a, *map(int, row[:3])))
-    if first is not None:
-        h, j = first
-        return 1, reach, [], (j, a, *map(int, corners(tri[h])))
+        count += len(hits)
+        # the first hit per image of P1, then of P2 among the hits fixing
+        # P1, of P3 among those fixing P1 and P2, and the one fixing all three
+        on = np.arange(len(hits))
+        for level, col in enumerate(corners(tri[hits])):
+            vals, pos = np.unique(col[on], return_index=True)
+            for v, h in zip(vals.tolist(), hits[on[pos]].tolist()):
+                samples.setdefault((level + 1, v, j), h)
+            on = on[col[on] == base_pts[level]]
+        for h in hits[on].tolist():
+            samples.setdefault((4, j, j), h)
+    if early_exit:
+        return (0, []) if first is None else (1, [element(*first)])
     # first hit per stream in (b, c, y) order; the lowest j wins
     kept = {}
-    for (level, v, _), hit in sorted(samples.items()):
-        kept.setdefault((level, v), hit)
-    return sum(count), reach, list(kept.values()), None
+    for (level, v, j), h in sorted(samples.items()):
+        kept.setdefault((level, v), (h, j))
+    return count, [element(h, j) for h, j in kept.values()]
 
 
 # ----------------------------------------------------------------- public API
@@ -452,13 +492,10 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
     res = _search(params, codes, codes, want_orbits=True, threads=threads)
-    # reach is the orbit relation: its distinct rows are the orbits
-    seen = {}
-    for k in range(len(codes)):
-        key = res.reach[k].tobytes()
-        seen.setdefault(key, []).append(k)
-    orbits = tuple(tuple(v) for v in sorted(seen.values()))
-    assert sum(len(o) for o in orbits) == len(codes)
+    seen = {}                       # orbits in the order of their least points
+    for k, least in enumerate(res.classes.tolist()):
+        seen.setdefault(least, []).append(k)
+    orbits = tuple(tuple(v) for v in seen.values())
     return OrbitDecomposition(params, tuple(codes), res.order, orbits,
                               tuple(res.generators))
 

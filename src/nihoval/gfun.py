@@ -149,7 +149,11 @@ def g_monomial(params: FieldParams, s: int) -> GFunction:
 
 
 def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunction:
-    """The unique g with {u/g(u)} = O, for an oval O in K with nucleus 0."""
+    """The unique g with {u/g(u)} = O, for an oval O in K with nucleus 0.
+
+    The series inverts the map g -> {u/g(u)} on every set O with one point on
+    each line through 0, oval or not; any other set raises GFunError.
+    """
     O = np.asarray(oval_codes, dtype=np.uint32)
     if len(O) != params.q + 1:
         raise GFunError("need q+1 oval points")
@@ -164,9 +168,10 @@ def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunct
     k, j = polar_v(params, coeffs[i])
     cols = (j[:, None] + (i[:, None] + 1) * idx) % (q + 1)
     vals = np.bitwise_xor.reduce(polar_grid(params)[k[:, None], cols], axis=0)
-    if np.any(vals >> params.m):
-        raise GFunError("power series values left the base field")
-    return GFunction(params, vals, provenance or "from-oval")
+    g = GFunction(params, vals, provenance or "from-oval")
+    if not g.is_zero_free() or not np.array_equal(np.sort(g.oval_codes_k()), np.sort(O)):
+        raise GFunError("the points are not one on each line through 0")
+    return g
 
 
 def g_shift(g: GFunction, s_index: int) -> GFunction:

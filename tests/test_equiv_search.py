@@ -12,9 +12,11 @@ from nihoval import equiv, geometry as geo, gfun
 from nihoval.equiv import EquivError, are_equivalent, stabilizer
 from nihoval.gf2m import field_create
 
+from test_acceptance import catalog_sweep_cases
 
-def hyperoval(P, fam="hyperconic"):
-    return gfun.g_catalog(P, fam).hyperoval_codes_h()
+
+def hyperoval(P, fam="hyperconic", r=None):
+    return gfun.g_catalog(P, fam, r=r).hyperoval_codes_h()
 
 
 def random_collineation(P, rng):
@@ -91,7 +93,8 @@ def test_stabilizer_matches_brute_force(oracle):
         fixing = oracle_maps(perms, H, H, marked=(p, p))
         res = equiv._search(P, H, H, marked=(p, p), want_orbits=True)
         assert res.order == len(fixing)
-        got = {frozenset(H[i] for i in np.flatnonzero(row)) for row in res.reach}
+        got = {frozenset(H[i] for i in np.flatnonzero(res.classes == least))
+               for least in res.classes}
         assert got == {frozenset(int(v) for v in fixing[:, c]) for c in H}
 
 
@@ -185,20 +188,30 @@ def test_orbits_do_not_depend_on_point_order(P5, fam, sizes):
         assert orbit_sets(dec) == orbit_sets(ref)
 
 
-@pytest.mark.parametrize("m,fam", [(4, "lunelli_sce"), (5, "okeefe_penttila")])
-def test_threads_do_not_change_results(m, fam):
+@pytest.mark.parametrize("m,fam", [(4, "lunelli_sce"), (5, "okeefe_penttila"),
+                                   (5, "cherowitzo")])
+def test_threads_do_not_change_results(m, fam, monkeypatch):
     P = field_create(m)
     H = hyperoval(P, fam)
     image = [random_collineation(P, random.Random(m)).apply_code(c) for c in H]
 
     def run(threads):
+        log = logged_chunks(monkeypatch)
         dec = stabilizer(P, H, threads=threads)
+        monkeypatch.undo()
         w = are_equivalent(P, H, image, threads=threads)
         wm = are_equivalent(P, H, image, marked=(H[0], w.apply_code(H[0])), threads=threads)
-        return (dec.stabilizer_order, dec.orbits, [g.key() for g in dec.generators],
-                w.key(), wm.key())
+        return ((dec.stabilizer_order, dec.orbits, [g.key() for g in dec.generators],
+                 w.key(), wm.key()), [a for a, *_ in log])
 
-    assert run(2) == run(1)
+    (ref, ran), *more = [run(t) for t in (1, 2, 3)]
+    for res, ran_t in more:
+        assert res == ref
+        assert set(ran) <= set(ran_t)
+    # two and three threads run speculative chunks and drop those an earlier
+    # commit of their window decided; at Cherowitzo P0 is fixed, every other
+    # chunk is negative and in a class of its own, so none is dropped
+    assert (len(more[0][1]) > len(ran)) == (fam != "cherowitzo")
 
 
 @pytest.mark.parametrize("m,fam,sample", [(2, "hyperconic", None), (3, "hyperconic", None),
@@ -221,15 +234,83 @@ def test_keys_form_a_permutation_graph(m, fam, sample):
 
 
 def test_stabilizer_memory_stays_small(P5):
-    # the whole-chunk key rows at q = 32 take well under a MiB
-    H = hyperoval(P5, "cherowitzo")
-    tracemalloc.start()
-    try:
-        stabilizer(P5, H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    # the whole-chunk key rows at q = 32 take well under a MiB.  With the
+    # nucleus first, chunk P0 counts the whole group (163,680 hits): only its
+    # samples get point images, and the survivors are checked in blocks
+    H = hyperoval(P5)
+    for codes, limit in ((hyperoval(P5, "cherowitzo"), 4 << 20),
+                         ([H[-1]] + H[:-1], 12 << 20)):
+        tracemalloc.start()
+        try:
+            stabilizer(P5, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+
+# ------------------------------------------------------------ orbit-stabilizer
+
+
+def logged_chunks(monkeypatch):
+    """The list of (first image, early exit, hit count, found) of every chunk
+    the search runs from now on."""
+    log, real = [], equiv._process_chunk
+
+    def spy(ctx, a, early_exit):
+        out = real(ctx, a, early_exit)
+        log.append((a, early_exit, *out))
+        return out
+
+    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    return log
+
+
+def every_chunk_in_full(P, H, monkeypatch):
+    """Order and orbits by the search before orbit-stabilizer: every chunk in
+    full, each counting |Stab(P0)| hits or none, the order their sum and the
+    orbits the closure of the point images of all chunk samples."""
+    log = logged_chunks(monkeypatch)
+    order = equiv._search(P, H, H).order
+    monkeypatch.undo()
+    counts = [count for _, _, count, _ in log]
+    assert len(counts) == len(H) and set(counts) <= {0, counts[0]} and counts[0]
+    reach = np.eye(len(H), dtype=bool)
+    for *_, found in log:
+        for _, images in found:
+            reach[np.arange(len(H)), images] = True
+    while not np.array_equal(closed := reach | reach.T | (reach @ reach), reach):
+        reach = closed
+    return order, {frozenset(H[i] for i in np.flatnonzero(row)) for row in reach}
+
+
+@pytest.mark.parametrize("m,fam,r", [c for c in catalog_sweep_cases() if c[0] <= 5])
+def test_orbit_stabilizer_matches_every_chunk_in_full(m, fam, r, monkeypatch):
+    # P0 from each orbit in turn; a chunk runs only for a point outside the
+    # classes decided so far, which are unions of Stab(P0)-orbits
+    P = field_create(m)
+    H = hyperoval(P, fam, r)
+    order, orbits = every_chunk_in_full(P, H, monkeypatch)
+    for orbit in orbits:
+        k = min(H.index(c) for c in orbit)
+        rotated = H[k:] + H[:k]
+        log = logged_chunks(monkeypatch)
+        dec = stabilizer(P, rotated)
+        monkeypatch.undo()
+        assert dec.stabilizer_order == order and orbit_sets(dec) == orbits
+        fixing = equiv._search(P, rotated, rotated, marked=(rotated[0], rotated[0]),
+                               want_orbits=True)
+        assert fixing.order * len(orbit) == order
+        assert len(log) <= len(set(fixing.classes.tolist()))
+
+
+def test_hyperconic_with_p0_on_the_conic_runs_three_chunks(P5, monkeypatch):
+    # Stab(P0) fixes the nucleus (last) and is transitive on the other conic
+    # points: chunk P0 in full, one hit for point 1, none for the nucleus
+    log = logged_chunks(monkeypatch)
+    dec = stabilizer(P5, hyperoval(P5))
+    assert [(a, early, count) for a, early, count, _ in log] == [
+        (0, False, dec.stabilizer_order // 33), (1, True, 1), (33, True, 0)]
 
 
 # ------------------------------------------------------------ error paths
@@ -256,19 +337,25 @@ def test_non_arc_raises(P3):
         are_equivalent(P3, bad, H, marked=(bad[0], H[0]))
 
 
-@pytest.mark.parametrize("a,scale,add", [(0, 1, 1), (0, 0, 0), (9, 1, 1), (9, 0, 1)])
-def test_chunk_counts_break_orbit_stabilizer_raises(P3, monkeypatch, a, scale, add):
-    # every chunk must count |Stab(P0)| hits or none, and chunk P0 at least
-    # one; chunk a's count becomes count * scale + add
-    real = equiv._process_chunk
+@pytest.mark.parametrize("broken", ["p0", "positive"])
+def test_broken_chunk_raises_orbit_stabilizer(P5, monkeypatch, broken):
+    # chunk P0 must have a hit, and no point whose chunk has none may end up
+    # in P0's orbit.  At O'Keefe-Penttila P0 lies in a 3-orbit and Stab(P0)
+    # is trivial: a positive chunk reported empty is caught when the chunk of
+    # the third point of that orbit joins it to P0
+    real, broke = equiv._process_chunk, []
 
-    def patched(ctx, first):
-        count, *rest = real(ctx, first)
-        return (count * scale + add if first == a else count, *rest)
+    def patched(ctx, a, early_exit):
+        count, found = real(ctx, a, early_exit)
+        if count and not broke and early_exit == (broken == "positive"):
+            broke.append(a)
+            return 0, []
+        return count, found
 
     monkeypatch.setattr(equiv, "_process_chunk", patched)
     with pytest.raises(EquivError, match="orbit-stabilizer"):
-        stabilizer(P3, hyperoval(P3))
+        stabilizer(P5, hyperoval(P5, "okeefe_penttila"))
+    assert broke
 
 
 def test_marked_point_outside_set_raises(P3):
