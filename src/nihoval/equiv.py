@@ -37,7 +37,9 @@ Chunks run over the first image point A (one chunk when `marked` pins it),
 each over all of its triangles at once.  Results are committed in A order,
 so they do not depend on the thread count.  are_equivalent runs the same
 search with an early exit on the first hit, optionally with a marked point
-(nucleus -> nucleus for oval equivalence).
+(nucleus -> nucleus for oval equivalence).  point_invariant reuses the keys
+of all triangles at one point; classify_bent runs the marked search only for
+classes whose nuclei it does not tell apart.
 """
 
 from __future__ import annotations
@@ -221,6 +223,16 @@ def _triples(n: int) -> np.ndarray:
                           & (p[:, None] != p)).astype(np.int32)
 
 
+def _fan_keys(LL: np.ndarray, N: int, Q: int, a: int, tri: np.ndarray):
+    """Keys of the points y relative to every triangle (a, b, c) of distinct
+    points: the other points `others` and k0, k1 at the _triples(N - 1)
+    positions `tri` over (b, c, y) in `others`, N - 3 points y per row (b, c)."""
+    others = np.delete(np.arange(N), a)
+    k0, k1 = (k.reshape(-1)[tri] for k in
+              _keys(LL, N, Q, a, others[:, None, None], others[:, None], others))
+    return others, k0, k1
+
+
 # ----------------------------------------------------------- the enumeration
 
 
@@ -271,6 +283,8 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     once and are committed in index order; a result whose point an earlier
     commit decided is dropped.  So the chunks that count, the order, the
     orbits, the witness and the samples do not depend on the thread count.
+    Up to q = 64 more threads are slower than one: the dropped speculative
+    chunks cost more than a second thread saves on chunks this small.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
@@ -394,9 +408,7 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     """
     N, Q, shifts, tri = ctx.N, ctx.Q, ctx.shifts, ctx.triples
     m, n, W = len(shifts), N - 1, 2 * Q
-    others = np.delete(np.arange(N), a)
-    k0, k1 = (k.reshape(-1)[tri] for k in
-              _keys(ctx.LL, N, Q, a, others[:, None, None], others[:, None], others))
+    others, k0, k1 = _fan_keys(ctx.LL, N, Q, a, tri)
     # candidate (b, c, y) sits at column k0(y) of pair row (b, c)
     rows = len(tri) // (N - 3)
     at = np.int32 if rows * W < 1 << 31 else np.int64
@@ -487,7 +499,15 @@ class OrbitDecomposition:
 
 
 def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecomposition:
-    """Exact stabilizer order, orbits and sample elements of a hyperoval."""
+    """Exact stabilizer order, orbits and sample elements of a hyperoval.
+
+    `threads` > 1 runs the chunks of several undecided points at once, with
+    the same results.  It pays only for the large chunks of q = 128; up to
+    q = 64 it is slower, since chunks that an earlier commit makes
+    unnecessary are run and dropped.  On a 2-core VM, Glynn I at q = 128
+    took 1.00 s with 1 thread and 0.68 s with 2, Adelaide at q = 64 0.18 s
+    and 0.36 s.
+    """
     codes = geometry._as_codes(params, points)
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
@@ -529,6 +549,48 @@ def are_equivalent(params: FieldParams, points_a, points_b,
     return phi
 
 
+def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
+    """An invariant of a point of an arc under collineations.
+
+    For each ordered pair (b, c) of the other points, the keys of the rest
+    relative to the triangle (point, b, c) give v = k1 - 2*k0 mod (q-1), and
+    the row counts the pairs of them with equal v.  A collineation maps the
+    keys to 2^j*k + t relative to the image triangle, so it maps v to
+    2^j*v + const, with 2^j a unit mod the odd q-1: each row's partition by v
+    is preserved.  The result is the multiset of the row counts, as a
+    histogram (entry n: the rows with n pairs).  If there is a collineation
+    taking the arc to another and the point to one of its points, both
+    (arc, point) pairs have the same invariant.
+    """
+    codes = geometry._as_codes(params, points)
+    (point,) = geometry._as_codes(params, [point])
+    if point not in codes:
+        raise EquivError("the point is not in the point set")
+    N = len(codes)
+    if N < 4:
+        raise EquivError("the invariant needs at least four points")
+    LL = _line_logs(params, _coords_of_codes(params, codes))
+    return _point_invariant(LL, N, params.q - 1, codes.index(point))
+
+
+def _point_invariant(LL: np.ndarray, N: int, Q: int, a: int) -> tuple[int, ...]:
+    """point_invariant of point a, from the line-log table of its point set."""
+    _, k0, k1 = _fan_keys(LL, N, Q, a, _triples(N - 1))
+    v = k1 - 2 * k0
+    for _ in range(2):                   # from (-2Q, Q) into [0, Q)
+        v += (v < 0) * v.dtype.type(Q)
+    v = v.reshape(-1, N - 3)
+    # one bincount over (row, v) per block of rows keeps the bins few
+    step = max(1, (1 << 16) // Q)
+    counts = []
+    for lo in range(0, len(v), step):
+        block = v[lo:lo + step]
+        n = np.bincount((np.arange(len(block))[:, None] * Q + block).reshape(-1),
+                        minlength=len(block) * Q)
+        counts.append((n * (n - 1) // 2).reshape(-1, Q).sum(axis=1))
+    return tuple(np.bincount(np.concatenate(counts)).tolist())
+
+
 # --------------------------------------------------------- bent class counts
 
 
@@ -558,8 +620,10 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
     """One Niho bent class per stabilizer orbit of the hyperoval of g.
 
     g must be nowhere zero (apply gfun.fix_zeros first).  Representatives are
-    chosen inside each orbit by minimal serialized g-table; classes are
-    pairwise-verified inequivalent through the nucleus-marked oval test.
+    chosen inside each orbit by minimal serialized g-table.  The classes are
+    proved pairwise inequivalent as ovals with their nucleus marked: two
+    classes whose nuclei have different point_invariant are inequivalent,
+    and each pair that ties runs the exhaustive marked search.
     """
     P = g.params
     if not g.is_zero_free():
@@ -588,12 +652,14 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
                                  tuple(int(c) for c in oval_h), len(orbit)))
 
     origin = 0  # H-code of the K point 0 is (0:0:1) -> code 0
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            w = are_equivalent(P, list(classes[i].oval_h_codes),
-                               list(classes[j].oval_h_codes),
+    ties = {}
+    for c in classes:
+        ties.setdefault(point_invariant(P, c.oval_h_codes, origin), []).append(c)
+    for tie in ties.values():
+        for a, b in itertools.combinations(tie, 2):
+            w = are_equivalent(P, list(a.oval_h_codes), list(b.oval_h_codes),
                                marked=(origin, origin), threads=threads)
             if w is not None:
-                raise EquivError("orbit representatives are equivalent")  # pragma: no cover
+                raise EquivError("orbit representatives are equivalent")
     return ClassifyResult(P, g.provenance, dec.stabilizer_order,
                           tuple(dec.orbit_sizes()), tuple(classes))

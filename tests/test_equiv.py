@@ -1,3 +1,7 @@
+import itertools
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -8,7 +12,7 @@ from nihoval.equiv import (Collineation, EquivError, are_equivalent, classify_be
 from nihoval.gf2m import field_create, unit_circle
 from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC
 
-from test_acceptance import catalog_sweep_cases, stab
+from test_acceptance import catalog_sweep_cases, classify, stab
 
 
 def hyperoval_codes(P, fam, r=None):
@@ -234,3 +238,122 @@ def test_subiaco_opoly_route_matches_g_form(P5):
     a = [p.code for p in opoly.dh_points(P5, tab)]
     b = hyperoval_codes(P5, "subiaco_payne")
     assert are_equivalent(P5, a, b) is not None
+
+
+# ------------------------------------------------- inequivalence certificates
+
+
+def seeded_collineation(P, rng, frob):
+    while True:
+        M = [rng.randrange(P.q) for _ in range(9)]
+        if any(M):
+            phi = Collineation.make(P, M, frob)
+            if phi.det():
+                return phi
+
+
+@pytest.mark.parametrize("m,fam", [(4, "lunelli_sce"), (5, "cherowitzo"),
+                                   (5, "okeefe_penttila"), (6, "adelaide")])
+def test_point_invariant_under_collineations(m, fam):
+    P = field_create(m)
+    H = hyperoval_codes(P, fam)
+    rng = random.Random(f"invariant:{m}:{fam}")
+    for frob in (0, rng.randrange(1, m)):
+        phi = seeded_collineation(P, rng, frob)
+        image = [phi.apply_code(c) for c in H]
+        rng.shuffle(image)
+        for c in rng.sample(H, 3):
+            assert (equiv.point_invariant(P, H, c)
+                    == equiv.point_invariant(P, image, phi.apply_code(c)))
+
+
+@pytest.mark.parametrize("fam", ["subiaco_payne", "cherowitzo", "okeefe_penttila"])
+def test_point_invariant_of_s_is_the_nucleus_invariant_of_its_class(P5, fam):
+    # O_s + {0} is H translated by s/g(s), which takes the point s to 0
+    res, H = classify(5, fam), stab(5, fam).point_codes
+    for c in res.classes:
+        s = P5.q + 1 if c.s_index is None else c.s_index
+        assert (equiv.point_invariant(P5, H, H[s])
+                == equiv.point_invariant(P5, c.oval_h_codes, 0))
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_point_invariant_is_constant_on_orbits(m, fam, r):
+    dec = stab(m, fam, r)
+    P, N = dec.params, len(dec.point_codes)
+    LL = equiv._line_logs(P, equiv._coords_of_codes(P, dec.point_codes))
+    for orbit in dec.orbits:
+        assert len({equiv._point_invariant(LL, N, P.q - 1, a) for a in orbit}) == 1
+
+
+@pytest.mark.parametrize("m,fam,r", [c for c in catalog_sweep_cases() if c[0] <= 5])
+def test_classes_against_marked_searches(m, fam, r):
+    # the exhaustive marked search over all pairs, the path the certificates
+    # replace, finds no witness for a pair they separate; and the nucleus of
+    # each class is fixed by |G| / orbit size collineations, as the point s
+    # it comes from is
+    res = classify(m, fam, r)
+    P = res.params
+    inv = [equiv.point_invariant(P, c.oval_h_codes, 0) for c in res.classes]
+    for (a, ia), (b, ib) in itertools.combinations(zip(res.classes, inv), 2):
+        if ia != ib:
+            assert are_equivalent(P, a.oval_h_codes, b.oval_h_codes, marked=(0, 0)) is None
+    for c in res.classes:
+        fixing = equiv._search(P, c.oval_h_codes, c.oval_h_codes, marked=(0, 0))
+        assert fixing.order * c.orbit_size == res.stabilizer_order
+
+
+def counting_marked_searches(monkeypatch, result=None):
+    """The list of (a, b) of every are_equivalent call from now on, which
+    returns `result` if given."""
+    calls, real = [], equiv.are_equivalent
+
+    def spy(params, a, b, marked=None, threads=1):
+        calls.append((a, b))
+        return real(params, a, b, marked, threads) if result is None else result
+
+    monkeypatch.setattr(equiv, "are_equivalent", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m,fam,r,searches", [
+    (5, "subiaco_payne", None, 0), (5, "cherowitzo", None, 0),
+    (5, "okeefe_penttila", None, 0), (5, "translation", 2, 1),
+    (6, "adelaide", None, 0), (6, "subiaco", None, 0), (6, "subiaco2", None, 0),
+    (6, "hyperconic", None, 0)])
+def test_classify_searches_only_tied_classes(m, fam, r, searches, monkeypatch):
+    P = field_create(m)
+    g = gfun.g_catalog(P, fam, r=r)
+    if not g.is_zero_free():
+        g = gfun.fix_zeros(g)
+    calls = counting_marked_searches(monkeypatch)
+    classify_bent(g)
+    assert len(calls) == searches
+    for a, b in calls:
+        assert equiv.point_invariant(P, a, 0) == equiv.point_invariant(P, b, 0)
+
+
+def test_classify_raises_on_a_witness_for_tied_classes(P5, monkeypatch):
+    g = gfun.fix_zeros(gfun.g_catalog(P5, "translation", r=2))
+    counting_marked_searches(monkeypatch, Collineation.identity(P5))
+    with pytest.raises(EquivError, match="equivalent"):
+        classify_bent(g)
+
+
+def test_point_invariant_memory_and_errors(P5):
+    # the keys stay int16 and the counts go in blocks of rows: well under
+    # the peak of a stabilizer search on the same hyperoval
+    H = hyperoval_codes(P5, "cherowitzo")
+    peaks = []
+    for run in (lambda: equiv.point_invariant(P5, H, H[-1]), lambda: stabilizer(P5, H)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < min(peaks[1], 2 << 20)
+    with pytest.raises(EquivError):
+        equiv.point_invariant(P5, H, next(c for c in range(P5.q) if c not in H))
+    with pytest.raises(EquivError):
+        equiv.point_invariant(P5, H[:3], H[0])
