@@ -26,6 +26,11 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   put it in P0's orbit or in the orbit of a point without a hit.  Stab(P0) and
   one hit per reached A generate the group, so the closure of their point
   images (table lookups) is the orbit partition.
+* point_invariant is an exact collineation invariant of a point of the set,
+  so an A whose invariant differs from P0's is outside P0's orbit and runs
+  no chunk; only A that tie P0's invariant need one.  The least point of
+  every orbit is reached undecided, so the invariants the search computes
+  cover every orbit, and the stabilizer reports one per orbit.
 * The sample elements are one hit per coset of each stabilizer along the
   base (P0, P1, P2, P3), so they generate Stab(P0) (Schreier).  Matrices
   are built only for them and for the witness, from the four image points
@@ -38,8 +43,9 @@ each over all of its triangles at once.  Results are committed in A order,
 so they do not depend on the thread count.  are_equivalent runs the same
 search with an early exit on the first hit, optionally with a marked point
 (nucleus -> nucleus for oval equivalence).  point_invariant reuses the keys
-of all triangles at one point; classify_bent runs the marked search only for
-classes whose nuclei it does not tell apart.
+of all triangles at one point.  classify_bent takes the invariant of each
+class's nucleus from the stabilizer's orbit invariants and runs the marked
+search only for classes whose invariants tie.
 """
 
 from __future__ import annotations
@@ -242,6 +248,7 @@ class _SearchResult:
     classes: np.ndarray | None = None   # orbit searches: least point of each point's orbit
     witness: Collineation | None = None
     generators: list = field(default_factory=list)
+    invariants: dict = field(default_factory=dict)   # point -> _point_invariant, orbit searches
 
 
 @dataclass(frozen=True)
@@ -270,21 +277,29 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     * chunk P0 is counted in full, for |Stab(P0)| and its samples;
     * each other first image a is visited in index order.  It is skipped if
       the relation "x ~ g(x)" over the elements recorded so far puts it in
-      P0's class (then a is in P0^G) or in the class of a point whose chunk
-      has no hit (G preserves P0^G, so a is outside it too).  Otherwise
-      chunk a runs with early exit: a hit records one element g with
-      g(P0) = a, no hit puts a outside P0^G.
+      P0's class (then a is in P0^G) or in the class of a point known to be
+      outside P0^G (G preserves P0^G, so a is outside it too).  Otherwise
+      a's point_invariant is computed: if it differs from P0's, a is outside
+      P0^G.  If it ties, chunk a runs with early exit: a hit records one
+      element g with g(P0) = a, no hit puts a outside P0^G.
 
     Stab(P0) and one element per positive chunk generate G, so the final
     classes are the orbits (`classes`), the order is |Stab(P0)| times the
-    size of P0's orbit and `generators` generate G.  EquivError is raised
-    when chunk P0 has no hit or a point whose chunk has none ends up in
-    P0's orbit.  With threads > 1 the next `threads` undecided points run at
-    once and are committed in index order; a result whose point an earlier
-    commit decided is dropped.  So the chunks that count, the order, the
-    orbits, the witness and the samples do not depend on the thread count.
-    Up to q = 64 more threads are slower than one: the dropped speculative
-    chunks cost more than a second thread saves on chunks this small.
+    size of P0's orbit and `generators` generate G.  `invariants` maps each
+    visited point and P0 to its invariant; that includes the least point of
+    every orbit, which no earlier point can decide.  EquivError is raised
+    when chunk P0 has no hit or a point found outside P0^G ends up in P0's
+    orbit.  That check is partial: a positive chunk wrongly reported empty
+    is caught only if a later chunk joins its point to P0's class, else the
+    order comes out too small.  Points refuted by their invariant are
+    outside P0^G by proof, so the gap is left only for points that tie
+    P0's invariant.
+
+    With threads > 1 the next `threads` undecided points are visited at
+    once (invariant, and chunk on a tie) and committed in index order; a
+    result whose point an earlier commit decided is dropped.  So the chunks
+    that count, the order, the orbits, the witness, the samples and the
+    invariants do not depend on the thread count.
     """
     if threads < 1:
         raise EquivError(f"threads must be >= 1, got {threads}")
@@ -338,13 +353,12 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     if threads > 1:        # imported here: it (and logging) would slow the package import
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        def run(chunks, early: bool) -> list:
-            if pool is None:
-                return [_process_chunk(ctx, a, early) for a in chunks]
-            return list(pool.map(lambda a: _process_chunk(ctx, a, early), chunks))
+        def run(f, points) -> list:
+            return list(map(f, points) if pool is None else pool.map(f, points))
 
         if not want_orbits:
-            res.order = sum(count for count, _ in run(firsts, False))
+            res.order = sum(count for count, _ in
+                            run(lambda a: _process_chunk(ctx, a, False), firsts))
             return res
         stab, found = _process_chunk(ctx, p0, False)
         if stab < 1:
@@ -354,15 +368,22 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         for hit, images in found:
             picks.append(hit)
             _join(least, images)
+        inv = res.invariants
+        inv[p0] = _point_invariant(LLd, N, Q, p0, ctx.triples)
+
+        def visit(a):       # a's invariant, and its early-exit chunk if that ties P0's
+            v = _point_invariant(LLd, N, Q, a, ctx.triples)
+            return v, (_process_chunk(ctx, a, True) if v == inv[p0] else (0, []))
 
         def decided(a) -> bool:
             return least[a] == least[p0] or least[a] in least[negative]
 
         todo = (a for a in firsts if a != p0 and not decided(a))
         while window := list(itertools.islice(todo, threads)):
-            for a, (count, found) in zip(window, run(window, True)):
+            for a, (v, (count, found)) in zip(window, run(visit, window)):
                 if decided(a):                  # by an earlier commit of this window
                     continue
+                inv[a] = v
                 if count:
                     picks.append(found[0][0])
                     _join(least, found[0][1])
@@ -493,6 +514,8 @@ class OrbitDecomposition:
     orbits: tuple[tuple[int, ...], ...]   # tuples of indices into point_codes
     # sample elements; they generate the group (tested on the catalog, q <= 32)
     generators: tuple[Collineation, ...]
+    # point_invariant of the points of each orbit, in the order of `orbits`
+    invariants: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def orbit_sizes(self) -> list[int]:
         return sorted(len(o) for o in self.orbits)
@@ -501,12 +524,14 @@ class OrbitDecomposition:
 def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecomposition:
     """Exact stabilizer order, orbits and sample elements of a hyperoval.
 
-    `threads` > 1 runs the chunks of several undecided points at once, with
-    the same results.  It pays only for the large chunks of q = 128; up to
-    q = 64 it is slower, since chunks that an earlier commit makes
-    unnecessary are run and dropped.  On a 2-core VM, Glynn I at q = 128
-    took 1.00 s with 1 thread and 0.68 s with 2, Adelaide at q = 64 0.18 s
-    and 0.36 s.
+    `invariants` holds the point_invariant of each orbit's points.
+
+    `threads` > 1 visits several undecided points at once, with the same
+    results.  It pays little: work that an earlier commit makes unnecessary
+    is run and dropped.  On a 2-core VM (median of 3 fresh processes, 1 vs 2
+    threads) Cherowitzo at q = 128 took 1.19 s and 1.04 s, Payne 0.78 s and
+    0.70 s, Glynn I 0.49 s and 0.50 s, Glynn II 0.55 s and 0.64 s, and
+    Adelaide at q = 64 0.085 s and 0.095 s.
     """
     codes = geometry._as_codes(params, points)
     if len(codes) != params.q + 2:
@@ -516,8 +541,11 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
     for k, least in enumerate(res.classes.tolist()):
         seen.setdefault(least, []).append(k)
     orbits = tuple(tuple(v) for v in seen.values())
+    # P0 is point 0; the search reaches the least point of every other orbit
+    # undecided, so each orbit's least point has its invariant
     return OrbitDecomposition(params, tuple(codes), res.order, orbits,
-                              tuple(res.generators))
+                              tuple(res.generators),
+                              tuple(res.invariants[o[0]] for o in orbits))
 
 
 def orbits_on_points(params: FieldParams, points, *, threads: int = 1):
@@ -570,12 +598,14 @@ def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
     if N < 4:
         raise EquivError("the invariant needs at least four points")
     LL = _line_logs(params, _coords_of_codes(params, codes))
-    return _point_invariant(LL, N, params.q - 1, codes.index(point))
+    return _point_invariant(LL, N, params.q - 1, codes.index(point), _triples(N - 1))
 
 
-def _point_invariant(LL: np.ndarray, N: int, Q: int, a: int) -> tuple[int, ...]:
-    """point_invariant of point a, from the line-log table of its point set."""
-    _, k0, k1 = _fan_keys(LL, N, Q, a, _triples(N - 1))
+def _point_invariant(LL: np.ndarray, N: int, Q: int, a: int,
+                     tri: np.ndarray) -> tuple[int, ...]:
+    """point_invariant of point a, from the line-log table of its point set
+    and the positions tri = _triples(N - 1)."""
+    _, k0, k1 = _fan_keys(LL, N, Q, a, tri)
     v = k1 - 2 * k0
     for _ in range(2):                   # from (-2Q, Q) into [0, Q)
         v += (v < 0) * v.dtype.type(Q)
@@ -623,7 +653,10 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
     chosen inside each orbit by minimal serialized g-table.  The classes are
     proved pairwise inequivalent as ovals with their nucleus marked: two
     classes whose nuclei have different point_invariant are inequivalent,
-    and each pair that ties runs the exhaustive marked search.
+    and each pair that ties runs the exhaustive marked search.  The class of
+    an orbit has the oval O_s + {0}, which is the hyperoval translated by
+    s/g(s) for s in the orbit; the translation takes s to the nucleus 0, so
+    the nucleus invariant is the orbit's invariant from the stabilizer.
     """
     P = g.params
     if not g.is_zero_free():
@@ -653,8 +686,8 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
 
     origin = 0  # H-code of the K point 0 is (0:0:1) -> code 0
     ties = {}
-    for c in classes:
-        ties.setdefault(point_invariant(P, c.oval_h_codes, origin), []).append(c)
+    for c, inv in zip(classes, dec.invariants):
+        ties.setdefault(inv, []).append(c)
     for tie in ties.values():
         for a, b in itertools.combinations(tie, 2):
             w = are_equivalent(P, list(a.oval_h_codes), list(b.oval_h_codes),

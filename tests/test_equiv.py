@@ -267,23 +267,33 @@ def test_point_invariant_under_collineations(m, fam):
                     == equiv.point_invariant(P, image, phi.apply_code(c)))
 
 
-@pytest.mark.parametrize("fam", ["subiaco_payne", "cherowitzo", "okeefe_penttila"])
-def test_point_invariant_of_s_is_the_nucleus_invariant_of_its_class(P5, fam):
-    # O_s + {0} is H translated by s/g(s), which takes the point s to 0
-    res, H = classify(5, fam), stab(5, fam).point_codes
-    for c in res.classes:
-        s = P5.q + 1 if c.s_index is None else c.s_index
-        assert (equiv.point_invariant(P5, H, H[s])
-                == equiv.point_invariant(P5, c.oval_h_codes, 0))
+@pytest.mark.parametrize("fam", gfun.CATALOG_FAMILIES)
+def test_point_invariant_of_s_is_the_nucleus_invariant_of_its_class(fam):
+    # O_s + {0} is H translated by s/g(s), which takes the point s to 0; and
+    # the stabilizer's orbit invariant, which classify_bent groups by, is
+    # that of the class's nucleus.  Every case of the family with q <= 64
+    cases = [c for c in catalog_sweep_cases() + [(3, "glynn1", None), (5, "glynn1", None),
+                                                 (3, "glynn2", None), (5, "glynn2", None)]
+             if c[1] == fam]
+    assert cases
+    for m, _, r in cases:
+        res, dec = classify(m, fam, r), stab(m, fam, r)
+        P, H = res.params, dec.point_codes
+        for c, inv in zip(res.classes, dec.invariants, strict=True):
+            s = P.q + 1 if c.s_index is None else c.s_index
+            assert (equiv.point_invariant(P, H, H[s])
+                    == equiv.point_invariant(P, c.oval_h_codes, 0) == inv)
 
 
 @pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
 def test_point_invariant_is_constant_on_orbits(m, fam, r):
+    # and the stabilizer reports that value for each orbit
     dec = stab(m, fam, r)
     P, N = dec.params, len(dec.point_codes)
     LL = equiv._line_logs(P, equiv._coords_of_codes(P, dec.point_codes))
-    for orbit in dec.orbits:
-        assert len({equiv._point_invariant(LL, N, P.q - 1, a) for a in orbit}) == 1
+    tri = equiv._triples(N - 1)
+    for orbit, inv in zip(dec.orbits, dec.invariants, strict=True):
+        assert {equiv._point_invariant(LL, N, P.q - 1, a, tri) for a in orbit} == {inv}
 
 
 @pytest.mark.parametrize("m,fam,r", [c for c in catalog_sweep_cases() if c[0] <= 5])

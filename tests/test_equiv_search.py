@@ -196,22 +196,29 @@ def test_threads_do_not_change_results(m, fam, monkeypatch):
     image = [random_collineation(P, random.Random(m)).apply_code(c) for c in H]
 
     def run(threads):
-        log = logged_chunks(monkeypatch)
+        chunks, visits = logged_chunks(monkeypatch), logged_invariants(monkeypatch)
+        res = equiv._search(P, H, H, want_orbits=True, threads=threads)
         dec = stabilizer(P, H, threads=threads)
         monkeypatch.undo()
         w = are_equivalent(P, H, image, threads=threads)
         wm = are_equivalent(P, H, image, marked=(H[0], w.apply_code(H[0])), threads=threads)
         return ((dec.stabilizer_order, dec.orbits, [g.key() for g in dec.generators],
-                 w.key(), wm.key()), [a for a, *_ in log])
+                 dec.invariants, res.invariants, w.key(), wm.key()),
+                [a for a, *_ in chunks], [a for a, _ in visits])
 
-    (ref, ran), *more = [run(t) for t in (1, 2, 3)]
-    for res, ran_t in more:
+    (ref, chunks, visits), *more = [run(t) for t in (1, 2, 3)]
+    for res, chunks_t, visits_t in more:
         assert res == ref
-        assert set(ran) <= set(ran_t)
-    # two and three threads run speculative chunks and drop those an earlier
-    # commit of their window decided; at Cherowitzo P0 is fixed, every other
-    # chunk is negative and in a class of its own, so none is dropped
-    assert (len(more[0][1]) > len(ran)) == (fam != "cherowitzo")
+        assert set(chunks) <= set(chunks_t) and set(visits) <= set(visits_t)
+    # two and three threads visit the points of a window at once (invariant,
+    # and chunk on a tie) and drop those an earlier commit of the window
+    # decided.  At Lunelli-Sce every point ties and P0's orbit is everything:
+    # chunks are dropped.  At O'Keefe-Penttila only P0's orbit ties, and the
+    # one positive chunk decides the points after it in its window: only
+    # invariants are dropped.  At Cherowitzo P0 is fixed and every visited
+    # point is refuted in a class of its own, so nothing is dropped
+    assert (len(more[0][1]) > len(chunks)) == (fam == "lunelli_sce")
+    assert (len(more[0][2]) > len(visits)) == (fam != "cherowitzo")
 
 
 @pytest.mark.parametrize("m,fam,sample", [(2, "hyperconic", None), (3, "hyperconic", None),
@@ -266,10 +273,34 @@ def logged_chunks(monkeypatch):
     return log
 
 
+def logged_invariants(monkeypatch):
+    """The list of (point, invariant) of every _point_invariant call from now on."""
+    log, real = [], equiv._point_invariant
+
+    def spy(LL, N, Q, a, tri):
+        out = real(LL, N, Q, a, tri)
+        log.append((a, out))
+        return out
+
+    monkeypatch.setattr(equiv, "_point_invariant", spy)
+    return log
+
+
+_FULL = {}
+
+
 def every_chunk_in_full(P, H, monkeypatch):
     """Order and orbits by the search before orbit-stabilizer: every chunk in
     full, each counting |Stab(P0)| hits or none, the order their sum and the
-    orbits the closure of the point images of all chunk samples."""
+    orbits the closure of the point images of all chunk samples.  Memoized
+    per point set (two tests share it)."""
+    key = (P.m, P.modulus, tuple(H))
+    if key not in _FULL:
+        _FULL[key] = _every_chunk_in_full(P, H, monkeypatch)
+    return _FULL[key]
+
+
+def _every_chunk_in_full(P, H, monkeypatch):
     log = logged_chunks(monkeypatch)
     order = equiv._search(P, H, H).order
     monkeypatch.undo()
@@ -304,13 +335,44 @@ def test_orbit_stabilizer_matches_every_chunk_in_full(m, fam, r, monkeypatch):
         assert len(log) <= len(set(fixing.classes.tolist()))
 
 
-def test_hyperconic_with_p0_on_the_conic_runs_three_chunks(P5, monkeypatch):
-    # Stab(P0) fixes the nucleus (last) and is transitive on the other conic
-    # points: chunk P0 in full, one hit for point 1, none for the nucleus
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch):
+    # a constant invariant ties every point with P0, so every undecided point
+    # runs its chunk, as before the filter.  Every point the filter refutes
+    # lies outside P0's orbit of the search that runs every chunk in full,
+    # and runs no chunk
+    P = field_create(m)
+    H = hyperoval(P, fam, r)
+
+    def results(res):
+        return res.order, res.classes.tolist(), [g.key() for g in res.generators]
+
     log = logged_chunks(monkeypatch)
-    dec = stabilizer(P5, hyperoval(P5))
+    res = equiv._search(P, H, H, want_orbits=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(equiv, "_point_invariant", lambda *args: ())
+    assert results(equiv._search(P, H, H, want_orbits=True)) == results(res)
+    monkeypatch.undo()
+    order, orbits = every_chunk_in_full(P, H, monkeypatch)
+    assert res.order == order
+    (p0_orbit,) = (o for o in orbits if H[0] in o)
+    refuted = {a for a, v in res.invariants.items() if v != res.invariants[0]}
+    assert all(H[a] not in p0_orbit for a in refuted)
+    assert refuted.isdisjoint(a for a, *_ in log)
+
+
+def test_hyperconic_with_p0_on_the_conic_refutes_the_nucleus_by_its_invariant(
+        P5, monkeypatch):
+    # Stab(P0) fixes the nucleus (last) and is transitive on the other conic
+    # points: chunk P0 in full and one hit for point 1; the nucleus's
+    # invariant differs from P0's, so it runs no chunk
+    H = hyperoval(P5)
+    log = logged_chunks(monkeypatch)
+    res = equiv._search(P5, H, H, want_orbits=True)
     assert [(a, early, count) for a, early, count, _ in log] == [
-        (0, False, dec.stabilizer_order // 33), (1, True, 1), (33, True, 0)]
+        (0, False, res.order // 33), (1, True, 1)]
+    assert sorted(res.invariants) == [0, 1, 33]
+    assert res.invariants[33] != res.invariants[0] == res.invariants[1]
 
 
 # ------------------------------------------------------------ error paths
