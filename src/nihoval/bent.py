@@ -20,12 +20,15 @@ and the nucleus shift at s is this polynomial for the shifted oval O_s
 Frobenius images.
 
 Every table on K is written in polar form x = lambda*u, scattered through
-gf2m.polar_grid: f from g, g back from f, and sparse polynomials (Niho
-polynomials and trace forms).  For x^e = lambda^(e mod q-1) * u^(e mod q+1)
-the terms are summed on the q+1 points of S, one sum per residue of e mod
-q-1 (at most m for Niho exponents), and each sum is spread over the lines
-u*F* with F-multiplies.  The cost is terms*(q+1) + residues*q^2 instead of
-terms*q^2.
+gf2m.polar_grid (built once per field): f from g, g back from f, and sparse
+polynomials.  For x^e = lambda^(e mod q-1) * u^(e mod q+1) the terms are
+summed on the q+1 points of S, one sum per residue of e mod q-1.  A Niho
+polynomial is additive on every line u*F (each residue is a power 2^j), so
+it is fixed by its m values f(2^k * u) per line: those are m*(q+1) K
+products per residue, and f(lambda*u) = tr(lambda*gamma(u)) is spread over
+the grid once, as f from g is.  The cost is terms*(q+1) + residues*m*(q+1)
++ q^2 instead of terms*q^2.  Trace forms take general exponents, so each
+residue sum is spread over the lines u*F* with F-multiplies, residues*q^2.
 Truth-table index order is the K code (a-bits low, b-bits high).
 """
 
@@ -72,47 +75,64 @@ class BooleanFn:
 
 def _line_traces(P: FieldParams, c) -> np.ndarray:
     """tr(lambda_k * c_l) on the polar grid, for F values c_l indexed like S."""
-    k = np.arange(P.q - 1)[:, None]
+    k = np.arange(P.q - 1, dtype=np.uint32)[:, None]
     return P.f_tr[P.f_exp[k + P.f_log[c]]]
+
+
+def _spread_table(P: FieldParams, c) -> np.ndarray:
+    """Truth table of f(lambda*u_l) = tr(lambda*c_l), f(0) = 0, for F values
+    c_l indexed like S, scattered through the polar grid."""
+    table = np.zeros(P.q * P.q, dtype=np.uint8)
+    table[polar_grid(P)] = _line_traces(P, c)
+    return table
 
 
 def bent_from_g(g) -> BooleanFn:
     """Truth table of f(lambda*u) = tr(lambda*g(u)), f(0) = 0."""
-    P = g.params
-    table = np.zeros(P.q * P.q, dtype=np.uint8)
-    table[polar_grid(P)] = _line_traces(P, g.values)
-    return BooleanFn(P, table)
+    return BooleanFn(g.params, _spread_table(g.params, g.values))
+
+
+def _residue_sums(P: FieldParams, terms) -> dict[int, np.ndarray]:
+    """{r: c_r} with c_r(u) = sum c*u^e over the terms (e, c) with e = r mod q-1.
+
+    In polar form x = lambda*u (lambda in F*, u in S) a term is
+    c*x^e = lambda^(e mod q-1) * c*u^(e mod q+1), so c_r is a K value per
+    point of S (unit_circle order), formed by index gathers into the circle.
+    """
+    q = P.q
+    S = unit_circle(P).codes
+    ls = np.arange(q + 1, dtype=np.int64)
+    groups: dict[int, list] = {}
+    for e, c in terms:
+        groups.setdefault(e % (q - 1), []).append((e % (q + 1), c))
+    sums = {}
+    for r, group in groups.items():
+        es = np.array([eu for eu, _ in group], dtype=np.int64)
+        cs = np.array([c for _, c in group], dtype=np.uint32)
+        sums[r] = np.bitwise_xor.reduce(P.kmul_v(cs[:, None], S[es[:, None] * ls % (q + 1)]),
+                                        axis=0)
+    return sums
 
 
 def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
     """sum c*x^e at every x in K, as K codes in code order; terms are (e, c).
 
-    Polar form: x = lambda*u with lambda = f_exp[k] in F* and u = w^l in S
-    (unit_circle order), so x^e = lambda^(e mod q-1) * u^(e mod q+1).
-    Terms with equal r = e mod (q-1) are summed on S first, c_r(u) =
-    sum c*u^e by index gathers into the unit circle; then sum_r lambda^r *
-    c_r(u) is formed on the (q-1) x (q+1) grid, two F products per entry and
-    residue, and scattered to the codes x = lambda*u of polar_grid.  The
-    value at x = 0 uses the polynomial convention 0^0 = 1, 0^e = 0 for e != 0.
+    sum_r lambda^r * c_r(u) (see _residue_sums) is formed on the
+    (q-1) x (q+1) grid, two F products per entry and residue, and scattered
+    to the codes x = lambda*u of polar_grid.  The value at x = 0 uses the
+    polynomial convention 0^0 = 1, 0^e = 0 for e != 0.  Exponents are
+    arbitrary (trace forms); NihoPolynomial.evaluate has a cheaper path.
     """
     q, m = P.q, P.m
     qm1 = q - 1
-    S = unit_circle(P).codes
-    ls = np.arange(q + 1, dtype=np.int64)
-    groups: dict[int, list] = {}
     at_zero = 0
     for e, c in terms:
         if e == 0:
             at_zero ^= int(c)
-        groups.setdefault(e % qm1, []).append((e % (q + 1), c))
     k = np.arange(qm1, dtype=np.int64)[:, None]
     lo = np.zeros((qm1, q + 1), dtype=np.uint32)
     hi = np.zeros((qm1, q + 1), dtype=np.uint32)
-    for r, group in groups.items():
-        es = np.array([eu for eu, _ in group], dtype=np.int64)
-        cs = np.array([c for _, c in group], dtype=np.uint32)
-        cu = np.bitwise_xor.reduce(P.kmul_v(cs[:, None], S[es[:, None] * ls % (q + 1)]),
-                                   axis=0)
+    for r, cu in _residue_sums(P, terms).items():
         rk = r * k % qm1
         lo ^= P.f_exp[rk + P.f_log[cu & np.uint32(qm1)]]
         hi ^= P.f_exp[rk + P.f_log[cu >> np.uint32(m)]]
@@ -177,21 +197,40 @@ def _scalar_index_map(params: FieldParams) -> np.ndarray:
     return phi
 
 
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of an int32 vector of length 4^m.
+
+    Radix 4: each pass runs the stages h and 2h at once, from the quarters
+    a, b, c, d of every block of 4h to a+b+c+d, a-b+c-d, a+b-c-d and
+    a-b-c+d, through a scratch buffer into a ping-pong buffer.
+    """
+    out = np.empty_like(v)
+    tmp = np.empty_like(v)
+    h = 1
+    while h < len(v):
+        x = v.reshape(-1, 4, h)
+        y = out.reshape(-1, 4, h)
+        s0, d0, s1, d1 = tmp.reshape(4, -1, h)
+        np.add(x[:, 0], x[:, 1], out=s0)
+        np.subtract(x[:, 0], x[:, 1], out=d0)
+        np.add(x[:, 2], x[:, 3], out=s1)
+        np.subtract(x[:, 2], x[:, 3], out=d1)
+        np.add(s0, s1, out=y[:, 0])
+        np.add(d0, d1, out=y[:, 1])
+        np.subtract(s0, s1, out=y[:, 2])
+        np.subtract(d0, d1, out=y[:, 3])
+        v, out = out, v
+        h *= 4
+    return v
+
+
 def walsh_spectrum(f: BooleanFn) -> WalshSpectrum:
     """Exact Walsh transform under the scalar product tr(<a, b>)."""
-    v = (1 - 2 * f.table.astype(np.int32))
-    h = 1
-    n2 = len(v)
-    while h < n2:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        right = v[:, h:].copy()
-        v[:, :h] = left + right
-        v[:, h:] = left - right
-        v = v.reshape(-1)
-        h *= 2
     phi = _scalar_index_map(f.params)
-    return WalshSpectrum(f.params, v[phi])
+    v = f.table.astype(np.int32)
+    v *= -2
+    v += 1
+    return WalshSpectrum(f.params, _butterfly(v)[phi])
 
 
 def walsh_naive(f: BooleanFn) -> WalshSpectrum:
@@ -244,7 +283,8 @@ def dual_lineoval_check(g) -> DualLineOvalReport:
 # ------------------------------------------------------ spread linearity
 
 
-def _trace_dual_basis(params: FieldParams) -> list[int]:
+@lru_cache(maxsize=None)
+def _trace_dual_basis(params: FieldParams) -> tuple[int, ...]:
     """d_0..d_{m-1} with tr(d_j * 2^k) = delta_jk; recovers c from tr(c*e_k)."""
     m = params.m
     # rows of A: A[j] has bit k = tr(e_j e_k)
@@ -275,7 +315,14 @@ def _trace_dual_basis(params: FieldParams) -> list[int]:
     for j in range(m):
         assert all(params.ftr(params.fmul(dual_basis[j], 1 << k)) == (j == k)
                    for k in range(m))
-    return dual_basis
+    return tuple(dual_basis)
+
+
+def _from_basis_traces(P: FieldParams, bits) -> np.ndarray:
+    """c_l = sum_k bits[k, l] * d_k: the F values with tr(e_k * c_l) = bits[k, l]
+    on the power basis e_k = 2^k, for an (m, n) array of 0/1."""
+    duals = np.array(_trace_dual_basis(P), dtype=np.uint32)
+    return np.bitwise_xor.reduce(np.where(bits, duals[:, None], 0), axis=0)
 
 
 def recover_g_values(f: BooleanFn) -> np.ndarray | None:
@@ -289,9 +336,7 @@ def recover_g_values(f: BooleanFn) -> np.ndarray | None:
         return None
     lines = f.table[polar_grid(P)]  # f(lambda_k * u_l)
     # c_l from f(e_j * u_l) = tr(e_j c_l) on the power basis e_j = 2^j
-    basis = lines[P.f_log[1 << np.arange(P.m)]]
-    duals = np.array(_trace_dual_basis(P), dtype=np.uint32)
-    vals = np.bitwise_xor.reduce(np.where(basis, duals[:, None], 0), axis=0)
+    vals = _from_basis_traces(P, lines[P.f_log[1 << np.arange(P.m)]])
     # verify linearity on every whole line
     if not np.array_equal(lines, _line_traces(P, vals)):
         return None
@@ -309,10 +354,26 @@ class NihoPolynomial:
     terms: tuple[tuple[int, int], ...]  # (exponent, coeff K code), sorted
 
     def evaluate(self) -> BooleanFn:
-        acc = _eval_sparse(self.params, self.terms)
-        if np.any(acc > 1):
+        """Truth table from the m values f(e_k*u) on the F basis of each line.
+
+        Every exponent must be a Niho exponent, e >= 1 with e = 2^j mod q-1,
+        so that x^e at x = lambda*u is lambda^(2^j) * u^e and f(lambda*u) is
+        additive in lambda.  The values f(e_k*u), e_k = 2^k, must lie in F_2;
+        then f(lambda*u) = tr(lambda*gamma(u)) with gamma(u) = sum_k
+        f(e_k*u)*d_k over the trace dual basis, as in recover_g_values.
+        """
+        P = self.params
+        residues = {(1 << j) % (P.q - 1) for j in range(P.m)}
+        for e, _ in self.terms:
+            if e < 1 or e % (P.q - 1) not in residues:
+                raise BentError(f"exponent {e} is not a Niho exponent")
+        e_k = np.uint32(1) << np.arange(P.m, dtype=np.uint32)
+        basis = np.zeros((P.m, P.q + 1), dtype=np.uint32)  # f(e_k * u_l)
+        for r, c_r in _residue_sums(P, self.terms).items():
+            basis ^= P.kmul_v(P.fpow_v(e_k, r)[:, None], c_r)
+        if np.any(basis > 1):
             raise BentError("polynomial is not F_2-valued")
-        return BooleanFn(self.params, acc.astype(np.uint8))
+        return BooleanFn(P, _spread_table(P, _from_basis_traces(P, basis)))
 
     def exponents(self) -> list[int]:
         return [e for e, _ in self.terms]

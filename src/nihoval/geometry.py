@@ -347,8 +347,7 @@ def is_line_oval(lines: list[LineK]) -> bool:
         raise GeometryError(f"a line oval has q+1 = {P.q + 1} lines, got {len(lines)}")
     if len({l.ucode for l in lines}) != P.q + 1:
         return False
-    pts = _pairwise_intersections(lines)
-    return len(np.unique(pts)) == P.q * (P.q + 1) // 2
+    return bool(np.all(_intersection_counts(lines) <= 1))
 
 
 def _pairwise_intersections(lines: list[LineK]) -> np.ndarray:
@@ -364,6 +363,13 @@ def _pairwise_intersections(lines: list[LineK]) -> np.ndarray:
     return P.kmul_v(x, P.kinv_v(d))
 
 
+def _intersection_counts(lines: list[LineK]) -> np.ndarray:
+    """Number of pairs of the family meeting at each K code: all counts are
+    at most 1 iff no three lines are concurrent."""
+    P = lines[0].params
+    return np.bincount(_pairwise_intersections(lines), minlength=P.q * P.q)
+
+
 def line_oval_points(lines: list[LineK]) -> list[int]:
     """E(O): the q(q+1)/2 points covered by a line oval, sorted K codes.
 
@@ -372,11 +378,10 @@ def line_oval_points(lines: list[LineK]) -> list[int]:
     P = lines[0].params
     if len({l.ucode for l in lines}) != P.q + 1:
         raise GeometryError("input is not a line oval (repeated directions)")
-    pts = _pairwise_intersections(lines)
-    uniq, counts = np.unique(pts, return_counts=True)
-    if len(uniq) != P.q * (P.q + 1) // 2 or np.any(counts != 1):
+    counts = _intersection_counts(lines)
+    if np.any(counts > 1):
         raise GeometryError("input is not a line oval (three concurrent lines)")
-    return [int(v) for v in uniq]
+    return np.flatnonzero(counts).tolist()
 
 
 # ----------------------------------------------------------------- set types

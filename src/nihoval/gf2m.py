@@ -684,14 +684,21 @@ def unit_circle(params: FieldParams) -> UnitCircle:
     return UnitCircle(params)
 
 
+@lru_cache(maxsize=None)
 def polar_grid(params: FieldParams) -> np.ndarray:
     """Codes of lambda_k * u_l on the (q-1) x (q+1) grid, lambda_k = f_exp[k]
-    and u_l = unit_circle(params).codes[l]; each nonzero code appears once."""
+    and u_l = unit_circle(params).codes[l]; each nonzero code appears once.
+
+    Built once per field and shared, so the uint32 array is read-only.
+    """
     P = params
     S = unit_circle(P).codes
-    k = np.arange(P.q - 1)[:, None]
-    lo = P.f_exp[k + P.f_log[S & np.uint32(P.q - 1)]]
-    return lo | (P.f_exp[k + P.f_log[S >> np.uint32(P.m)]] << np.uint32(P.m))
+    k = np.arange(P.q - 1, dtype=np.uint32)[:, None]
+    grid = P.f_exp[k + P.f_log[S >> np.uint32(P.m)]]
+    grid <<= np.uint32(P.m)
+    grid |= P.f_exp[k + P.f_log[S & np.uint32(P.q - 1)]]
+    grid.flags.writeable = False
+    return grid
 
 
 def polar_v(params: FieldParams, x) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,35 @@ def test_walsh_fast_equals_naive(m):
         assert fast.parseval_ok()
 
 
+def walsh_radix2(f):
+    """The radix-2 butterfly, one stage per pass, then the index map."""
+    v = 1 - 2 * f.table.astype(np.int32)
+    h = 1
+    while h < len(v):
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        right = v[:, h:].copy()
+        v[:, :h] = left + right
+        v[:, h:] = left - right
+        v = v.reshape(-1)
+        h *= 2
+    return v[bent._scalar_index_map(f.params)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8])
+def test_walsh_radix4_matches_radix2(m):
+    P = field_create(m)
+    rng = np.random.default_rng(300 + m)
+    tables = [rng.integers(0, 2, P.q ** 2, dtype=np.uint8) for _ in range(3)]
+    tables += [np.zeros(P.q ** 2, dtype=np.uint8), np.ones(P.q ** 2, dtype=np.uint8)]
+    for table in tables:
+        f = BooleanFn(P, table)
+        assert np.array_equal(walsh_spectrum(f).values, walsh_radix2(f))
+    f = bent_from_g(gfun.g_catalog(P, "hyperconic"))
+    spec = walsh_spectrum(f)
+    assert np.array_equal(spec.values, walsh_radix2(f)) and spec.is_bent()
+
+
 def test_walsh_fast_vs_naive_spot_m4(P4):
     rng = np.random.default_rng(44)
     for _ in range(5):
@@ -90,6 +119,17 @@ def test_recover_g_roundtrip(P4):
     rng = np.random.default_rng(4)
     f = BooleanFn(P4, rng.integers(0, 2, 256, dtype=np.uint8))
     assert recover_g_values(f) is None
+
+
+@pytest.mark.parametrize("m,modulus", [(1, None), (3, None), (4, None), (4, 0b11111),
+                                       (8, None)])
+def test_trace_dual_basis_cached(m, modulus):
+    P = field_create(m, modulus)
+    d = bent._trace_dual_basis(P)
+    assert isinstance(d, tuple) and d is bent._trace_dual_basis(P)
+    for j in range(m):
+        for k in range(m):
+            assert P.f_tr[P.fmul(d[j], 1 << k)] == (j == k)
 
 
 def loop_bent_table(g):
@@ -352,3 +392,80 @@ def test_f_univariate_matches_termwise_on_shifted_ovals(m, fam):
     for sidx in sorted({0, 1, P.q // 2, P.q}):
         oval = gfun.shifted_oval_codes(g, sidx)
         assert f_univariate(P, oval).terms == f_univariate_termwise(P, oval)
+
+
+# -------------------------- Niho polynomials: spread lines vs _eval_sparse
+
+
+def assert_evaluate_matches_eval_sparse(poly):
+    """evaluate() raises exactly when sum c*x^e leaves F_2 somewhere, and
+    otherwise agrees with the value table of _eval_sparse."""
+    acc = bent._eval_sparse(poly.params, poly.terms)
+    if np.any(acc > 1):
+        with pytest.raises(BentError, match="F_2-valued"):
+            poly.evaluate()
+        return False
+    assert np.array_equal(poly.evaluate().table, acc.astype(np.uint8))
+    return True
+
+
+def niho_catalog_cases():
+    """Every catalog family at m <= 6, and the m = 4 families under the
+    non-primitive modulus x^4+x^3+x^2+x+1."""
+    from test_geometry import catalog_cases
+    cases = [(m, None, fam, r) for m, fam, r in catalog_cases()]
+    cases += [(4, 0b11111, fam, r) for fam, r in (("hyperconic", None), ("translation", 1),
+                                                  ("translation", 3), ("lunelli_sce", None),
+                                                  ("subiaco", None), ("adelaide", None))]
+    return cases
+
+
+@pytest.mark.parametrize("m,modulus,fam,r", niho_catalog_cases())
+def test_niho_evaluate_matches_eval_sparse_on_catalog(m, modulus, fam, r):
+    P = field_create(m, modulus)
+    g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
+    oval = P.kmul_v(g.S.codes, P.kinv_v(g.values))
+    assert assert_evaluate_matches_eval_sparse(f_univariate(P, oval))
+    for sidx in sorted({0, 1, P.q // 2, P.q}):
+        assert assert_evaluate_matches_eval_sparse(f_shift(g, sidx))
+
+
+def random_niho_terms(P, rng):
+    """Seeded (e, c) terms with Niho exponents i(q-1) + 2^j (i up to 3(q+1),
+    so past q^2-1); half of them made F_2-valued as absolute traces
+    Tr(c*x^e) = sum_i c^(2^i) x^(2^i e), and some of those with one
+    coefficient changed."""
+    q, order = P.q, P.q ** 2 - 1
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        e = int(rng.integers(3 * (q + 1))) * (q - 1) + (1 << int(rng.integers(P.m)))
+        c = int(rng.integers(q * q))
+        if rng.random() < 0.5:
+            terms.append((e, c))
+            continue
+        for _ in range(2 * P.m):
+            terms.append((e % order or order, c))
+            e, c = 2 * e, P.kmul(c, c)
+    if terms and rng.random() < 0.2:
+        k = int(rng.integers(len(terms)))
+        terms[k] = (terms[k][0], terms[k][1] ^ int(rng.integers(1, q * q)))
+    return tuple(sorted(terms))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_niho_evaluate_matches_eval_sparse_on_random_polynomials(m):
+    P = field_create(m)
+    rng = np.random.default_rng(400 + m)
+    outcomes = [assert_evaluate_matches_eval_sparse(bent.NihoPolynomial(P, random_niho_terms(P, rng)))
+                for _ in range(60)]
+    assert any(outcomes) and (m == 1 or not all(outcomes))
+
+
+@pytest.mark.parametrize("m,e", [(3, 0), (3, 3), (3, 7), (4, 5), (4, 15), (2, 0)])
+def test_niho_evaluate_rejects_non_niho_exponents(m, e):
+    P = field_create(m)
+    # x^0 = 1 is F_2-valued, yet evaluate takes only Niho exponents
+    with pytest.raises(BentError, match="Niho exponent"):
+        bent.NihoPolynomial(P, ((e, 1),)).evaluate()
+    with pytest.raises(BentError, match="Niho exponent"):
+        bent.NihoPolynomial(P, ((1, 1), (e, 1))).evaluate()

@@ -240,3 +240,41 @@ def test_set_types(P4):
     lines = [LineK(P4, int(u), 1) for u in uc(P4).codes]
     LO = geo.LineOval.make(P4, lines)
     assert len(LO.covered_points()) == P4.q * (P4.q + 1) // 2
+
+
+def unique_line_oval(lines):
+    """The np.unique formulation: (is a line oval, its covered points or None)."""
+    P = lines[0].params
+    if len({l.ucode for l in lines}) != P.q + 1:
+        return False, None
+    uniq, counts = np.unique(geo._pairwise_intersections(lines), return_counts=True)
+    ok = len(uniq) == P.q * (P.q + 1) // 2 and not np.any(counts != 1)
+    return ok, ([int(v) for v in uniq] if ok else None)
+
+
+def catalog_cases():
+    """Every catalog family at m <= 6: the sweep cases and Glynn I/II at m = 3, 5."""
+    from test_acceptance import catalog_sweep_cases
+    return catalog_sweep_cases() + [(m, fam, None) for m in (3, 5) for fam in ("glynn1", "glynn2")]
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_cases())
+def test_line_oval_counts_match_unique(m, fam, r):
+    from nihoval import gfun
+    P = field_create(m)
+    g = gfun.g_catalog(P, fam, r=r)
+    lines = g.lines()
+    assert unique_line_oval(lines) == (True, line_oval_points(lines))
+    assert is_line_oval(lines)
+    if m == 1:
+        return  # two lines meet in one point: no third line to make concurrent
+    # change g(u_2) so that its line passes through the meeting point of the
+    # lines at u_0 and u_1
+    values = g.values.copy()
+    values[2] = P.bform(lines[2].ucode, geo.line_intersection(lines[0], lines[1]))
+    assert values[2] != g.values[2]
+    bad = gfun.GFunction(P, values).lines()
+    assert unique_line_oval(bad) == (False, None)
+    assert not is_line_oval(bad)
+    with pytest.raises(GeometryError, match="concurrent"):
+        line_oval_points(bad)

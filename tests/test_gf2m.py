@@ -152,6 +152,7 @@ def test_polar_v_matches_scalar_decomposition(m, modulus):
         assert P.f_exp[kk] == lam
         assert S.codes[ll] == P.kmul(code, P.finv(lam))
     grid = polar_grid(P)
+    assert grid is polar_grid(P) and not grid.flags.writeable  # one shared grid per field
     assert grid.shape == (P.q - 1, P.q + 1)
     assert np.array_equal(np.sort(grid, axis=None), x)  # every nonzero code once
     assert np.array_equal(grid[k, l], x)
