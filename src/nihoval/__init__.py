@@ -20,7 +20,6 @@ from .bent import (BooleanFn, NihoPolynomial, WalshSpectrum, bent_from_g, dual,
                    dual_lineoval_check, f_shift, f_translation, f_univariate,
                    is_bent, walsh_spectrum)
 from .equiv import (BentClass, ClassifyResult, Collineation, OrbitDecomposition,
-                    are_equivalent, classify_bent, orbits_on_points,
-                    stabilizer)
+                    are_equivalent, classify_bent, stabilizer)
 
 __version__ = "0.1.0"

@@ -24,8 +24,6 @@ from . import bent, equiv, geometry, gfun, opoly
 from .gf2m import FieldError, field_create
 from .reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE2
 
-SLOW_M = 7  # classification work at q = 128 hides behind --allow-slow
-
 
 class CliError(Exception):
     pass
@@ -118,8 +116,6 @@ def cmd_bent(args) -> int:
 
 def cmd_classify(args) -> int:
     P = _params(args)
-    if P.m >= SLOW_M and not args.allow_slow:
-        raise CliError(f"classification at m >= {SLOW_M} needs --allow-slow")
     g = gfun.fix_zeros(_catalog_g(P, args))
     res = equiv.classify_bent(g, threads=args.threads)
     report = {
@@ -196,7 +192,7 @@ def _reproduce_sec46(threads: int):
     return rows
 
 
-def _reproduce_theorems(threads: int):
+def _reproduce_theorems():
     rows = []
 
     def add(name, ok):
@@ -246,7 +242,7 @@ def cmd_reproduce(args) -> int:
     elif target == "sec4.6":
         rows = _reproduce_sec46(threads)
     elif target == "theorems":
-        rows = _reproduce_theorems(threads)
+        rows = _reproduce_theorems()
     else:
         raise CliError(f"unknown target {target!r}")
     ok = all(r["ok"] for r in rows)
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="equivalence classes for a hyperoval")
     common(p)
     p.add_argument("--threads", type=positive_int, default=1)
-    p.add_argument("--allow-slow", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reproduce", help="check a reference target")

@@ -32,9 +32,10 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   every orbit is reached undecided, so the invariants the search computes
   cover every orbit, and the stabilizer reports one per orbit.
 * The sample elements are one hit per coset of each stabilizer along the
-  base (P0, P1, P2, P3), so they generate Stab(P0) (Schreier).  Matrices
-  are built only for them and for the witness, from the four image points
-  of the source quadrangle (P0, P1, P2, P3).
+  base (P0, P1, P2, P3), so they generate Stab(P0) (Schreier).  They are
+  kept as permutations of the points: the stabilizer of a hyperoval acts
+  faithfully on it.  Only the witness of are_equivalent gets a matrix,
+  from the four image points of the source quadrangle (P0, P1, P2, P3).
 * A zero in the line-log table means three collinear points: the input is
   not an arc and the search raises EquivError.
 
@@ -151,22 +152,6 @@ def _adjugate3(P: FieldParams, M) -> list[int]:
             P.fmul(d, h) ^ P.fmul(e, g), P.fmul(a, h) ^ P.fmul(b, g), P.fmul(a, e) ^ P.fmul(b, d)]
 
 
-def collineation_from_k_multiplier(params: FieldParams, c_code: int) -> Collineation:
-    """The projectivity of PG(2,q) induced by x -> c*x on K (c != 0)."""
-    from .gf2m import spread_i
-    i = spread_i(params).code
-    # columns: images of the basis (1, i) of K in (x, y) = (<i,.>, <1,.>) coords
-    c1 = params.kmul(c_code, 1)
-    ci = params.kmul(c_code, i)
-    m00, m10 = params.bform(i, c1), params.kT(c1)
-    m01, m11 = params.bform(i, ci), params.kT(ci)
-    return Collineation.make(params, (m00, m01, 0, m10, m11, 0, 0, 0, 1), 0)
-
-
-def frobenius_collineation(params: FieldParams, j: int) -> Collineation:
-    return Collineation.make(params, (1, 0, 0, 0, 1, 0, 0, 0, 1), j)
-
-
 # ------------------------------------------------------------ batch helpers
 
 
@@ -247,7 +232,7 @@ class _SearchResult:
     order: int = 0
     classes: np.ndarray | None = None   # orbit searches: least point of each point's orbit
     witness: Collineation | None = None
-    generators: list = field(default_factory=list)
+    generators: list = field(default_factory=list)   # point permutations, orbit searches
     invariants: dict = field(default_factory=dict)   # point -> _point_invariant, orbit searches
 
 
@@ -335,19 +320,17 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     shifts = np.array([d.astype(np.int64) * (1 << j) % Q for j in range(m)],
                       dtype=LLs.dtype)
     ctx = _Torus(LLd, N, Q, shifts, np.array(order), _triples(N - 1))
-    # hit (j, a, b, c, y) = N_(a,b,c,y) * frob_j(N_Q0^-1), Q0 the source quadrangle
-    base = Collineation.make(P, _frame_matrix(P, src[order[:4]]).reshape(-1), 0).inverse()
-
-    def build(hit) -> Collineation:
-        j, *quad = hit
-        return Collineation.make(P, _frame_matrix(P, dst[quad]).reshape(-1), j).compose(base)
-
     res = _SearchResult()
     if early_exit:
         for a in firsts:
             res.order, found = _process_chunk(ctx, a, True)
             if found:
-                res.witness = build(found[0][0])
+                # N_Q1 * frob_j(N_Q0^-1), Q0 the source quadrangle, Q1 its images
+                j, images = found[0]
+                quad = order[:4]
+                base = Collineation.make(P, _frame_matrix(P, src[quad]).reshape(-1), 0)
+                res.witness = Collineation.make(
+                    P, _frame_matrix(P, dst[images[quad]]).reshape(-1), j).compose(base.inverse())
                 break
         return res
     if threads > 1:        # imported here: it (and logging) would slow the package import
@@ -364,10 +347,14 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         if stab < 1:
             raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
         least = np.arange(N)        # least[x]: the least point of the class of x
-        picks, negative = [], []
-        for hit, images in found:
-            picks.append(hit)
+        picks, negative = {}, []    # picks: the samples' point images, in the order found
+
+        def keep(images):
+            picks.setdefault(tuple(images.tolist()))
             _join(least, images)
+
+        for _, images in found:
+            keep(images)
         inv = res.invariants
         inv[p0] = _point_invariant(LLd, N, Q, p0, ctx.triples)
 
@@ -385,8 +372,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                     continue
                 inv[a] = v
                 if count:
-                    picks.append(found[0][0])
-                    _join(least, found[0][1])
+                    keep(found[0][1])
                 else:
                     negative.append(a)
     if np.any(least[negative] == least[p0]):
@@ -394,7 +380,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                          "against orbit-stabilizer")
     res.order = stab * int(np.count_nonzero(least == least[p0]))
     res.classes = least
-    res.generators = [build(hit) for hit in dict.fromkeys(picks)]
+    res.generators = list(picks)
     return res
 
 
@@ -410,15 +396,17 @@ def _join(least: np.ndarray, images: np.ndarray) -> None:
 def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     """The hits that map the source triangle to (a, b, c) for some b, c.
 
-    Returns (hit count, found).  A hit is (j, a, b, c, y) with y the image of
-    the fourth source point, and `found` lists (hit, images) pairs, images[x]
-    the image of source point x.  With `early_exit` the count is 0 or 1 and
-    `found` holds the first hit in (b, c, j, y) order.  Otherwise every hit
-    is counted and `found` holds the samples: one hit per coset of each
-    stabilizer along the base (P0, P1, P2, P3).  In chunk P0, the stabilizer
-    of P0, the cosets are told apart by the image of P1, of P2 (P1 fixed), of
-    P3 (P1, P2 fixed) and by j (all four fixed), so by Schreier's lemma the
-    samples generate Stab(P0).  Point images are gathered for them only.
+    Returns (hit count, found).  A hit is the Frobenius power j and the image
+    (a, b, c, y) of the source quadrangle (P0, P1, P2, P3), and `found`
+    lists (j, images) pairs, images[x] the index of the image of source
+    point x: the quadrangle's images are images[src_order[:4]].  With
+    `early_exit` the count is 0 or 1 and `found` holds the first hit in
+    (b, c, j, y) order.  Otherwise every hit is counted and `found` holds the
+    samples: one hit per coset of each stabilizer along the base (P0, P1, P2,
+    P3).  In chunk P0, the stabilizer of P0, the cosets are told apart by the
+    image of P1, of P2 (P1 fixed), of P3 (P1, P2 fixed) and by j (all four
+    fixed), so by Schreier's lemma the samples generate Stab(P0).  Point
+    images are gathered for them only.
 
     The keys of the points off a triangle form a permutation graph
     k1 = pi(k0) (an arc meets each line through c in at most one more
@@ -449,12 +437,11 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
         diff = k1row[base[cand] + d0] - k1[cand]
         return (diff == d1) | (diff == d1 - Q)
 
-    def element(h, j):                   # the hit of candidate h and its point images
-        b, c, y = (int(v) for v in corners(tri[h]))
+    def element(h, j):                   # j and the point images of candidate h
         images = np.empty(N, dtype=np.int64)
         images[ctx.src_order] = np.concatenate(
-            ([a, b, c, y], others[yrow[base[h] + shifts[j][0]]]))
-        return (j, a, b, c, y), images
+            ([a], corners(tri[h]), others[yrow[base[h] + shifts[j][0]]]))
+        return j, images
 
     count = 0
     base_pts = ctx.src_order[1:4]
@@ -512,8 +499,10 @@ class OrbitDecomposition:
     point_codes: tuple[int, ...]          # H-model codes, input order
     stabilizer_order: int
     orbits: tuple[tuple[int, ...], ...]   # tuples of indices into point_codes
-    # sample elements; they generate the group (tested on the catalog, q <= 32)
-    generators: tuple[Collineation, ...]
+    # sample elements as point permutations, generators[k][x] the index of
+    # the image of point x; they generate the group (tested on the catalog,
+    # q <= 32)
+    generators: tuple[tuple[int, ...], ...]
     # point_invariant of the points of each orbit, in the order of `orbits`
     invariants: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
@@ -548,14 +537,8 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
                               tuple(res.invariants[o[0]] for o in orbits))
 
 
-def orbits_on_points(params: FieldParams, points, *, threads: int = 1):
-    """Point orbits of a hyperoval under its stabilizer (list of code tuples)."""
-    dec = stabilizer(params, points, threads=threads)
-    return [tuple(dec.point_codes[i] for i in orbit) for orbit in dec.orbits]
-
-
 def are_equivalent(params: FieldParams, points_a, points_b,
-                   marked: tuple | None = None, threads: int = 1) -> Collineation | None:
+                   marked: tuple | None = None) -> Collineation | None:
     """A collineation mapping arc A onto arc B (and marked_a to marked_b),
     or None after exhausting all candidates."""
     codes_a = geometry._as_codes(params, points_a)
@@ -564,8 +547,7 @@ def are_equivalent(params: FieldParams, points_a, points_b,
     if marked is not None:
         ma, mb = geometry._as_codes(params, list(marked))
         mk = (ma, mb)
-    res = _search(params, codes_a, codes_b, marked=mk, early_exit=True,
-                  threads=threads)
+    res = _search(params, codes_a, codes_b, marked=mk, early_exit=True)
     phi = res.witness
     if phi is None:
         return None
@@ -691,7 +673,7 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
     for tie in ties.values():
         for a, b in itertools.combinations(tie, 2):
             w = are_equivalent(P, list(a.oval_h_codes), list(b.oval_h_codes),
-                               marked=(origin, origin), threads=threads)
+                               marked=(origin, origin))
             if w is not None:
                 raise EquivError("orbit representatives are equivalent")
     return ClassifyResult(P, g.provenance, dec.stabilizer_order,

