@@ -21,8 +21,13 @@ Frobenius images.
 
 Every table on K is written in polar form x = lambda*u, scattered through
 gf2m.polar_grid (built once per field): f from g, g back from f, and sparse
-polynomials.  For x^e = lambda^(e mod q-1) * u^(e mod q+1) the terms are
-summed on the q+1 points of S, one sum per residue of e mod q-1.  A Niho
+polynomials.  The line traces tr(lambda_k * c_l) are read from the trace
+m-sequence s_i = tr(f_exp[i]): since tr(lambda_k * c) = s_(k + log c), a
+line is one window of s (gf2m.trace_windows), so f from g is one row gather
+and one scatter.  The Niho power sums are one flat int32 gather from the
+grid, and F inverses one gather from the inverse table.  For
+x^e = lambda^(e mod q-1) * u^(e mod q+1) the terms are summed on the q+1
+points of S, one sum per residue of e mod q-1.  A Niho
 polynomial is additive on every line u*F (each residue is a power 2^j), so
 it is fixed by its m values f(2^k * u) per line: those are m*(q+1) K
 products per residue, and f(lambda*u) = tr(lambda*gamma(u)) is spread over
@@ -41,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .gf2m import FieldParams, niho_power_sums, polar_grid, spread_i, unit_circle
+from .gf2m import (FieldParams, niho_power_sums, polar_grid, spread_i, trace_windows,
+                   unit_circle)
 
 
 class BentError(ValueError):
@@ -74,9 +80,9 @@ class BooleanFn:
 
 
 def _line_traces(P: FieldParams, c) -> np.ndarray:
-    """tr(lambda_k * c_l) on the polar grid, for F values c_l indexed like S."""
-    k = np.arange(P.q - 1, dtype=np.uint32)[:, None]
-    return P.f_tr[P.f_exp[k + P.f_log[c]]]
+    """tr(lambda_k * c_l) on the polar grid, for F values c_l indexed like S:
+    one window of the trace m-sequence per line (gf2m.trace_windows)."""
+    return trace_windows(P)[P.f_log[c]].T
 
 
 def _spread_table(P: FieldParams, c) -> np.ndarray:
@@ -185,14 +191,14 @@ class WalshSpectrum:
 def _scalar_index_map(params: FieldParams) -> np.ndarray:
     """phi with tr(<b, x>) = standard_dot(phi[b], x); phi[b] = Gram * b.
 
-    Built once per field and shared, so the int32 array is read-only.
+    Filled by doubling, phi[2^i : 2^(i+1)] = phi[:2^i] ^ rows[i].  Built once
+    per field and shared, so the int32 array is read-only.
     """
-    n = params.n
     rows = params.dot_rows()
-    idx = np.arange(params.q ** 2, dtype=np.int32)
-    phi = np.zeros_like(idx)
-    for i in range(n):
-        phi ^= np.where((idx >> i) & 1, np.int32(rows[i]), 0)
+    phi = np.zeros(params.q ** 2, dtype=np.int32)
+    for i in range(params.n):
+        h = 1 << i
+        np.bitwise_xor(phi[:h], np.int32(rows[i]), out=phi[h:2 * h])
     phi.flags.writeable = False
     return phi
 

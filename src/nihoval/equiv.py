@@ -92,10 +92,6 @@ class Collineation:
         m = tuple(params.fmul(v, li) for v in m)
         return Collineation(params, m, frob % params.m)
 
-    @staticmethod
-    def identity(params: FieldParams) -> "Collineation":
-        return Collineation(params, (1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
-
     def apply(self, p: geometry.ProjPointH) -> geometry.ProjPointH:
         P = self.params
         fr = P.f_frob[self.frob]
@@ -139,9 +135,6 @@ class Collineation:
         return (P.fmul(M[0], P.fmul(M[4], M[8]) ^ P.fmul(M[5], M[7]))
                 ^ P.fmul(M[1], P.fmul(M[3], M[8]) ^ P.fmul(M[5], M[6]))
                 ^ P.fmul(M[2], P.fmul(M[3], M[7]) ^ P.fmul(M[4], M[6])))
-
-    def key(self) -> tuple:
-        return (self.matrix, self.frob)
 
 
 def _adjugate3(P: FieldParams, M) -> list[int]:

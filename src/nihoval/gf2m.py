@@ -15,10 +15,13 @@ unity; every nonzero x in K factors uniquely as x = lambda * u with lambda in
 F* and u in S.  This polar map is kept in one place: polar_grid lists the
 codes lambda_k * u_l, polar_v inverts it on the F tables, and
 niho_power_sums forms the power sums over an oval that both the oval -> g
-series and the Niho coefficients are made of.
+series and the Niho coefficients are made of, as one flat int32 gather from
+the grid.  trace_windows holds the trace m-sequence s_i = tr(f_exp[i]), so
+tr(lambda_k * c) for all k is one window of it, at f_log[c].
 
-Multiplication uses exp/log tables (built on a primitive modulus so that x
-itself generates F*).  Scalar operations work on plain ints; the *_v methods
+Multiplication uses exp/log tables (built on the least generator of F*, so
+any irreducible modulus works), and inversion an inverse table, so finv_v
+is one gather.  Scalar operations work on plain ints; the *_v methods
 operate on numpy arrays of codes and back all bulk computation in the other
 modules.  Tables for K are built lazily and are kept for m <= 10; scalar K
 arithmetic works for any m <= 16.  The K exp table is filled by doubling,
@@ -216,6 +219,9 @@ class FieldParams:
         log[0] = 2 * qm1
         self.f_exp = exp
         self.f_log = log
+        inv = np.zeros(q, dtype=np.uint32)
+        inv[1:] = exp[qm1 - log[1:]]
+        self.f_inv = inv
         # Frobenius tables frob[j][a] = a^(2^j), j in [0, m).
         sq = np.array([self.fmul(a, a) for a in range(q)], dtype=np.uint32)
         frob = [np.arange(q, dtype=np.uint32)]
@@ -239,7 +245,7 @@ class FieldParams:
     def finv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inverse of 0")
-        return int(self.f_exp[self.q - 1 - self.f_log[a]])
+        return int(self.f_inv[a])
 
     def fdiv(self, a: int, b: int) -> int:
         return self.fmul(a, self.finv(b))
@@ -263,8 +269,7 @@ class FieldParams:
     def finv_v(self, a, zero_to_zero: bool = False):
         if not zero_to_zero and np.any(a == 0):
             raise FieldError("inverse of 0")
-        r = self.f_exp[(self.q - 1 - self.f_log[a].astype(np.int64)) % (self.q - 1)]
-        return np.where(a == 0, 0, r).astype(np.uint32)
+        return self.f_inv[a]
 
     def fpow_v(self, a, e: int):
         """Vectorized a^e (0 maps to 0 for e > 0, to 1 for e = 0)."""
@@ -701,6 +706,21 @@ def polar_grid(params: FieldParams) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=None)
+def trace_windows(params: FieldParams) -> np.ndarray:
+    """Sliding windows of s||s||0, s_i = tr(f_exp[i]) the trace m-sequence.
+
+    Row j holds the q-1 values s_j..s_{j+q-2}, so row f_log[c] holds
+    tr(lambda_k * c) for k = 0..q-2: s has period q-1, and f_log[0] = 2(q-1)
+    selects the zero window.  The 3(q-1) bytes are built once per field and
+    shared, so the view is read-only.
+    """
+    qm1 = params.q - 1
+    s = params.f_tr[params.f_exp[:qm1]]
+    seq = np.concatenate([s, s, np.zeros(qm1, dtype=np.uint8)])
+    return np.lib.stride_tricks.sliding_window_view(seq, qm1)
+
+
 def polar_v(params: FieldParams, x) -> tuple[np.ndarray, np.ndarray]:
     """(k, l) with x = f_exp[k] * unit_circle(params).codes[l] for nonzero K codes.
 
@@ -725,13 +745,17 @@ def niho_power_sums(params: FieldParams, oval_codes) -> np.ndarray:
     """b_t = sum_{v in O} v^-(t(q-1)+1) = sum_v lambda_v^-1 u_v^(2t-1), t = 0..q.
 
     With v = lambda_v * u_v every term is a point of the polar grid, at row
-    -k_v and column (2t-1)*l_v mod q+1, so the (q+1)^2 terms are one gather.
+    -k_v and column (2t-1)*l_v mod q+1, so the (q+1)^2 terms are one gather
+    from the flattened grid.  Its flat indices are built in place, in int32
+    while every intermediate stays below 2^31 (m <= 14), in int64 past that.
     """
     q = params.q
     k, l = polar_v(params, oval_codes)
-    t = np.arange(q + 1)[:, None]
-    cols = (2 * t - 1) * l % (q + 1)
-    terms = polar_grid(params)[(q - 1 - k) % (q - 1), cols]
+    dtype = np.int32 if (2 * q + 1) * (q + 1) < 1 << 31 else np.int64
+    idx = np.arange(-1, 2 * q, 2, dtype=dtype)[:, None] * l.astype(dtype)
+    idx %= q + 1
+    idx += ((q - 1 - k) % (q - 1) * (q + 1)).astype(dtype)
+    terms = polar_grid(params).reshape(-1)[idx]
     return np.bitwise_xor.reduce(terms, axis=1)
 
 

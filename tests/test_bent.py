@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nihoval import bent, gfun
+from nihoval import bent, gf2m, gfun
 from nihoval.bent import (BentError, BooleanFn, bent_from_g, dual,
                           dual_lineoval_check, evaluate_trace_form, f_monomial,
                           f_shift, f_translation, f_translation_forms,
@@ -27,6 +29,18 @@ def test_walsh_fast_equals_naive(m):
         slow = walsh_naive(f)
         assert np.array_equal(fast.values, slow.values)
         assert fast.parseval_ok()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_scalar_index_map_matches_bitwise_build(m):
+    P = field_create(m)
+    rows = P.dot_rows()
+    idx = np.arange(P.q ** 2, dtype=np.int32)
+    expect = np.zeros_like(idx)
+    for i in range(P.n):
+        expect ^= np.where((idx >> i) & 1, np.int32(rows[i]), 0)
+    phi = bent._scalar_index_map(P)
+    assert phi.dtype == np.int32 and np.array_equal(phi, expect)
 
 
 def walsh_radix2(f):
@@ -469,3 +483,52 @@ def test_niho_evaluate_rejects_non_niho_exponents(m, e):
         bent.NihoPolynomial(P, ((e, 1),)).evaluate()
     with pytest.raises(BentError, match="Niho exponent"):
         bent.NihoPolynomial(P, ((1, 1), (e, 1))).evaluate()
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_line_traces_match_table_arithmetic(m):
+    P = field_create(m)
+    rng = np.random.default_rng(600 + m)
+    k = np.arange(P.q - 1, dtype=np.uint32)[:, None]
+    for _ in range(3):
+        c = rng.integers(0, P.q, P.q + 1).astype(np.uint32)
+        c[rng.integers(P.q + 1, size=2)] = 0
+        expect = P.f_tr[P.f_exp[k + P.f_log[c]]]  # the gathers the windows replace
+        assert np.array_equal(bent._line_traces(P, c), expect)
+    windows = gf2m.trace_windows(P)
+    assert windows is gf2m.trace_windows(P) and not windows.flags.writeable
+    assert windows.shape == (2 * P.q - 1, P.q - 1) and not windows[P.f_log[0]].any()
+
+
+def every_modulus_catalog_cases():
+    """Each catalog g at m = 4 and 5, under every irreducible modulus."""
+    from test_geometry import catalog_cases
+    return [(m, modulus, fam, r) for m in (4, 5)
+            for modulus in range(1 << m, 2 << m) if gf2m.is_irreducible(modulus, m)
+            for mm, fam, r in catalog_cases() if mm == m]
+
+
+@pytest.mark.parametrize("m,modulus,fam,r", every_modulus_catalog_cases())
+def test_catalog_g_under_every_modulus(m, modulus, fam, r):
+    P = field_create(m, modulus)
+    g = gfun.g_catalog(P, fam, r=r)
+    assert gfun.validate_g(g).valid
+    gz = gfun.fix_zeros(g)
+    assert f_univariate(P, gz.oval_codes_k()).evaluate() == bent_from_g(gz)
+
+
+def test_construction_kernel_memory_m10():
+    P = field_create(10)
+    g = gfun.fix_zeros(gfun.g_catalog(P, "subiaco"))
+    O = g.oval_codes_k()
+    peaks = {}
+    for name, run in (("power_sums", lambda: gf2m.niho_power_sums(P, O)),
+                      ("bent_from_g", lambda: bent_from_g(g))):
+        run()  # per-field tables are built once, outside the measurement
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert peaks["power_sums"] < 10 and peaks["bent_from_g"] < 4, peaks

@@ -172,6 +172,47 @@ def test_niho_power_sums_match_kpow(m):
         assert np.array_equal(niho_power_sums(P, O), expect)
 
 
+def polar_gather_power_sums(P, O):
+    """The (q+1)^2 terms of niho_power_sums as a 2-D int64 gather."""
+    q = P.q
+    k, l = polar_v(P, O)
+    t = np.arange(q + 1)[:, None]
+    cols = (2 * t - 1) * l % (q + 1)
+    return np.bitwise_xor.reduce(polar_grid(P)[(q - 1 - k) % (q - 1), cols], axis=1)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_niho_power_sums_match_polar_gather(m):
+    from nihoval import gfun
+    P = field_create(m)
+    q = P.q
+    fams = ["hyperconic"] + (["glynn1"] if m % 2 else ["subiaco"] if m >= 4 else [])
+    for fam in fams:
+        O = gfun.fix_zeros(gfun.g_catalog(P, fam)).oval_codes_k()
+        assert np.array_equal(niho_power_sums(P, O), polar_gather_power_sums(P, O))
+    rng = np.random.default_rng(500 + m)
+    for _ in range(3):
+        O = rng.integers(1, q * q, q + 1).astype(np.uint32)
+        assert np.array_equal(niho_power_sums(P, O), polar_gather_power_sums(P, O))
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 11)] + [(4, 0b11111)])
+def test_inverse_table(m, modulus):
+    P = field_create(m, modulus)
+    q = P.q
+    a = np.arange(q, dtype=np.uint32)
+    assert P.f_inv.dtype == np.uint32 and P.f_inv[0] == 0
+    assert np.all(P.fmul_v(a[1:], P.f_inv[1:]) == 1)
+    # the index arithmetic the table replaces
+    old = P.f_exp[(q - 1 - P.f_log[a].astype(np.int64)) % (q - 1)]
+    assert np.array_equal(P.finv_v(a, zero_to_zero=True), np.where(a == 0, 0, old))
+    assert [P.finv(int(x)) for x in a[1:]] == P.f_inv[1:].tolist()
+    with pytest.raises(FieldError):
+        P.finv_v(a)
+    with pytest.raises(FieldError):
+        P.finv_v(np.uint32(0))
+
+
 def test_unit_circle_m2():
     P = field_create(2)
     assert len(unit_circle(P)) == 5
