@@ -6,10 +6,8 @@ opoly (o-polynomial catalog), gfun (g-functions on the unit circle), bent
 stabilizers, equivalence classes), cli (command line driver).
 """
 
-from .gf2m import (DEFAULT_MODULI, ExtElement, FieldElement, FieldError, FieldParams,
-                   UnitCircle, bilinear_form, dickson_eval, exponent_inverse,
-                   field_create, polar_decompose, spread_i, traces_and_norm,
-                   unit_circle)
+from .gf2m import (DEFAULT_MODULI, FieldError, FieldParams, UnitCircle, exponent_inverse,
+                   field_create, spread_i, unit_circle)
 from .geometry import (Hyperoval, LineH, LineK, LineOval, Oval, ProjPointH,
                        ProjPointK, h_to_k, incident_h, incident_k, is_hyperoval,
                        is_line_oval, is_oval, k_to_h, line_oval_points, nucleus)

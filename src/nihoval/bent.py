@@ -175,10 +175,6 @@ class WalshSpectrum:
     def is_bent(self) -> bool:
         return bool(np.all(np.abs(self.values) == self.params.q))
 
-    def parseval_ok(self) -> bool:
-        total = int((self.values.astype(np.int64) ** 2).sum())
-        return total == (self.params.q ** 2) ** 2
-
     def summary(self) -> dict:
         return {"min": int(self.values.min()), "max": int(self.values.max()),
                 "is_bent": self.is_bent()}
@@ -237,20 +233,6 @@ def walsh_spectrum(f: BooleanFn) -> WalshSpectrum:
     v *= -2
     v += 1
     return WalshSpectrum(f.params, _butterfly(v)[phi])
-
-
-def walsh_naive(f: BooleanFn) -> WalshSpectrum:
-    """Direct O(4^n) transform; cross-check for small m."""
-    P = f.params
-    n2 = P.q ** 2
-    if n2 > 1 << 12:
-        raise BentError("naive transform reserved for small fields")
-    phi = _scalar_index_map(P)
-    idx = np.arange(n2, dtype=np.int64)
-    dots = np.bitwise_count(phi[:, None] & idx[None, :]) & 1
-    signs = (1 - 2 * f.table.astype(np.int64))[None, :]
-    vals = ((1 - 2 * dots.astype(np.int64)) * signs).sum(axis=1)
-    return WalshSpectrum(P, vals.astype(np.int64))
 
 
 def is_bent(f: BooleanFn) -> bool:
@@ -381,9 +363,6 @@ class NihoPolynomial:
             raise BentError("polynomial is not F_2-valued")
         return BooleanFn(P, _spread_table(P, _from_basis_traces(P, basis)))
 
-    def exponents(self) -> list[int]:
-        return [e for e, _ in self.terms]
-
     def to_json(self) -> str:
         return json.dumps([{"exp": e, "coeff_hex": self.params.k_hex(c)}
                            for e, c in self.terms])
@@ -419,19 +398,6 @@ def f_shift(g, s_index: int) -> NihoPolynomial:
     return f_univariate(g.params, shifted_oval_codes(g, s_index))
 
 
-def f_monomial(params: FieldParams, s: int) -> BooleanFn:
-    """tr(<i,x>^{1/s} <1,x>^{q-1/s}) for the o-monomial t^s (closed form)."""
-    from .gf2m import exponent_inverse
-    q = params.q
-    si = exponent_inverse(s, q - 1)
-    i = spread_i(params).code
-    x = np.arange(q * q, dtype=np.uint32)
-    a = params.bform_v(np.uint32(i), x)
-    b = params.kT_v(x)  # <1, x>
-    vals = params.fmul_v(params.fpow_v(a, si), params.fpow_v(b, q - si))
-    return BooleanFn(params, params.f_tr[vals].astype(np.uint8))
-
-
 def f_translation_forms(params: FieldParams, r: int, a_code: int | None = None
                         ) -> tuple[BooleanFn, BooleanFn]:
     """(piecewise form, Niho-exponent form) of the translation bent function.
@@ -453,7 +419,7 @@ def f_translation_forms(params: FieldParams, r: int, a_code: int | None = None
     piecewise = BooleanFn(params, np.where(den == 0, lam, off_f).astype(np.uint8))
 
     if a_code is None:
-        a_code = spread_i(params).code
+        a_code = spread_i(params)
     if params.kT(a_code) != 1:
         raise BentError("Niho form needs T(a) = 1")
     order = q * q - 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bent, equiv, geometry, gfun, opoly
 from .gf2m import FieldError, field_create
-from .reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE2
+from .reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE1_ORBITS, TABLE2
 
 
 class CliError(Exception):
@@ -145,10 +145,14 @@ def _reproduce_table1(threads: int):
         g = gfun.g_catalog(P, fam, r=r)
         hyper = geometry.no_three_collinear(P, g.hyperoval_codes_h())
         dec = equiv.stabilizer(P, g.hyperoval_codes_h(), threads=threads)
+        orbits = list(TABLE1_ORBITS[fam])
         rows.append({"family": fam, "expected_aut": expect,
                      "computed_aut": dec.stabilizer_order,
+                     "expected_orbits": orbits,
+                     "computed_orbits": dec.orbit_sizes(),
                      "g_is_hyperoval": bool(hyper),
-                     "ok": bool(hyper) and dec.stabilizer_order == expect})
+                     "ok": bool(hyper) and dec.stabilizer_order == expect
+                           and dec.orbit_sizes() == orbits})
     return rows
 
 

@@ -66,11 +66,6 @@ class EquivError(ValueError):
     pass
 
 
-def pgammal_order(params: FieldParams) -> int:
-    q = params.q
-    return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1) * params.m
-
-
 # ------------------------------------------------------------- collineations
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import ExtElement, FieldParams, polar_v, spread_i, unit_circle
+from .gf2m import FieldParams, polar_v, spread_i, unit_circle
 
 
 class GeometryError(ValueError):
@@ -115,11 +115,6 @@ def collinear(p: ProjPointH, r: ProjPointH, s: ProjPointH) -> bool:
     b = P.fmul(p.z, r.x) ^ P.fmul(p.x, r.z)
     c = P.fmul(p.x, r.y) ^ P.fmul(p.y, r.x)
     return (P.fmul(a, s.x) ^ P.fmul(b, s.y) ^ P.fmul(c, s.z)) == 0
-
-
-def all_points_h(params: FieldParams) -> list[ProjPointH]:
-    q = params.q
-    return [ProjPointH.from_code(params, c) for c in range(q * q + q + 1)]
 
 
 # ------------------------------------------------------------ vector kernel
@@ -251,10 +246,6 @@ class ProjPointK:
     def affine(params: FieldParams, xcode: int) -> "ProjPointK":
         return ProjPointK(params, xcode, 1)
 
-    @property
-    def x(self) -> ExtElement:
-        return ExtElement(self.params, self.xcode)
-
     def hex(self) -> str:
         return f"{self.params.k_hex(self.xcode)}:{self.params.f_hex(self.z)}"
 
@@ -270,10 +261,6 @@ class LineK:
     def __post_init__(self):
         if self.params.knorm(self.ucode) != 1:
             raise GeometryError("line direction must lie on the unit circle")
-
-    @property
-    def u(self) -> ExtElement:
-        return ExtElement(self.params, self.ucode)
 
     def points(self) -> list[int]:
         """The q affine points of the line, as K codes."""
@@ -291,7 +278,7 @@ def incident_k(p: ProjPointK, alpha: int, beta: int) -> bool:
 
 def k_to_h(p: ProjPointK) -> ProjPointH:
     P = p.params
-    i = spread_i(P).code
+    i = spread_i(P)
     x = P.bform(i, p.xcode)
     y = P.bform(1, p.xcode)
     if p.z:
@@ -301,7 +288,7 @@ def k_to_h(p: ProjPointK) -> ProjPointH:
 
 def h_to_k(p: ProjPointH) -> ProjPointK:
     P = p.params
-    i = spread_i(P).code
+    i = spread_i(P)
     xc = p.x ^ P.kmul(p.y, i)
     if p.z:
         return ProjPointK.affine(P, xc)
@@ -313,7 +300,7 @@ def k_codes_to_h_codes(params: FieldParams, xcodes, z) -> np.ndarray:
 
     (x : z) is (<i,x> : <1,x> : z) in the H model; z = 1 for affine codes.
     """
-    i = spread_i(params).code
+    i = spread_i(params)
     xcodes = np.asarray(xcodes, dtype=np.uint32)
     x = params.bform_v(np.uint32(i), xcodes)
     y = params.kT_v(xcodes)  # <1, x> = x + conj x = T(x)
@@ -321,17 +308,6 @@ def k_codes_to_h_codes(params: FieldParams, xcodes, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- line ovals
-
-
-def line_intersection(l1: LineK, l2: LineK) -> int:
-    """Affine intersection point of two nonparallel lines, as a K code."""
-    P = l1.params
-    d = P.bform(l1.ucode, l2.ucode)
-    if d == 0:
-        raise GeometryError("parallel lines do not meet in AG(2,q)")
-    di = P.finv(d)
-    x = P.kmul(l2.mu, l1.ucode) ^ P.kmul(l1.mu, l2.ucode)
-    return P.kmul(x, di)
 
 
 def is_line_oval(lines: list[LineK]) -> bool:
@@ -444,10 +420,6 @@ class LineOval:
             raise GeometryError("lines do not form a line oval")
         return LineOval(params, tuple(lines))
 
-    def covered_points(self) -> list[int]:
-        return line_oval_points(list(self.lines))
-
-
 # ------------------------------------------------------------- serialization
 
 
@@ -471,19 +443,3 @@ def points_to_json(params: FieldParams, points, model: str = "H") -> str:
     return json.dumps({"model": model, "m": params.m, "points": hexes},
                       sort_keys=True)
 
-
-def points_from_json(params: FieldParams, text: str) -> list[ProjPointH]:
-    import json
-    obj = json.loads(text)
-    if obj.get("m") != params.m:
-        raise GeometryError("field mismatch in serialized point set")
-    pts = []
-    for hx in obj["points"]:
-        parts = hx.split(":")
-        if obj["model"] == "H":
-            x, y, z = (int(v, 16) for v in parts)
-            pts.append(ProjPointH.make(params, x, y, z))
-        else:
-            xc, z = int(parts[0], 16), int(parts[1], 16)
-            pts.append(k_to_h(ProjPointK.make(params, xc, z)))
-    return pts

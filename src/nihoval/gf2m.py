@@ -21,7 +21,8 @@ tr(lambda_k * c) for all k is one window of it, at f_log[c].
 
 Multiplication uses exp/log tables (built on the least generator of F*, so
 any irreducible modulus works), and inversion an inverse table, so finv_v
-is one gather.  Scalar operations work on plain ints; the *_v methods
+is one gather.  Field elements are plain int codes throughout, with no
+element class: scalar operations take and return ints, and the *_v methods
 operate on numpy arrays of codes and back all bulk computation in the other
 modules.  Tables for K are built lazily and are kept for m <= 10; scalar K
 arithmetic works for any m <= 16.  The K exp table is filled by doubling,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -134,22 +134,6 @@ def exponent_inverse(e: int, modulus: int) -> int:
         raise FieldError(f"{e} is not invertible modulo {modulus}") from exc
 
 
-def exponent_reduce(e: int, modulus: int) -> int:
-    """Canonical non-negative residue of a (possibly huge/negative) exponent."""
-    return e % modulus
-
-
-def one_minus_2r_inverse(r: int, m: int) -> int:
-    """(1 - 2^r)^{-1} mod 2^m - 1 via the closed form -sum_{j<s} 2^{rj}.
-
-    Here s is the inverse of r modulo m.  Requires gcd(r, m) = 1.
-    """
-    q1 = (1 << m) - 1
-    s = exponent_inverse(r, m)
-    total = -sum(1 << (r * j % m) for j in range(s))  # 2^{rj} mod 2^m-1 = 2^{rj mod m}
-    return total % q1
-
-
 class FieldParams:
     """Parameters and lookup tables for F = GF(2^m) and K = GF(2^{2m}).
 
@@ -246,9 +230,6 @@ class FieldParams:
         if a == 0:
             raise FieldError("inverse of 0")
         return int(self.f_inv[a])
-
-    def fdiv(self, a: int, b: int) -> int:
-        return self.fmul(a, self.finv(b))
 
     def fpow(self, a: int, e: int) -> int:
         """a^e with the polynomial convention 0^0 = 1, 0^e = 0 for e != 0."""
@@ -479,14 +460,6 @@ class FieldParams:
         return json.dumps({"m": self.m, "modulus_bits": self.modulus,
                            "delta_bits": self.delta}, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FieldParams":
-        obj = json.loads(text)
-        params = cls(obj["m"], obj["modulus_bits"])
-        if params.delta != obj["delta_bits"]:
-            raise FieldError("delta mismatch in serialized FieldParams")
-        return params
-
     def __repr__(self) -> str:
         return f"FieldParams(m={self.m}, modulus={self.modulus:#x})"
 
@@ -502,130 +475,6 @@ class FieldParams:
 def field_create(m: int, modulus: int | None = None) -> FieldParams:
     """Create (and cache) field parameters for GF(2^m) / GF(2^{2m})."""
     return FieldParams(m, modulus)
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """An element of F = GF(2^m), stored as its m-bit code."""
-
-    params: FieldParams
-    v: int
-
-    def __post_init__(self):
-        if not 0 <= self.v < self.params.q:
-            raise FieldError(f"F code out of range: {self.v}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.params, self.v ^ other.v)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.params, self.params.fmul(self.v, other.v))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.params, self.params.fdiv(self.v, other.v))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.params, self.params.fpow(self.v, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.params, self.params.finv(self.v))
-
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.params, self.params.fsqrt(self.v))
-
-    def trace(self) -> int:
-        return self.params.ftr(self.v)
-
-    def hex(self) -> str:
-        return self.params.f_hex(self.v)
-
-    def lift(self) -> "ExtElement":
-        return ExtElement(self.params, self.v)
-
-    def __bool__(self) -> bool:
-        return self.v != 0
-
-    def __repr__(self) -> str:
-        return f"F({self.hex()})"
-
-
-@dataclass(frozen=True, slots=True)
-class ExtElement:
-    """An element of K = GF(2^{2m}), code a | (b << m) meaning a + b*z."""
-
-    params: FieldParams
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.params.q * self.params.q:
-            raise FieldError(f"K code out of range: {self.code}")
-
-    @property
-    def a(self) -> FieldElement:
-        return FieldElement(self.params, self.code & (self.params.q - 1))
-
-    @property
-    def b(self) -> FieldElement:
-        return FieldElement(self.params, self.code >> self.params.m)
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.params, self.code ^ other.code)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.params, self.params.kmul(self.code, other.code))
-
-    def __truediv__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.params, self.params.kmul(self.code, self.params.kinv(other.code)))
-
-    def __pow__(self, e: int) -> "ExtElement":
-        return ExtElement(self.params, self.params.kpow(self.code, e))
-
-    def inverse(self) -> "ExtElement":
-        return ExtElement(self.params, self.params.kinv(self.code))
-
-    def sqrt(self) -> "ExtElement":
-        return ExtElement(self.params, self.params.ksqrt(self.code))
-
-    def conjugate(self) -> "ExtElement":
-        return ExtElement(self.params, self.params.kconj(self.code))
-
-    def rel_trace(self) -> FieldElement:
-        return FieldElement(self.params, self.params.kT(self.code))
-
-    def norm(self) -> FieldElement:
-        return FieldElement(self.params, self.params.knorm(self.code))
-
-    def trace(self) -> int:
-        return self.params.ktr_abs(self.code)
-
-    def hex(self) -> str:
-        return self.params.k_hex(self.code)
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"K({self.hex()})"
-
-
-def traces_and_norm(x: ExtElement) -> tuple[FieldElement, int, FieldElement]:
-    """(T(x), Tr(x), N(x)) for x in K."""
-    return x.rel_trace(), x.trace(), x.norm()
-
-
-def bilinear_form(x: ExtElement, y: ExtElement) -> FieldElement:
-    """<x, y> = x*conj(y) + conj(x)*y, an element of F."""
-    return FieldElement(x.params, x.params.bform(x.code, y.code))
-
-
-def polar_decompose(x: ExtElement) -> tuple[FieldElement, ExtElement]:
-    """Unique (lambda, u) with x = lambda*u, lambda in F*, u in S."""
-    k, l = polar_v(x.params, x.code)
-    return FieldElement(x.params, int(x.params.f_exp[k])), unit_circle(x.params).element(int(l))
 
 
 class UnitCircle:
@@ -650,34 +499,27 @@ class UnitCircle:
         self.codes = codes
         self._order = np.argsort(codes)
 
-    @property
-    def w(self) -> ExtElement:
-        return ExtElement(self.params, self.w_code)
-
     def __len__(self) -> int:
         return self.params.q + 1
 
-    def __iter__(self):
-        return (ExtElement(self.params, int(c)) for c in self.codes)
-
-    def element(self, k: int) -> ExtElement:
-        return ExtElement(self.params, int(self.codes[k % len(self)]))
+    def element(self, k: int) -> int:
+        return int(self.codes[k % len(self)])
 
     def _positions(self, codes) -> np.ndarray:
         """Index k with codes[k] nearest above each code; exact for codes on S."""
         pos = np.searchsorted(self.codes, codes, sorter=self._order)
         return self._order[np.minimum(pos, self.params.q)]
 
-    def index(self, u: ExtElement | int) -> int:
-        """Position of u on S; u is an ExtElement or any int-like K code."""
-        code = u.code if isinstance(u, ExtElement) else operator.index(u)
+    def index(self, u) -> int:
+        """Position of u on S; u is any int-like K code."""
+        code = operator.index(u)
         if 0 <= code < self.params.q ** 2:
             k = int(self._positions(code))
             if self.codes[k] == code:
                 return k
         raise FieldError(f"element {code} is not on the unit circle")
 
-    def omega(self) -> ExtElement:
+    def omega(self) -> int:
         """A primitive cube root of unity w^((q+1)/3); needs 3 | q+1 (m odd)."""
         if (self.params.q + 1) % 3:
             raise FieldError("q+1 not divisible by 3 (m must be odd)")
@@ -759,7 +601,7 @@ def niho_power_sums(params: FieldParams, oval_codes) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
-def spread_i(params: FieldParams) -> ExtElement:
+def spread_i(params: FieldParams) -> int:
     """The distinguished element i with T(i) = 1 used by all formulas.
 
     For odd m this is omega = w^((q+1)/3) (a cube root of unity); for even m
@@ -768,22 +610,9 @@ def spread_i(params: FieldParams) -> ExtElement:
     if params.m % 2:
         i = unit_circle(params).omega()
     else:
-        i = ExtElement(params, 1 << params.m)
-    assert params.kT(i.code) == 1
+        i = 1 << params.m
+    assert params.kT(i) == 1
     return i
-
-
-# ------------------------------------------------------------------ Dickson
-
-
-def dickson_recurrence(params: FieldParams, k: int, x: int) -> int:
-    """D_k(x) in K by the linear recurrence (small k only)."""
-    if k == 0:
-        return 0
-    prev, cur = 0, x
-    for _ in range(k - 1):
-        prev, cur = cur, params.kmul(x, cur) ^ prev
-    return cur
 
 
 def dickson_eval_code(params: FieldParams, k: int, x: int) -> int:
@@ -824,13 +653,3 @@ def dickson_eval_code(params: FieldParams, k: int, x: int) -> int:
         base = lmul(base, base)
         e >>= 1
     return r[1]
-
-
-def dickson_eval(k: int, x: FieldElement | ExtElement):
-    """Dickson polynomial D_k evaluated at x (F input gives F output)."""
-    if isinstance(x, FieldElement):
-        r = dickson_eval_code(x.params, k, x.v)
-        if r >> x.params.m:
-            raise FieldError("Dickson value left the base field")  # pragma: no cover
-        return FieldElement(x.params, r)
-    return ExtElement(x.params, dickson_eval_code(x.params, k, x.code))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bent, geometry, opoly
-from .gf2m import (ExtElement, FieldParams, exponent_inverse, niho_power_sums,
-                   polar_grid, polar_v, spread_i, unit_circle)
+from .gf2m import (FieldParams, exponent_inverse, niho_power_sums, polar_grid, polar_v,
+                   spread_i, unit_circle)
 
 
 class GFunError(ValueError):
@@ -49,9 +49,6 @@ class GFunction:
             raise GFunError("g-values must lie in the base field")
         self.values = vals
         self.provenance = provenance
-
-    def __call__(self, u: ExtElement) -> int:
-        return int(self.values[self.S.index(u)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GFunction) and self.params == other.params
@@ -127,7 +124,7 @@ def g_from_opoly(params: FieldParams, h_table, provenance: str = "") -> GFunctio
         raise GFunError("input table is not an o-polynomial")
     hinv = opoly.table_inverse(h_table)
     S = unit_circle(params).codes
-    i = spread_i(params).code
+    i = spread_i(params)
     a = params.bform_v(np.uint32(i), S)   # <i, u>
     b = params.kT_v(S)                    # <1, u>
     t = params.fmul_v(a, params.finv_v(b, zero_to_zero=True))
@@ -141,7 +138,7 @@ def g_monomial(params: FieldParams, s: int) -> GFunction:
     q = params.q
     si = exponent_inverse(s, q - 1)
     S = unit_circle(params).codes
-    i = spread_i(params).code
+    i = spread_i(params)
     a = params.bform_v(np.uint32(i), S)
     b = params.kT_v(S)
     vals = params.fmul_v(params.fpow_v(a, si), params.fpow_v(b, q - si))
@@ -204,7 +201,7 @@ def fix_zeros(g: GFunction) -> GFunction:
     P = g.params
     if g.is_zero_free():
         return g
-    i = spread_i(P).code
+    i = spread_i(P)
     first = [P.kmul(i, lam) for lam in range(1, P.q)]
     skip = set(first) | {0}
     rest = (c for c in range(1, P.q ** 2) if c not in skip)
@@ -248,7 +245,7 @@ def translation_g(params: FieldParams, r: int) -> GFunction:
 
 def hyperconic_g_squared_route(params: FieldParams) -> GFunction:
     """<i^{1/2}, u> + 1: the from-opoly form for h = t^2."""
-    ih = params.ksqrt(spread_i(params).code)
+    ih = params.ksqrt(spread_i(params))
     S = unit_circle(params).codes
     vals = params.bform_v(np.uint32(ih), S) ^ 1
     return GFunction(params, vals, "hyperconic-t2-closed")
@@ -267,7 +264,7 @@ def segre_class_g(params: FieldParams, which: int) -> GFunction:
         return GFunction(params, g.values, f"segre-class{which}")
     if which == 3:
         inv5 = exponent_inverse(5, q * q - 1)
-        om = unit_circle(params).omega().code
+        om = unit_circle(params).omega()
         S = unit_circle(params).codes
         b = params.kT_v(S)
         abar = params.bform_v(np.uint32(params.kconj(om)), S)  # omega u + conj(omega u)
@@ -304,7 +301,7 @@ def g_catalog(params: FieldParams, family: str, r: int | None = None) -> GFuncti
         if m % 2 == 0 or m < 5:
             raise GFunError("segre needs odd m >= 5")
         if m == 5:
-            om = unit_circle(params).omega().code
+            om = unit_circle(params).omega()
             return g_series(params, 1, [(om, 9), (params.kconj(om), 12)], "segre")
         return segre_class_g(params, 0)
     if family == "payne":
@@ -319,7 +316,7 @@ def g_catalog(params: FieldParams, family: str, r: int | None = None) -> GFuncti
         if m % 2 == 0 or m < 5:
             raise GFunError("cherowitzo needs odd m >= 5")
         if m == 5:
-            om = unit_circle(params).omega().code
+            om = unit_circle(params).omega()
             return g_series(params, 0, [(1, 5), (1, 8), (1, 9), (om, 12), (om, 13),
                                         (om, 16)], "cherowitzo")
         return g_from_opoly(params, opoly.opoly_table(params, opoly.OPolyFamily("cherowitzo")),

@@ -260,11 +260,3 @@ def cherowitzo_inverse_table(params: FieldParams) -> np.ndarray:
     inner = params.fpow_v(t, s + 1) ^ params.fpow_v(t, 3) ^ t
     return params.fmul_v(t, params.fpow_v(inner, s // 2 - 1))
 
-
-def segre_pi3_inverse_table(params: FieldParams) -> np.ndarray:
-    """Inverse of t + (t+1)(t/(t+1))^6: (D_{1/5}(t+1))^(q^2-2) + 1."""
-    q = params.q
-    inv5 = exponent_inverse(5, q * q - 1)
-    vals = np.array([dickson_eval_code(params, inv5, t ^ 1) for t in range(q)],
-                    dtype=np.uint32)
-    return params.fpow_v(vals, q * q - 2) ^ 1

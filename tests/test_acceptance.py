@@ -12,7 +12,7 @@ import pytest
 
 from nihoval import bent, equiv, geometry as geo, gfun, opoly
 from nihoval.gf2m import field_create, spread_i, unit_circle
-from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE2
+from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE1_ORBITS, TABLE2
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -119,7 +119,7 @@ def test_criterion_4_class_counts():
     # the three published m=5 tables match the construction routes up to a
     # linear shift (the series instantiates with one of the two cube roots)
     P5 = field_create(5)
-    om = unit_circle(P5).omega().code
+    om = unit_circle(P5).omega()
     g2 = gfun.translation_g(P5, 2)
     g3 = gfun.translation_g(P5, 3)
     gm = gfun.g_monomial(P5, 1 - 4)
@@ -154,16 +154,20 @@ def test_criterion_4_class_counts():
 
 
 def test_criterion_5_orbit_structures():
-    orbits = {(m, fam): o for m, fam, _, _, o in SEC46_CASES if o is not None}
-    orbits.update({(6, fam): o for fam, _, o in TABLE2})
-    for m, fam in ((5, "subiaco_payne"), (5, "cherowitzo"), (6, "subiaco"), (6, "adelaide")):
-        sizes = list(orbits[m, fam])
-        dec = stab(m, fam)
-        if dec.orbit_sizes() != sizes:
+    cases = [(5, fam, r, TABLE1_ORBITS[fam]) for fam, r, _ in TABLE1]
+    cases += [(6, fam, None, o) for fam, _, o in TABLE2]
+    for m, fam, r, sizes in cases:
+        dec = stab(m, fam, r)
+        if dec.orbit_sizes() != list(sizes):
             report("criterion 5 (orbit structures)", False,
-                   f"{fam} m={m}: {dec.orbit_sizes()} != {sizes}")
+                   f"{fam} m={m}: {dec.orbit_sizes()} != {list(sizes)}")
+    # section 4.6 reads its m = 5 orbit sizes off the classes of classify_bent
+    for m, fam, r, _, sizes in SEC46_CASES:
+        if sizes is not None and classify(m, fam, r).orbit_sizes != sizes:
+            report("criterion 5 (orbit structures)", False,
+                   f"{fam} m={m}: classes {classify(m, fam, r).orbit_sizes} != {sizes}")
     report("criterion 5 (orbit structures)", True,
-           "payne/cherowitzo m=5 and subiaco/adelaide m=6 orbit multisets exact")
+           "Table 1 and Table 2 orbit multisets exact, and the m = 5 class orbits")
 
 
 def _oval_from_trace_form(P, terms, mode):
@@ -177,8 +181,8 @@ def _oval_from_trace_form(P, terms, mode):
 
 def test_criterion_6_explicit_functions():
     P3, P4, P5 = field_create(3), field_create(4), field_create(5)
-    a4 = spread_i(P4).code
-    om = unit_circle(P5).omega().code
+    a4 = spread_i(P4)
+    om = unit_circle(P5).omega()
     groups = [
         (3, "hyperconic", None, [
             ("tr(x^36)", P3, [(1, 36)], "rel"),

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nihoval import cli
-from nihoval.reference import TABLE1
+from nihoval.reference import TABLE1, TABLE1_ORBITS
 from conftest import GOLDEN
 
 
@@ -167,4 +167,6 @@ def test_reproduce_table1_end_to_end(capsys, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["ok"] is True
     assert [r["computed_aut"] for r in rep["rows"]] == [aut for _, _, aut in TABLE1]
+    assert [r["computed_orbits"] for r in rep["rows"]] == \
+        [list(TABLE1_ORBITS[fam]) for fam, _, _ in TABLE1]
     assert all(r["g_is_hyperoval"] for r in rep["rows"])

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from nihoval import bent, equiv, geometry as geo, gfun, opoly
+from nihoval import bent, equiv, geometry as geo, gf2m, gfun, opoly
 from nihoval.equiv import (Collineation, EquivError, are_equivalent, classify_bent,
-                           pgammal_order, stabilizer)
+                           stabilizer)
 from nihoval.gf2m import field_create, spread_i, unit_circle
 from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC
 
 from test_acceptance import catalog_sweep_cases, classify, stab
+
+
+def pgammal_order(P):
+    """|PGammaL(3, q)| = q^3 (q^3 - 1)(q^2 - 1) m."""
+    q = P.q
+    return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1) * P.m
 
 
 def hyperoval_codes(P, fam, r=None):
@@ -177,7 +183,7 @@ def test_are_equivalent_symmetric_transitive(P5):
 
 def collineation_from_k_multiplier(params, c_code):
     """The projectivity of PG(2,q) induced by x -> c*x on K (c != 0)."""
-    i = spread_i(params).code
+    i = spread_i(params)
     # columns: images of the basis (1, i) of K in (x, y) = (<i,.>, <1,.>) coords
     c1 = params.kmul(c_code, 1)
     ci = params.kmul(c_code, i)
@@ -188,7 +194,7 @@ def collineation_from_k_multiplier(params, c_code):
 
 def test_okp_stabilizer_generator(P5):
     # multiplication by omega generates the order-3 stabilizer
-    om = unit_circle(P5).omega().code
+    om = unit_circle(P5).omega()
     phi = collineation_from_k_multiplier(P5, om)
     codes = set(hyperoval_codes(P5, "okeefe_penttila"))
     assert {phi.apply_code(c) for c in codes} == codes
@@ -213,6 +219,25 @@ def test_classify_counts(m, fam, r, classes):
     assert sum(res.orbit_sizes) == P.q + 2
     for c in res.classes:
         assert bent.is_bent(bent.bent_from_g(c.g))
+
+
+def other_modulus_cases():
+    """Each catalog sweep case at m = 4 and 5 under every irreducible modulus
+    but the default one."""
+    return [(m, modulus, fam, r) for m in (4, 5)
+            for modulus in range(1 << m, 2 << m)
+            if gf2m.is_irreducible(modulus, m) and modulus != gf2m.DEFAULT_MODULI[m]
+            for mm, fam, r in catalog_sweep_cases() if mm == m]
+
+
+@pytest.mark.parametrize("m,modulus,fam,r", other_modulus_cases())
+def test_search_under_every_modulus(m, modulus, fam, r):
+    # the modulus only relabels the field: the stabilizer order, its orbits
+    # and the class count are those under the default modulus
+    res = classify_bent(gfun.fix_zeros(gfun.g_catalog(field_create(m, modulus), fam, r=r)))
+    ref = classify(m, fam, r)
+    assert (res.stabilizer_order, res.orbit_sizes, res.class_count) == \
+        (ref.stabilizer_order, ref.orbit_sizes, ref.class_count)
 
 
 def test_classify_requires_zero_free(P5):

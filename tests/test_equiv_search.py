@@ -13,6 +13,7 @@ from nihoval.equiv import EquivError, are_equivalent, stabilizer
 from nihoval.gf2m import field_create
 
 from test_acceptance import catalog_sweep_cases
+from test_equiv import pgammal_order
 
 
 def hyperoval(P, fam="hyperconic", r=None):
@@ -55,7 +56,7 @@ def pgammal_permutations(P) -> np.ndarray:
         frob = geo.normalize_codes_v(P, fr[x], fr[y], fr[z])
         perms.append(linear[:, frob])
     out = np.concatenate(perms)
-    assert len(out) == equiv.pgammal_order(P)
+    assert len(out) == pgammal_order(P)
     return out
 
 
@@ -380,8 +381,8 @@ def non_arc(P):
     H = hyperoval(P)
     p0, p1 = (geo.ProjPointH.from_code(P, c) for c in H[:2])
     line = geo.line_through(p0, p1)
-    extra = next(p.code for p in geo.all_points_h(P)
-                 if geo.incident_h(p, line) and p.code not in H)
+    points = (geo.ProjPointH.from_code(P, c) for c in range(P.q * P.q + P.q + 1))
+    extra = next(p.code for p in points if geo.incident_h(p, line) and p.code not in H)
     return H, H[:-1] + [extra]
 
 

@@ -7,11 +7,26 @@ import pytest
 
 from nihoval import gf2m, geometry as geo
 from nihoval.geometry import (GeometryError, LineH, LineK, ProjPointH, ProjPointK,
-                              all_points_h, collinear, h_to_k, incident_h,
-                              incident_k, is_hyperoval, is_line_oval, is_oval,
-                              k_to_h, line_oval_points, line_through, nucleus,
-                              no_three_collinear)
+                              collinear, h_to_k, incident_h, incident_k, is_hyperoval,
+                              is_line_oval, is_oval, k_to_h, line_oval_points,
+                              line_through, nucleus, no_three_collinear)
 from nihoval.gf2m import field_create, unit_circle
+
+
+def all_points_h(P):
+    """The q^2 + q + 1 points of PG(2,q), in code order."""
+    return [ProjPointH.from_code(P, c) for c in range(P.q * P.q + P.q + 1)]
+
+
+def line_intersection(l1, l2):
+    """Affine meeting point of two nonparallel lines, as a K code: the oracle
+    for the vectorized pairwise intersections of the line-oval checks."""
+    P = l1.params
+    d = P.bform(l1.ucode, l2.ucode)
+    if d == 0:
+        raise GeometryError("parallel lines do not meet in AG(2,q)")
+    x = P.kmul(l2.mu, l1.ucode) ^ P.kmul(l1.mu, l2.ucode)
+    return P.kmul(x, P.finv(d))
 
 
 def hyperconic_points(P):
@@ -36,19 +51,19 @@ def test_incidence_examples(P5):
     assert incident_h(ProjPointH.make(P5, 1, 0, 0), LineH.make(P5, 0, 0, 1))
     # (0:1) incident with [u:0] for every u in S
     origin = ProjPointK.affine(P5, 0)
-    for u in unit_circle(P5):
-        assert incident_k(origin, u.code, 0)
+    for u in unit_circle(P5).codes.tolist():
+        assert incident_k(origin, u, 0)
 
 
 def test_affine_line_has_q_points(P3):
     S = unit_circle(P3)
-    for u in list(S)[:4]:
+    for u in S.codes[:4].tolist():
         for mu in range(P3.q):
-            line = LineK(P3, u.code, mu)
+            line = LineK(P3, u, mu)
             pts = line.points()
             assert len(pts) == P3.q
             for x in pts:
-                assert P3.bform(u.code, x) == mu
+                assert P3.bform(u, x) == mu
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -70,11 +85,11 @@ def test_model_conversion_preserves_incidence(m):
     # affine K-lines L(u, mu) map to H-lines through the converted points
     P = field_create(m)
     S = unit_circle(P)
-    for u in list(S)[:3]:
+    for u in S.codes[:3].tolist():
         for mu in (0, 1):
-            line = LineK(P, u.code, mu)
+            line = LineK(P, u, mu)
             pts = [k_to_h(ProjPointK.affine(P, x)) for x in line.points()]
-            pts.append(k_to_h(ProjPointK.make(P, u.code, 0)))
+            pts.append(k_to_h(ProjPointK.make(P, u, 0)))
             hline = line_through(pts[0], pts[1])
             assert all(incident_h(p, hline) for p in pts)
 
@@ -187,27 +202,26 @@ def test_line_oval_negative(P3):
 def test_parallel_lines_do_not_meet(P3):
     u = unit_circle(P3).codes[2]
     with pytest.raises(GeometryError):
-        geo.line_intersection(LineK(P3, int(u), 0), LineK(P3, int(u), 1))
+        line_intersection(LineK(P3, int(u), 0), LineK(P3, int(u), 1))
 
 
 def test_distinct_directions_meet_once(P3):
     S = unit_circle(P3)
     l1 = LineK(P3, int(S.codes[1]), 3)
     l2 = LineK(P3, int(S.codes[2]), 5)
-    x = geo.line_intersection(l1, l2)
+    x = line_intersection(l1, l2)
     assert x in l1.points() and x in l2.points()
     assert len(set(l1.points()) & set(l2.points())) == 1
 
 
 def test_point_set_serialization(P4):
     pts = hyperconic_points(P4)
-    blob = geo.points_to_json(P4, pts, "H")
-    back = geo.points_from_json(P4, blob)
-    assert {p.code for p in back} == {p.code for p in pts}
-    blob_k = geo.points_to_json(P4, [h_to_k(p) for p in pts], "K")
-    back_k = geo.points_from_json(P4, blob_k)
-    assert {p.code for p in back_k} == {p.code for p in pts}
-    assert json.loads(blob)["model"] == "H"
+    obj = json.loads(geo.points_to_json(P4, pts, "H"))
+    assert obj == {"model": "H", "m": 4, "points": sorted(p.hex() for p in pts)}
+    obj_k = json.loads(geo.points_to_json(P4, [h_to_k(p) for p in pts], "K"))
+    back_k = [k_to_h(ProjPointK.make(P4, *(int(v, 16) for v in hx.split(":"))))
+              for hx in obj_k["points"]]
+    assert obj_k["model"] == "K" and {p.code for p in back_k} == {p.code for p in pts}
 
 
 def test_golden_sec46_point_sets(P3, P4):
@@ -239,7 +253,7 @@ def test_set_types(P4):
     from nihoval.gf2m import unit_circle as uc
     lines = [LineK(P4, int(u), 1) for u in uc(P4).codes]
     LO = geo.LineOval.make(P4, lines)
-    assert len(LO.covered_points()) == P4.q * (P4.q + 1) // 2
+    assert len(line_oval_points(list(LO.lines))) == P4.q * (P4.q + 1) // 2
 
 
 def unique_line_oval(lines):
@@ -271,7 +285,7 @@ def test_line_oval_counts_match_unique(m, fam, r):
     # change g(u_2) so that its line passes through the meeting point of the
     # lines at u_0 and u_1
     values = g.values.copy()
-    values[2] = P.bform(lines[2].ucode, geo.line_intersection(lines[0], lines[1]))
+    values[2] = P.bform(lines[2].ucode, line_intersection(lines[0], lines[1]))
     assert values[2] != g.values[2]
     bad = gfun.GFunction(P, values).lines()
     assert unique_line_oval(bad) == (False, None)

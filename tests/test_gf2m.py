@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,11 +6,18 @@ import numpy as np
 import pytest
 
 from nihoval import gf2m
-from nihoval.gf2m import (ExtElement, FieldElement, FieldError, bilinear_form,
-                          dickson_eval, dickson_eval_code, dickson_recurrence,
-                          exponent_inverse, field_create, niho_power_sums,
-                          one_minus_2r_inverse, polar_decompose, polar_grid, polar_v,
-                          spread_i, unit_circle)
+from nihoval.gf2m import (FieldError, dickson_eval_code, exponent_inverse, field_create,
+                          niho_power_sums, polar_grid, polar_v, spread_i, unit_circle)
+
+
+def dickson_recurrence(P, k, x):
+    """D_k(x) in K by the linear recurrence D_k = x*D_(k-1) + D_(k-2) (small k only)."""
+    if k == 0:
+        return 0
+    prev, cur = 0, x
+    for _ in range(k - 1):
+        prev, cur = cur, P.kmul(x, cur) ^ prev
+    return cur
 
 
 def test_field_create_defaults():
@@ -65,25 +73,20 @@ def test_inv_error_and_pow_conventions(P5):
 
 
 def test_traces_and_norm_examples(P5):
-    i = spread_i(P5)
-    T, tr_abs, N = gf2m.traces_and_norm(i)
-    assert T.v == 1  # T(i) = 1
-    z = ExtElement(P5, 0)
-    assert gf2m.traces_and_norm(z) == (FieldElement(P5, 0), 0, FieldElement(P5, 0))
+    assert P5.kT(spread_i(P5)) == 1  # T(i) = 1
+    assert (P5.kT(0), P5.ktr_abs(0), P5.knorm(0)) == (0, 0, 0)
     for a in range(P5.q):  # conjugation fixes F: T = 0, N = a^2
-        fa = FieldElement(P5, a).lift()
-        T, _, N = gf2m.traces_and_norm(fa)
-        assert T.v == 0 and N.v == P5.fmul(a, a)
+        assert P5.kT(a) == 0 and P5.knorm(a) == P5.fmul(a, a)
 
 
 def test_trace_norm_against_definitions(P4):
     q = P4.q
-    for code in range(q * q):
-        x = ExtElement(P4, code)
-        assert x.conjugate().code == P4.kpow(code, q)
-        assert (x + x.conjugate()).code == x.rel_trace().v
-        assert (x * x.conjugate()).code == x.norm().v
-        assert x.conjugate().conjugate() == x
+    for x in range(q * q):
+        xc = P4.kconj(x)
+        assert xc == P4.kpow(x, q)
+        assert x ^ xc == P4.kT(x)
+        assert P4.kmul(x, xc) == P4.knorm(x)
+        assert P4.kconj(xc) == x
 
 
 def test_conjugation_f_semilinear(P3):
@@ -109,27 +112,25 @@ def test_bilinear_form_properties(P3):
 
 
 def test_bilinear_form_examples(P5):
-    i = spread_i(P5)
-    one = ExtElement(P5, 1)
-    assert bilinear_form(i, one).v == 1  # <i, 1> = T(i) = 1
-    for u in unit_circle(P5):
-        assert bilinear_form(one, u).v == (u + u.conjugate()).code
+    assert P5.bform(spread_i(P5), 1) == 1  # <i, 1> = T(i) = 1
+    for u in unit_circle(P5).codes.tolist():
+        assert P5.bform(1, u) == u ^ P5.kconj(u)
 
 
 def test_unit_circle(P5):
     S = unit_circle(P5)
     assert len(S) == 33 and S.codes[0] == 1
-    for u in S:
-        assert u.norm().v == 1
-    assert (S.w ** (P5.q + 1)).code == 1
+    for u in S.codes.tolist():
+        assert P5.knorm(u) == 1
+    assert P5.kpow(S.w_code, P5.q + 1) == 1
     # m odd: omega = w^((q+1)/3) with omega^2 + omega + 1 = 0
     om = S.omega()
-    assert (om * om + om + ExtElement(P5, 1)).code == 0
+    assert type(om) is int and P5.kmul(om, om) ^ om ^ 1 == 0
     # norm-1 elements are exactly S
     count = sum(1 for x in range(P5.q ** 2) if P5.knorm(x) == 1)
     assert count == P5.q + 1
     for k, code in enumerate(S.codes):
-        # numpy integers are codes as well as ints and ExtElements
+        # numpy integers are codes as well as ints
         assert S.index(code) == S.index(int(code)) == S.index(S.element(k)) == k
     assert S.index(np.uint16(1)) == 0
     off = [x for x in range(P5.q ** 2) if P5.knorm(x) != 1][:3]
@@ -228,43 +229,44 @@ def test_norm_multiplicative(P5):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_polar_roundtrip_exhaustive(m):
     P = field_create(m)
-    for code in range(1, P.q ** 2):
-        lam, u = polar_decompose(ExtElement(P, code))
-        assert lam.v and P.knorm(u.code) == 1
-        assert P.kmul(lam.v, u.code) == code
+    S = unit_circle(P)
+    x = np.arange(1, P.q ** 2, dtype=np.uint32)
+    k, l = polar_v(P, x)
+    for code, lam, u in zip(x.tolist(), P.f_exp[k].tolist(), S.codes[l].tolist()):
+        assert lam and P.knorm(u) == 1
+        assert P.kmul(lam, u) == code
     with pytest.raises(FieldError):
-        polar_decompose(ExtElement(P, 0))
+        polar_v(P, 0)
 
 
 def test_polar_special_cases(P5):
-    for a in range(1, P5.q):
-        lam, u = polar_decompose(FieldElement(P5, a).lift())
-        assert (lam.v, u.code) == (a, 1)  # F* decomposes as (lambda, 1)
-    for u in unit_circle(P5):
-        lam, uu = polar_decompose(u)
-        assert (lam.v, uu.code) == (1, u.code)
+    a = np.arange(1, P5.q, dtype=np.uint32)
+    k, l = polar_v(P5, a)
+    assert np.array_equal(P5.f_exp[k], a) and np.all(l == 0)  # F* decomposes as (lambda, 1)
+    S = unit_circle(P5)
+    k, l = polar_v(P5, S.codes)
+    assert np.all(P5.f_exp[k] == 1) and np.array_equal(l, np.arange(P5.q + 1))
 
 
 def test_spread_i_conventions():
     for m in (1, 3, 5, 7):
         P = field_create(m)
         i = spread_i(P)
-        assert P.kT(i.code) == 1
-        assert (i ** 3).code == 1 and i.code != 1  # omega for odd m
+        assert type(i) is int and P.kT(i) == 1
+        assert P.kpow(i, 3) == 1 and i != 1  # omega for odd m
     for m in (2, 4, 6):
         P = field_create(m)
         i = spread_i(P)
-        assert i.code == 1 << m and P.kT(i.code) == 1
+        assert type(i) is int and i == 1 << m and P.kT(i) == 1
 
 
 def test_dickson_d5_identity(P5):
     # D_5(x) = x + x^3 + x^5 on GF(32)
     for a in range(32):
-        fe = FieldElement(P5, a)
         expect = a ^ P5.fpow(a, 3) ^ P5.fpow(a, 5)
-        assert dickson_eval(5, fe).v == expect
+        assert dickson_eval_code(P5, 5, a) == expect
         assert dickson_recurrence(P5, 5, a) == expect
-    assert dickson_eval(1, FieldElement(P5, 7)).v == 7
+    assert dickson_eval_code(P5, 1, 7) == 7
 
 
 def test_dickson_roundtrip_on_base_field(P5):
@@ -313,25 +315,27 @@ def test_dickson_recurrence_matches_functional(P4):
 def test_exponent_arith():
     assert exponent_inverse(6, 31) == 26 == (5 * 32 - 4) // 6
     assert exponent_inverse(5, 1023) == 614
-    # the closed form -(sum 2^{rj}) for (1-2^r)^{-1} mod q-1
-    assert one_minus_2r_inverse(2, 5) == (-(1 + 4 + 16)) % 31 == 10
-    assert (10 * (1 - 4)) % 31 == 1
+    # the closed form -(sum_{j<s} 2^{rj}) for (1-2^r)^{-1} mod q-1, s = r^{-1} mod m
+    assert exponent_inverse(1 - 4, 31) == (-(1 + 4 + 16)) % 31 == 10
     for m in (5, 7, 9):
         for r in range(1, m):
             if math.gcd(r, m) != 1:
                 continue
             q1 = 2 ** m - 1
-            assert one_minus_2r_inverse(r, m) == exponent_inverse(1 - 2 ** r, q1)
+            s = exponent_inverse(r, m)
+            closed = -sum(1 << (r * j % m) for j in range(s)) % q1
+            assert closed == exponent_inverse(1 - 2 ** r, q1)
     with pytest.raises(FieldError):
         exponent_inverse(3, 9)
 
 
 def test_serialization_roundtrip(P5):
-    P = gf2m.FieldParams.from_json(P5.to_json())
-    assert P == P5
-    x = ExtElement(P5, 0x137)
-    assert x.hex() == "137"
-    assert FieldElement(P5, 5).hex() == "05"
+    obj = json.loads(P5.to_json())
+    assert obj == {"m": 5, "modulus_bits": P5.modulus, "delta_bits": P5.delta}
+    P = gf2m.FieldParams(obj["m"], obj["modulus_bits"])
+    assert P == P5 and P.delta == obj["delta_bits"]
+    assert P5.k_hex(0x137) == "137"
+    assert P5.f_hex(5) == "05"
 
 
 def test_vector_ops_match_scalar(P5):
@@ -354,13 +358,6 @@ def test_field_params_golden():
     for m in range(1, 8):
         expect = (GOLDEN / f"field_m{m}.json").read_text().strip()
         assert field_create(m).to_json() == expect
-
-
-def test_exponent_reduce():
-    from nihoval.gf2m import exponent_reduce
-    assert exponent_reduce(-3, 31) == 28
-    assert exponent_reduce(1000000, 31) == 1000000 % 31
-    assert exponent_reduce(0, 33) == 0
 
 
 def k_tables_scalar(P):

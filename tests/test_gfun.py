@@ -56,7 +56,7 @@ def test_g_from_opoly_examples(P3, P5):
         assert g.values[0] == 1
         assert validate_g(g).valid
     # hyperconic: the route equals <i^(1/2), u> + 1 plus the shift <i, u>
-    i = spread_i(P3).code
+    i = spread_i(P3)
     S = unit_circle(P3).codes
     g = g_from_opoly(P3, opoly.opoly_table(P3, opoly.OPolyFamily("hyperconic")))
     closed = gfun.hyperconic_g_squared_route(P3)
@@ -73,7 +73,7 @@ def test_monomial_matches_opoly_route_up_to_boundary(P3):
     # s = 2: pointwise equal off u = 1 (g(1): route pins 1, monomial gives 0 + <i,1>)
     g1 = g_monomial(P3, 2)
     g2 = g_from_opoly(P3, opoly.opoly_table(P3, opoly.OPolyFamily("hyperconic")))
-    i = spread_i(P3).code
+    i = spread_i(P3)
     shift = P3.bform_v(np.uint32(i), unit_circle(P3).codes)
     assert np.array_equal(g2.values, g1.values ^ shift)
 
@@ -86,7 +86,7 @@ def test_monomial_closed_forms(P5):
     g0 = gfun.segre_class_g(P5, 0)
     i6 = 26
     S = unit_circle(P5).codes
-    om = unit_circle(P5).omega().code
+    om = unit_circle(P5).omega()
     a = P5.bform_v(np.uint32(om), S)
     b = P5.kT_v(S)
     expect = P5.fmul_v(P5.fpow_v(a, i6), P5.fpow_v(b, 5 * i6 % 31))
@@ -121,7 +121,7 @@ def test_translation_g_closed_forms(P5):
 def test_translation_third_class_series(P5):
     # the monomial form for s = 1-2^r matches the published series for one
     # of the two cube roots, up to a linear shift
-    om = unit_circle(P5).omega().code
+    om = unit_circle(P5).omega()
     gm = g_monomial(P5, 1 - 4)
     hits = []
     for c in (om, P5.kconj(om)):
@@ -291,7 +291,7 @@ def first_clearing_shift(g):
     """(values, provenance) for the first c clearing g's zeros, by brute force
     over 0, i*lambda (lambda = 1..q-1), then the rest of K ascending."""
     P = g.params
-    i = spread_i(P).code
+    i = spread_i(P)
     order = [0] + [P.kmul(i, lam) for lam in range(1, P.q)]
     order += [c for c in range(P.q ** 2) if c not in order]
     for c in order:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nihoval import opoly
-from nihoval.gf2m import exponent_inverse, field_create
+from nihoval.gf2m import dickson_eval_code, exponent_inverse, field_create
 from nihoval.opoly import (OPolyError, OPolyFamily, glynn_sigma_gamma,
                            is_opolynomial, opoly_table, table_inverse,
                            transform_pi)
@@ -79,8 +79,10 @@ def test_pi_transforms(P4, P5):
     expect[1] = 1
     assert np.array_equal(s3, expect)
     assert is_opolynomial(P5, s3)
-    # closed-form inverse of the pi3 image
-    assert np.array_equal(opoly.segre_pi3_inverse_table(P5), table_inverse(s3))
+    # closed-form inverse of the pi3 image: (D_{1/5}(t+1))^(q^2-2) + 1
+    inv5 = exponent_inverse(5, 32 * 32 - 1)
+    d = np.array([dickson_eval_code(P5, inv5, int(v)) for v in t1], dtype=np.uint32)
+    assert np.array_equal(P5.fpow_v(d, 32 * 32 - 2) ^ 1, table_inverse(s3))
 
 
 def test_pi_involutions_preserve_oness(P4, P5):
