@@ -254,7 +254,7 @@ def cmd_reproduce(args) -> int:
     _write(args.out, json.dumps(report, sort_keys=True, indent=1))
     if not args.quiet:
         for r in rows:
-            label = r.get("check") or f"{r.get('family')} m={r.get('m', '')}".strip()
+            label = r.get("check") or r["family"] + (f" m={r['m']}" if "m" in r else "")
             print(f"[{'PASS' if r['ok'] else 'FAIL'}] {target}: {label}", file=sys.stderr)
     return 0 if ok else 3
 

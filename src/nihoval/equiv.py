@@ -13,12 +13,16 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   basis a torus element acts on keys as a translation t, and the Frobenius
   multiplies source keys by 2^j.  So (j, A, B, C, t) is a hit iff
   2^j K_src(X) + t is a key of T for every other source point X.
-* log(L_ab . X_l) is tabulated once per point set with N^3 field products.
-  After that the search is integer work only.  On an arc the keys relative
-  to a triangle form a permutation graph k1 = pi(k0), so one row of 2(q-1)
-  slots per image pair (B, C) holds k1 and the image index at k0 and at
-  k0 + q - 1.  Candidate translations come from the image of the fourth
-  source point; gathers from the rows prune them.
+* log(L_ab . X_l) is tabulated once per point set as an N x N x N cube L,
+  with N^3 field products.  After that the search is integer work only:
+  with A = L[a], the keys relative to every triangle (a, b, c) are two
+  broadcasts over (b, c, y), k0 = L - A[None] and k1 = L - A[:, None]
+  mod q - 1, and an entry whose a, b, c, y are not distinct reads the log
+  of 0.  On an arc the keys relative to a triangle form a permutation graph
+  k1 = pi(k0), so one row of 2(q-1) slots per pair row (b, c) holds k1 and
+  the image index at k0 and at k0 + q - 1.  Candidate translations come
+  from the image of the fourth source point; gathers from the rows prune
+  them.
 * Every hit is one group element, and the hits with first image A form the
   coset {g : g(P0) = A}.  A stabilizer search counts only the chunk A = P0,
   Stab(P0), in full: |G| = |Stab(P0)| * |P0^G|.  Every other A needs one hit
@@ -162,7 +166,7 @@ def _frame_matrix(P: FieldParams, quad: np.ndarray) -> np.ndarray:
 
 
 def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
-    """log(L_ab . X_l) at flat index (a*N + b)*N + l; L_ab = X_a x X_b is the line XaXb.
+    """The N x N x N cube of log(L_ab . X_l) at [a, b, l]; L_ab = X_a x X_b is the line XaXb.
 
     L_aa vanishes and L_ab vanishes on X_a and X_b; any further zero means
     three collinear (or two equal) points, which the torus keys cannot use.
@@ -176,40 +180,31 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     if np.count_nonzero(dots == 0) != n * n + 2 * n * (n - 1):
         raise EquivError("three of the points are collinear: not an arc")
-    return P.f_log[dots.reshape(-1)].astype(_key_dtype(P.q - 1))
+    return P.f_log[dots].astype(_key_dtype(P.q - 1))
 
 
 def _key_dtype(Q: int):
-    """Narrowest dtype for logs, keys, key offsets and point indices: the
-    search also forms -2Q - key, so int16 only while 3Q < 2^15 (m <= 13)."""
+    """Narrowest dtype for logs, keys, key offsets and point indices.  Logs lie
+    in [0, Q) plus 2Q (the log of 0), so _fan's log differences lie in
+    [-2Q, 2Q] and its keys in [-Q, 2Q]; the invariant forms k1 - 2*k0 in
+    [-3Q, 2Q] (k0 zeroed where `bad`) and the search -2Q - key: int16 only
+    while 3Q < 2^15 (m <= 13)."""
     return np.int16 if 3 * Q < 1 << 15 else np.int32
 
 
-def _keys(LL: np.ndarray, N: int, Q: int, a, b, c, y):
-    """Torus key of points y relative to the triangle (a, b, c), two arrays mod Q."""
-    bc = LL[(b * N + c) * N + y]
-    k0, k1 = bc - LL[(a * N + c) * N + y], bc - LL[(a * N + b) * N + y]
-    for k in (k0, k1):            # a difference of two logs in [0, Q) wraps once
+def _fan(LL: np.ndarray, Q: int, a: int, b=slice(None)):
+    """Torus keys of every point y relative to every triangle (a, b, c), for
+    the first corners b (a slice or index list): k0, k1 and the mask `bad`,
+    each over (b, c, y).  k0 and k1 lie in [0, Q) where a, b, c and y are
+    pairwise distinct; `bad` marks the other entries, exactly those where a
+    log reads 2Q (the log of 0)."""
+    A, L = LL[a], LL[b]              # A[c, y] = log(L_ac . X_y)
+    Ab = A[b][:, None]
+    k0, k1 = L - A[None], L - Ab
+    for k in (k0, k1):               # a difference of two logs in [0, Q) wraps once
         k += (k < 0) * k.dtype.type(Q)
-    return k0, k1
-
-
-def _triples(n: int) -> np.ndarray:
-    """Flat positions (i*n + k)*n + l in an n^3 cube of the pairwise distinct
-    (i, k, l) in range(n), in (i, k, l) order: entry h has pair row h // (n-2)."""
-    p = np.arange(n)
-    return np.flatnonzero((p[:, None, None] != p[:, None]) & (p[:, None, None] != p)
-                          & (p[:, None] != p)).astype(np.int32)
-
-
-def _fan_keys(LL: np.ndarray, N: int, Q: int, a: int, tri: np.ndarray):
-    """Keys of the points y relative to every triangle (a, b, c) of distinct
-    points: the other points `others` and k0, k1 at the _triples(N - 1)
-    positions `tri` over (b, c, y) in `others`, N - 3 points y per row (b, c)."""
-    others = np.delete(np.arange(N), a)
-    k0, k1 = (k.reshape(-1)[tri] for k in
-              _keys(LL, N, Q, a, others[:, None, None], others[:, None], others))
-    return others, k0, k1
+    zero = 2 * Q
+    return k0, k1, (L == zero) | (A == zero)[None] | (Ab == zero)
 
 
 # ----------------------------------------------------------- the enumeration
@@ -227,12 +222,11 @@ class _SearchResult:
 @dataclass(frozen=True)
 class _Torus:
     """What every chunk of one search shares (read only)."""
-    LL: np.ndarray          # destination line-log table (_line_logs)
+    LL: np.ndarray          # destination line-log cube (_line_logs)
     N: int
     Q: int                  # q - 1, the order of each torus coordinate
     shifts: np.ndarray      # (m, 2, N-4) source key offsets (d0, d1) from the fourth point
     src_order: np.ndarray   # source indices: base triangle, fourth point, the rest
-    triples: np.ndarray     # _triples(N - 1)
 
 
 def _search(params: FieldParams, src_codes, dst_codes, *,
@@ -303,11 +297,11 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     if want_orbits and (dst_codes != src_codes or p0 not in firsts):
         raise EquivError("an orbit search maps a point set (and a marked point) to itself")
     # keys of the other source points minus the fourth point's key, times 2^j
-    k0, k1 = _keys(LLs, N, Q, order[0], order[1], order[2], np.array(order[3:]))
+    k0, k1 = (k[0, order[2], order[3:]] for k in _fan(LLs, Q, order[0], [order[1]])[:2])
     d = np.stack([k0[1:] - k0[0], k1[1:] - k1[0]])
     shifts = np.array([d.astype(np.int64) * (1 << j) % Q for j in range(m)],
                       dtype=LLs.dtype)
-    ctx = _Torus(LLd, N, Q, shifts, np.array(order), _triples(N - 1))
+    ctx = _Torus(LLd, N, Q, shifts, np.array(order))
     res = _SearchResult()
     if early_exit:
         for a in firsts:
@@ -344,10 +338,10 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         for _, images in found:
             keep(images)
         inv = res.invariants
-        inv[p0] = _point_invariant(LLd, N, Q, p0, ctx.triples)
+        inv[p0] = _point_invariant(LLd, Q, p0)
 
         def visit(a):       # a's invariant, and its early-exit chunk if that ties P0's
-            v = _point_invariant(LLd, N, Q, a, ctx.triples)
+            v = _point_invariant(LLd, Q, a)
             return v, (_process_chunk(ctx, a, True) if v == inv[p0] else (0, []))
 
         def decided(a) -> bool:
@@ -400,25 +394,27 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     k1 = pi(k0) (an arc meets each line through c in at most one more
     point), so the row of the pair (b, c) holds k1 and the image index at
     column k0 of each point, and again at k0 + Q: k0 + offset needs no
-    reduction.  A slot left empty (an arc smaller than a hyperoval) holds
-    k1 = -2Q and never matches.
+    reduction.  A slot left empty (an arc smaller than a hyperoval, or a
+    pair row whose a, b, c are not distinct) holds k1 = -2Q and never matches.
     """
-    N, Q, shifts, tri = ctx.N, ctx.Q, ctx.shifts, ctx.triples
-    m, n, W = len(shifts), N - 1, 2 * Q
-    others, k0, k1 = _fan_keys(ctx.LL, N, Q, a, tri)
-    # candidate (b, c, y) sits at column k0(y) of pair row (b, c)
-    rows = len(tri) // (N - 3)
-    at = np.int32 if rows * W < 1 << 31 else np.int64
-    base = ((np.arange(rows, dtype=at) * W)[:, None] + k0.reshape(-1, N - 3)).reshape(-1)
-    k1row = np.full(rows * W, -W, dtype=ctx.LL.dtype)
-    yrow = np.zeros(len(k1row), dtype=ctx.LL.dtype)      # index into others
-    l = tri % n
+    N, Q, shifts = ctx.N, ctx.Q, ctx.shifts
+    m, W = len(shifts), 2 * Q
+    k0, k1, bad = _fan(ctx.LL, Q, a)
+    # candidate t = (b*N + c)*N + y, a, b, c, y distinct, sits at column k0
+    # of pair row b*N + c
+    at = np.int32 if N * N * W < 1 << 31 else np.int64
+    tri = np.flatnonzero(~bad).astype(at)
+    k0, k1 = k0.reshape(-1)[tri], k1.reshape(-1)[tri]
+    base = tri // N * W + k0
+    k1row = np.full(N * N * W, -W, dtype=ctx.LL.dtype)
+    yrow = np.zeros(len(k1row), dtype=ctx.LL.dtype)      # point index y
+    y = tri % N
     for lift in (0, Q):
         k1row[base + lift] = k1
-        yrow[base + lift] = l
+        yrow[base + lift] = y
 
-    def corners(t):                      # (b, c, y) of triple positions t
-        return others[t // (n * n)], others[t // n % n], others[t % n]
+    def corners(t):                      # (b, c, y) of candidate positions t
+        return t // (N * N), t // N % N, t % N
 
     def holds(cand, d0, d1):
         # the slot at k0 + d0 of the candidate's row holds k1 + d1 mod Q
@@ -428,7 +424,7 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     def element(h, j):                   # j and the point images of candidate h
         images = np.empty(N, dtype=np.int64)
         images[ctx.src_order] = np.concatenate(
-            ([a], corners(tri[h]), others[yrow[base[h] + shifts[j][0]]]))
+            ([a], corners(tri[h]), yrow[base[h] + shifts[j][0]]))
         return j, images
 
     count = 0
@@ -455,7 +451,7 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
         hits = np.concatenate(hits) if hits else alive[:0]
         if early_exit:
             # only the first hit in (b, c, j, y) order counts
-            if len(hits) and (first is None or hits[0] // (N - 3) < first[0] // (N - 3)):
+            if len(hits) and (first is None or tri[hits[0]] // N < tri[first[0]] // N):
                 first = (hits[0], j)
             continue
         count += len(hits)
@@ -568,26 +564,29 @@ def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
     if N < 4:
         raise EquivError("the invariant needs at least four points")
     LL = _line_logs(params, _coords_of_codes(params, codes))
-    return _point_invariant(LL, N, params.q - 1, codes.index(point), _triples(N - 1))
+    return _point_invariant(LL, params.q - 1, codes.index(point))
 
 
-def _point_invariant(LL: np.ndarray, N: int, Q: int, a: int,
-                     tri: np.ndarray) -> tuple[int, ...]:
-    """point_invariant of point a, from the line-log table of its point set
-    and the positions tri = _triples(N - 1)."""
-    _, k0, k1 = _fan_keys(LL, N, Q, a, tri)
-    v = k1 - 2 * k0
-    for _ in range(2):                   # from (-2Q, Q) into [0, Q)
-        v += (v < 0) * v.dtype.type(Q)
-    v = v.reshape(-1, N - 3)
-    # one bincount over (row, v) per block of rows keeps the bins few
-    step = max(1, (1 << 16) // Q)
+def _point_invariant(LL: np.ndarray, Q: int, a: int) -> tuple[int, ...]:
+    """point_invariant of point a, from the line-log cube of its point set."""
+    N = len(LL)
+    p = np.arange(N)
+    distinct = (p[:, None] != p) & (p[:, None] != a) & (p != a)    # pair rows (b, c)
+    # one slab of b at a time, with one bincount over (row, v), keeps the
+    # temporaries and the bins few; `bad` entries go to the extra bin Q
+    slab = max(1, (1 << 16) // (N * max(N, Q + 1)))
     counts = []
-    for lo in range(0, len(v), step):
-        block = v[lo:lo + step]
-        n = np.bincount((np.arange(len(block))[:, None] * Q + block).reshape(-1),
-                        minlength=len(block) * Q)
-        counts.append((n * (n - 1) // 2).reshape(-1, Q).sum(axis=1))
+    for lo in range(0, N, slab):
+        k0, k1, bad = _fan(LL, Q, a, slice(lo, lo + slab))
+        np.putmask(k0, bad, 0)           # keeps k1 - 2*k0 within _key_dtype
+        v = k1 - 2 * k0
+        for _ in range(2):               # from (-2Q, Q) into [0, Q)
+            v += (v < 0) * v.dtype.type(Q)
+        np.putmask(v, bad, Q)
+        v = v.reshape(-1, N)[distinct[lo:lo + slab].reshape(-1)]
+        n = np.bincount((np.arange(len(v))[:, None] * (Q + 1) + v).reshape(-1),
+                        minlength=len(v) * (Q + 1)).reshape(-1, Q + 1)[:, :Q]
+        counts.append((n * (n - 1) // 2).sum(axis=1))
     return tuple(np.bincount(np.concatenate(counts)).tolist())
 
 

@@ -155,6 +155,23 @@ def test_reproduce_mismatch_exits_3(capsys, monkeypatch):
     assert "[FAIL]" in err
 
 
+def test_reproduce_stderr_names_m_only_for_rows_that_have_one(capsys, monkeypatch):
+    # Table 1 rows carry no m, the sec4.6 rows do; the JSON report is the rows
+    table1 = {"family": "hyperconic", "expected_aut": 163680, "computed_aut": 163680,
+              "expected_orbits": [1, 33], "computed_orbits": [1, 33],
+              "g_is_hyperoval": True, "ok": True}
+    sec46 = {"family": "hyperconic", "m": 5, "expected_classes": 2, "computed_classes": 2,
+             "ok": True}
+    monkeypatch.setattr(cli, "_reproduce_table1", lambda threads: [table1])
+    monkeypatch.setattr(cli, "_reproduce_sec46", lambda threads: [sec46])
+    for target, row, line in (("table1", table1, "[PASS] table1: hyperconic"),
+                              ("sec4.6", sec46, "[PASS] sec4.6: hyperconic m=5")):
+        rc, out, err = run(capsys, "reproduce", target)
+        assert rc == 0 and err == line + "\n"
+        assert out == json.dumps({"target": target, "ok": True, "rows": [row]},
+                                 sort_keys=True, indent=1) + "\n"
+
+
 def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["gfun", "--family", "nosuch", "--m", "5"])

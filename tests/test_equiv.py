@@ -338,9 +338,9 @@ def test_point_invariant_is_constant_on_orbits(m, fam, r):
     dec = stab(m, fam, r)
     P, N = dec.params, len(dec.point_codes)
     LL = equiv._line_logs(P, equiv._coords_of_codes(P, dec.point_codes))
-    tri = equiv._triples(N - 1)
+    assert LL.shape == (N, N, N)
     for orbit, inv in zip(dec.orbits, dec.invariants, strict=True):
-        assert {equiv._point_invariant(LL, N, P.q - 1, a, tri) for a in orbit} == {inv}
+        assert {equiv._point_invariant(LL, P.q - 1, a) for a in orbit} == {inv}
 
 
 @pytest.mark.parametrize("m,fam,r", [c for c in catalog_sweep_cases() if c[0] <= 5])
@@ -414,3 +414,20 @@ def test_point_invariant_memory_and_errors(P5):
         equiv.point_invariant(P5, H, next(c for c in range(P5.q) if c not in H))
     with pytest.raises(EquivError):
         equiv.point_invariant(P5, H[:3], H[0])
+
+
+@pytest.mark.parametrize("fam", ["cherowitzo", "subiaco"])
+def test_point_invariant_memory_at_q128(fam):
+    # the keys are formed and counted one slab of b at a time: a warm
+    # invariant at q = 128 peaks under the 4.4 MB line-log cube it reads
+    P = field_create(7)
+    H = hyperoval_codes(P, fam)
+    LL = equiv._line_logs(P, equiv._coords_of_codes(P, H))
+    equiv._point_invariant(LL, P.q - 1, 0)
+    tracemalloc.start()
+    try:
+        equiv._point_invariant(LL, P.q - 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -12,6 +12,7 @@ from nihoval import equiv, geometry as geo, gfun
 from nihoval.equiv import EquivError, are_equivalent, stabilizer
 from nihoval.gf2m import field_create
 
+import torus_oracle
 from test_acceptance import catalog_sweep_cases
 from test_equiv import pgammal_order
 
@@ -224,7 +225,8 @@ def test_threads_do_not_change_results(m, fam, monkeypatch):
                                           (5, "hyperconic", 300), (5, "cherowitzo", 300)])
 def test_keys_form_a_permutation_graph(m, fam, sample):
     # relative to any ordered triangle of an arc, k0 and k1 are each injective
-    # on the other points (on a hyperoval both are permutations of Z_(q-1))
+    # on the other points (on a hyperoval both are permutations of Z_(q-1));
+    # `bad` marks the triangle's own points
     P = field_create(m)
     H = hyperoval(P, fam)
     N, Q = len(H), P.q - 1
@@ -233,9 +235,81 @@ def test_keys_form_a_permutation_graph(m, fam, sample):
     if sample:
         triangles = random.Random(m).sample(triangles, sample)
     for a, b, c in triangles:
-        y = np.array([k for k in range(N) if k not in (a, b, c)])
-        k0, k1 = equiv._keys(LL, N, Q, a, b, c, y)
-        assert sorted(k0.tolist()) == sorted(k1.tolist()) == list(range(Q))
+        k0, k1, bad = (k[0, c] for k in equiv._fan(LL, Q, a, [b]))
+        assert np.flatnonzero(bad).tolist() == sorted((a, b, c))
+        assert sorted(k0[~bad].tolist()) == sorted(k1[~bad].tolist()) == list(range(Q))
+
+
+def assert_fan_matches_the_index_cubes(P, codes):
+    """At every point a of the arc `codes`: _fan's keys equal the index-cube
+    keys at every distinct (b, c, y), `bad` marks every other entry, and the
+    slabbed invariant equals the index-cube one."""
+    N, Q = len(codes), P.q - 1
+    LL = equiv._line_logs(P, equiv._coords_of_codes(P, codes))
+    tri = torus_oracle.triples(N - 1)
+    for a in range(N):
+        _, k0, k1 = torus_oracle.fan_keys(LL, N, Q, a, tri)
+        f0, f1, bad = equiv._fan(LL, Q, a)
+        assert np.count_nonzero(~bad) == len(tri)
+        # entries over the other points, in the compact layout of tri
+        f0, f1, bad = (np.delete(np.delete(np.delete(f, a, 0), a, 1), a, 2).reshape(-1)[tri]
+                       for f in (f0, f1, bad))
+        assert not bad.any()
+        assert np.array_equal(f0, k0) and np.array_equal(f1, k1)
+        assert (equiv._point_invariant(LL, Q, a)
+                == torus_oracle.point_invariant(LL, N, Q, a, tri))
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_fan_and_invariant_match_the_index_cubes_on_the_catalog(m, fam, r):
+    P = field_create(m)
+    g = gfun.g_catalog(P, fam, r=r)
+    if not g.is_zero_free():
+        g = gfun.fix_zeros(g)
+    assert_fan_matches_the_index_cubes(P, g.hyperoval_codes_h())
+
+
+@pytest.mark.parametrize("m,fam,size", [(2, "hyperconic", 4), (3, "hyperconic", 5),
+                                        (4, "lunelli_sce", 9), (5, "cherowitzo", 4),
+                                        (5, "payne", 20), (6, "adelaide", 33),
+                                        (6, "subiaco", 48)])
+def test_fan_and_invariant_match_the_index_cubes_on_smaller_arcs(m, fam, size):
+    # empty slots and rows shorter than the q - 1 keys of a hyperoval
+    P = field_create(m)
+    arc = random.Random(f"{m}:{fam}:{size}").sample(hyperoval(P, fam), size)
+    assert_fan_matches_the_index_cubes(P, arc)
+
+
+def test_int16_keys_at_m13_match_int32(monkeypatch):
+    # m = 13 is the last field whose logs and keys are int16: the searches
+    # and invariants there equal those with int32 keys.  The arcs lie on the
+    # conic y^2 = xz: (1 : t : t^2) for t in a seeded GF(2)-span, so that
+    # the translations t -> t + s give them a non-trivial group
+    P = field_create(13)
+    assert equiv._key_dtype(P.q - 1) is np.int16
+    assert equiv._key_dtype(2 * P.q - 1) is np.int32
+    rng = random.Random(13)
+    x, y = rng.sample(range(2, P.q), 2)
+    conic = [geo.ProjPointH.make(P, 1, t, P.fmul(t, t)).code
+             for t in (0, 1, x, x ^ 1, y, y ^ 1, x ^ y, x ^ y ^ 1)]
+    nucleus = geo.ProjPointH.make(P, 0, 1, 0).code
+    arcs = [conic[:6], conic[:6] + [nucleus], conic]
+
+    def run():
+        out = []
+        for arc in arcs:
+            LL = equiv._line_logs(P, equiv._coords_of_codes(P, arc))
+            assert LL.dtype == equiv._key_dtype(P.q - 1)
+            res = equiv._search(P, arc, arc, want_orbits=True)
+            hit = equiv._search(P, arc, arc[::-1], early_exit=True)
+            out.append((res.order, res.classes.tolist(), res.generators, res.invariants,
+                        hit.witness, [equiv.point_invariant(P, arc, c) for c in arc]))
+        return out
+
+    narrow = run()
+    assert [o[0] for o in narrow] == [2, 2, 8]
+    monkeypatch.setattr(equiv, "_key_dtype", lambda Q: np.int32)
+    assert run() == narrow
 
 
 def test_stabilizer_memory_stays_small(P5):
@@ -275,8 +349,8 @@ def logged_invariants(monkeypatch):
     """The list of (point, invariant) of every _point_invariant call from now on."""
     log, real = [], equiv._point_invariant
 
-    def spy(LL, N, Q, a, tri):
-        out = real(LL, N, Q, a, tri)
+    def spy(LL, Q, a):
+        out = real(LL, Q, a)
         log.append((a, out))
         return out
 
