@@ -35,7 +35,7 @@ def write_golden(target: pathlib.Path) -> None:
     for m, fam in ((3, "hyperconic"), (4, "hyperconic"), (4, "lunelli_sce")):
         P = gf2m.field_create(m)
         g = gfun.g_catalog(P, fam)
-        pts = g.hyperoval_points_k()
+        pts = g.hyperoval_codes_h()
         (target / f"sec46_{fam}_m{m}_K.json").write_text(
             geometry.points_to_json(P, pts, "K") + "\n")
         (target / f"sec46_{fam}_m{m}_H.json").write_text(

@@ -8,9 +8,7 @@ stabilizers, equivalence classes), cli (command line driver).
 
 from .gf2m import (DEFAULT_MODULI, FieldError, FieldParams, UnitCircle, exponent_inverse,
                    field_create, spread_i, unit_circle)
-from .geometry import (Hyperoval, LineH, LineK, LineOval, Oval, ProjPointH,
-                       ProjPointK, h_to_k, incident_h, incident_k, is_hyperoval,
-                       is_line_oval, is_oval, k_to_h, line_oval_points, nucleus)
+from .geometry import is_hyperoval, is_line_oval, line_oval_points
 from .opoly import OPolyFamily, is_opolynomial, opoly_table, transform_pi
 from .gfun import (GFunction, fix_zeros, g_catalog, g_from_opoly, g_from_oval,
                    g_monomial, g_series, g_shift, validate_g)

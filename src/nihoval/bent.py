@@ -264,7 +264,7 @@ def dual_lineoval_check(g) -> DualLineOvalReport:
     f = bent_from_g(g)
     d = dual(f)
     zeros = set(np.flatnonzero(d.table == 0).tolist())
-    covered = set(geometry.line_oval_points(g.lines()))
+    covered = set(geometry.line_oval_points(P, g.S.codes, g.values))
     return DualLineOvalReport(len(zeros), P.q * (P.q + 1) // 2, zeros == covered)
 
 

@@ -143,8 +143,9 @@ def _reproduce_table1(threads: int):
     rows = []
     for fam, r, expect in TABLE1:
         g = gfun.g_catalog(P, fam, r=r)
-        hyper = geometry.no_three_collinear(P, g.hyperoval_codes_h())
-        dec = equiv.stabilizer(P, g.hyperoval_codes_h(), threads=threads)
+        codes = g.hyperoval_codes_h()
+        hyper = geometry.no_three_collinear(P, codes)
+        dec = equiv.stabilizer(P, codes, threads=threads)
         orbits = list(TABLE1_ORBITS[fam])
         rows.append({"family": fam, "expected_aut": expect,
                      "computed_aut": dec.stabilizer_order,

@@ -91,20 +91,25 @@ class Collineation:
         m = tuple(params.fmul(v, li) for v in m)
         return Collineation(params, m, frob % params.m)
 
-    def apply(self, p: geometry.ProjPointH) -> geometry.ProjPointH:
-        P = self.params
-        fr = P.f_frob[self.frob]
-        x, y, z = int(fr[p.x]), int(fr[p.y]), int(fr[p.z])
-        M = self.matrix
-        return geometry.ProjPointH.make(
-            P,
-            P.fmul(M[0], x) ^ P.fmul(M[1], y) ^ P.fmul(M[2], z),
-            P.fmul(M[3], x) ^ P.fmul(M[4], y) ^ P.fmul(M[5], z),
-            P.fmul(M[6], x) ^ P.fmul(M[7], y) ^ P.fmul(M[8], z),
-        )
-
     def apply_code(self, code: int) -> int:
-        return self.apply(geometry.ProjPointH.from_code(self.params, code)).code
+        """The H code of the image of the point with H code `code`."""
+        P = self.params
+        q2 = P.q * P.q
+        x, y, z = ((code // P.q, code % P.q, 1) if code < q2
+                   else (code - q2, 1, 0) if code < q2 + P.q else (1, 0, 0))
+        fr = P.f_frob[self.frob]
+        x, y, z = int(fr[x]), int(fr[y]), int(fr[z])
+        M = self.matrix
+        u, v, w = (P.fmul(M[r], x) ^ P.fmul(M[r + 1], y) ^ P.fmul(M[r + 2], z)
+                   for r in (0, 3, 6))
+        if w:
+            wi = P.finv(w)
+            return P.fmul(u, wi) * P.q + P.fmul(v, wi)
+        if v:
+            return q2 + P.fmul(u, P.finv(v))
+        if u:
+            return q2 + P.q
+        raise EquivError("singular matrix: the image is (0:0:0)")
 
     def compose(self, other: "Collineation") -> "Collineation":
         """self after other: x -> M1 (M2 x^(2^j2))^(2^j1)."""
@@ -165,22 +170,36 @@ def _frame_matrix(P: FieldParams, quad: np.ndarray) -> np.ndarray:
                     dtype=np.uint32).reshape(3, 3)
 
 
+_LOG_SLAB_CELLS = 66 ** 3      # the whole cube of a hyperoval at q = 64
+
+
 def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     """The N x N x N cube of log(L_ab . X_l) at [a, b, l]; L_ab = X_a x X_b is the line XaXb.
 
     L_aa vanishes and L_ab vanishes on X_a and X_b; any further zero means
     three collinear (or two equal) points, which the torus keys cannot use.
+    The cube is filled in slabs of a of at most _LOG_SLAB_CELLS entries (one
+    slab up to q = 64), which bounds the uint32 temporaries.
     """
     fm = P.fmul_v
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     l0 = fm(y[:, None], z[None, :]) ^ fm(z[:, None], y[None, :])
     l1 = fm(z[:, None], x[None, :]) ^ fm(x[:, None], z[None, :])
     l2 = fm(x[:, None], y[None, :]) ^ fm(y[:, None], x[None, :])
-    dots = fm(l0[:, :, None], x) ^ fm(l1[:, :, None], y) ^ fm(l2[:, :, None], z)
     n = len(pts)
-    if np.count_nonzero(dots == 0) != n * n + 2 * n * (n - 1):
+    out = np.empty((n, n, n), dtype=_key_dtype(P.q - 1))
+    zeros = 0
+    slab = max(1, _LOG_SLAB_CELLS // (n * n))
+    for lo in range(0, n, slab):
+        s = slice(lo, lo + slab)
+        dots = fm(l0[s, :, None], x)
+        dots ^= fm(l1[s, :, None], y)
+        dots ^= fm(l2[s, :, None], z)
+        zeros += np.count_nonzero(dots == 0)
+        out[s] = P.f_log[dots]
+    if zeros != n * n + 2 * n * (n - 1):
         raise EquivError("three of the points are collinear: not an arc")
-    return P.f_log[dots].astype(_key_dtype(P.q - 1))
+    return out
 
 
 def _key_dtype(Q: int):

@@ -60,18 +60,9 @@ class GFunction:
     def is_zero_free(self) -> bool:
         return not np.any(self.values == 0)
 
-    def lines(self) -> list[geometry.LineK]:
-        return [geometry.LineK(self.params, int(u), int(v))
-                for u, v in zip(self.S.codes, self.values)]
-
-    def hyperoval_points_k(self) -> list[geometry.ProjPointK]:
-        """{(u : g(u))} (affine u/g(u), or the direction u when g(u) = 0), then 0."""
-        pts = zip(self.S.codes, self.values)
-        return ([geometry.ProjPointK.make(self.params, int(u), int(v)) for u, v in pts]
-                + [geometry.ProjPointK.affine(self.params, 0)])
-
     def hyperoval_codes_h(self) -> list[int]:
-        """H codes of hyperoval_points_k(): (u_k : g(u_k)) at index k, the origin last."""
+        """H codes of the hyperoval {(u : g(u))} u {0}: (u_k : g(u_k)) (affine
+        u/g(u), or the direction u when g(u) = 0) at index k, the origin last."""
         return geometry.k_codes_to_h_codes(self.params, np.append(self.S.codes, 0),
                                            np.append(self.values, 1)).tolist()
 
@@ -374,7 +365,7 @@ class GValidation:
 def validate_g(g: GFunction) -> GValidation:
     """Check the three equivalent validity conditions independently."""
     P = g.params
-    lo = geometry.is_line_oval(g.lines())
+    lo = geometry.is_line_oval(P, g.S.codes, g.values)
     ov = geometry.no_three_collinear(P, g.hyperoval_codes_h())
     bt = bent.is_bent(bent.bent_from_g(g))
     return GValidation(lo, ov, bt)

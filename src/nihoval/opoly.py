@@ -189,7 +189,8 @@ def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
 
 
 def is_permutation(table: np.ndarray) -> bool:
-    return len(np.unique(table)) == len(table)
+    """True iff the table holds each of 0..len(table)-1 once."""
+    return np.array_equal(np.sort(table), np.arange(len(table)))
 
 
 def table_inverse(table: np.ndarray) -> np.ndarray:
@@ -200,13 +201,10 @@ def table_inverse(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def dh_points(params: FieldParams, table: np.ndarray) -> list[geometry.ProjPointH]:
-    """The q+2 points of D(h) in the homogeneous model."""
-    pts = [geometry.ProjPointH.make(params, int(t), int(table[t]), 1)
-           for t in range(params.q)]
-    pts.append(geometry.ProjPointH.make(params, 0, 1, 0))
-    pts.append(geometry.ProjPointH.make(params, 1, 0, 0))
-    return pts
+def dh_points(params: FieldParams, table: np.ndarray) -> list[int]:
+    """The H codes of the q+2 points of D(h): (t : h(t) : 1), (0 : 1 : 0), (1 : 0 : 0)."""
+    q = params.q
+    return (np.arange(q, dtype=np.int64) * q + table).tolist() + [q * q, q * q + q]
 
 
 def is_opolynomial(params: FieldParams, table: np.ndarray) -> bool:
@@ -215,8 +213,7 @@ def is_opolynomial(params: FieldParams, table: np.ndarray) -> bool:
         raise OPolyError("table must have q entries")
     if not is_permutation(table):
         return False
-    pts = dh_points(params, table)
-    return geometry.is_hyperoval(params, pts)
+    return geometry.is_hyperoval(params, dh_points(params, table))
 
 
 def transform_pi(k: int, params: FieldParams, table: np.ndarray) -> np.ndarray:

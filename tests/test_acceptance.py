@@ -136,7 +136,7 @@ def test_criterion_4_class_counts():
     class_ovals = [list(c.oval_h_codes) for c in res.classes]
     assignment = []
     for grt in routes:
-        o = [geo.k_to_h(p).code for p in grt.hyperoval_points_k()]
+        o = grt.hyperoval_codes_h()
         hits = [k for k, oc in enumerate(class_ovals)
                 if equiv.are_equivalent(P5, o, oc, marked=(0, 0)) is not None]
         assignment.append(tuple(hits))
@@ -176,7 +176,7 @@ def _oval_from_trace_form(P, terms, mode):
     vals = bent.recover_g_values(f)
     assert vals is not None
     g = gfun.GFunction(P, vals, "recovered")
-    return [geo.k_to_h(p).code for p in g.hyperoval_points_k()]
+    return g.hyperoval_codes_h()
 
 
 def test_criterion_6_explicit_functions():

@@ -12,6 +12,7 @@ from nihoval.equiv import (Collineation, EquivError, are_equivalent, classify_be
 from nihoval.gf2m import field_create, spread_i, unit_circle
 from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC
 
+import point_oracle
 from test_acceptance import catalog_sweep_cases, classify, stab
 
 
@@ -47,8 +48,29 @@ def test_collineation_algebra(P4):
     a = Collineation.make(P4, (1, 2, 0, 0, 1, 3, 1, 0, 1), 1)
     b = Collineation.make(P4, (0, 1, 0, 1, 0, 0, 5, 0, 1), 2)
     for code in range(0, P4.q ** 2 + P4.q + 1, 7):
-        p = geo.ProjPointH.from_code(P4, code)
-        assert a.compose(b).apply(p) == a.apply(b.apply(p))
+        assert a.compose(b).apply_code(code) == a.apply_code(b.apply_code(code))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_apply_code_matches_scalar_route(m):
+    # every point, seeded collineations with every Frobenius power
+    P = field_create(m)
+    rng = np.random.default_rng(m)
+    codes = range(P.q ** 2 + P.q + 1)
+    for frob in range(m):
+        made = 0
+        while made < 3:
+            phi = Collineation.make(P, rng.integers(0, P.q, 9), frob)
+            if phi.det() == 0:
+                continue
+            made += 1
+            image = [phi.apply_code(c) for c in codes]
+            assert image == [point_oracle.apply(phi, c) for c in codes]
+            assert sorted(image) == list(codes)
+    # a singular matrix sends its kernel to (0:0:0)
+    phi = Collineation.make(P, (1, 0, 0, 1, 0, 0, 1, 0, 0), 0)
+    with pytest.raises(EquivError, match="0:0:0"):
+        phi.apply_code(0)
 
 
 @pytest.mark.parametrize("m,fam,r,order,sizes", [
@@ -122,8 +144,8 @@ def test_only_the_witness_builds_matrices(P5, monkeypatch):
 
 
 def test_stabilizer_rejects_non_hyperoval(P3):
-    codes = [geo.ProjPointH.make(P3, t, 0, 1).code for t in range(P3.q)]
-    codes += [geo.ProjPointH.make(P3, 0, 1, 0).code, geo.ProjPointH.make(P3, 1, 1, 1).code]
+    codes = [point_oracle.h_code(P3, *p) for p in
+             [(t, 0, 1) for t in range(P3.q)] + [(0, 1, 0), (1, 1, 1)]]
     with pytest.raises(EquivError):
         stabilizer(P3, codes)
 
@@ -142,8 +164,8 @@ def test_threads_do_not_change_results(P4):
 def test_are_equivalent_pi_transforms(P4, P5):
     # D(t^2) ~ D(t^(1/2)) via pi1
     hc = opoly.opoly_table(P4, opoly.OPolyFamily("hyperconic"))
-    a = [p.code for p in opoly.dh_points(P4, hc)]
-    b = [p.code for p in opoly.dh_points(P4, opoly.transform_pi(1, P4, hc))]
+    a = opoly.dh_points(P4, hc)
+    b = opoly.dh_points(P4, opoly.transform_pi(1, P4, hc))
     w = are_equivalent(P4, a, b)
     assert w is not None
     # the witness really maps a onto b
@@ -153,10 +175,9 @@ def test_are_equivalent_pi_transforms(P4, P5):
     ovals = []
     for k, tab in (("h0", seg), ("h1", opoly.transform_pi(1, P5, seg)),
                    ("h2", opoly.transform_pi(2, P5, seg))):
-        pts = [geo.ProjPointH.make(P5, t, int(tab[t]), 1) for t in range(P5.q)]
-        pts.append(geo.ProjPointH.make(P5, 0, 1, 0))
-        nuc = geo.ProjPointH.make(P5, 1, 0, 0)
-        ovals.append(([p.code for p in pts] + [nuc.code], nuc.code))
+        # D(h) ends with the nucleus (1:0:0) of the oval {(t : h(t) : 1)} u {(0:1:0)}
+        pts = opoly.dh_points(P5, tab)
+        ovals.append((pts, pts[-1]))
     for i in range(len(ovals)):
         for j in range(i + 1, len(ovals)):
             (pa, na), (pb, nb) = ovals[i], ovals[j]
@@ -274,7 +295,7 @@ def test_adelaide_opoly_route_matches_k_model(P4):
     # the trace-expression o-polynomial and the unit-circle form give
     # equivalent hyperovals (at m = 4 both coincide with lunelli-sce)
     tab = opoly.opoly_table(P4, opoly.OPolyFamily("adelaide"))
-    a = [p.code for p in opoly.dh_points(P4, tab)]
+    a = opoly.dh_points(P4, tab)
     b = hyperoval_codes(P4, "adelaide")
     assert are_equivalent(P4, a, b) is not None
     assert are_equivalent(P4, a, hyperoval_codes(P4, "lunelli_sce")) is not None
@@ -282,7 +303,7 @@ def test_adelaide_opoly_route_matches_k_model(P4):
 
 def test_subiaco_opoly_route_matches_g_form(P5):
     tab = opoly.opoly_table(P5, opoly.OPolyFamily("subiaco"))
-    a = [p.code for p in opoly.dh_points(P5, tab)]
+    a = opoly.dh_points(P5, tab)
     b = hyperoval_codes(P5, "subiaco_payne")
     assert are_equivalent(P5, a, b) is not None
 

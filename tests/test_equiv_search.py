@@ -12,6 +12,7 @@ from nihoval import equiv, geometry as geo, gfun
 from nihoval.equiv import EquivError, are_equivalent, stabilizer
 from nihoval.gf2m import field_create
 
+import point_oracle
 import torus_oracle
 from test_acceptance import catalog_sweep_cases
 from test_equiv import pgammal_order
@@ -290,9 +291,9 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
     assert equiv._key_dtype(2 * P.q - 1) is np.int32
     rng = random.Random(13)
     x, y = rng.sample(range(2, P.q), 2)
-    conic = [geo.ProjPointH.make(P, 1, t, P.fmul(t, t)).code
+    conic = [point_oracle.h_code(P, 1, t, P.fmul(t, t))
              for t in (0, 1, x, x ^ 1, y, y ^ 1, x ^ y, x ^ y ^ 1)]
-    nucleus = geo.ProjPointH.make(P, 0, 1, 0).code
+    nucleus = point_oracle.h_code(P, 0, 1, 0)
     arcs = [conic[:6], conic[:6] + [nucleus], conic]
 
     def run():
@@ -453,10 +454,9 @@ def test_hyperconic_with_p0_on_the_conic_refutes_the_nucleus_by_its_invariant(
 def non_arc(P):
     """A hyperoval with one point moved onto the line through two others."""
     H = hyperoval(P)
-    p0, p1 = (geo.ProjPointH.from_code(P, c) for c in H[:2])
-    line = geo.line_through(p0, p1)
-    points = (geo.ProjPointH.from_code(P, c) for c in range(P.q * P.q + P.q + 1))
-    extra = next(p.code for p in points if geo.incident_h(p, line) and p.code not in H)
+    line = point_oracle.line_through(P, *H[:2])
+    extra = next(c for c in range(P.q * P.q + P.q + 1)
+                 if point_oracle.incident(P, c, line) and c not in H)
     return H, H[:-1] + [extra]
 
 
@@ -469,6 +469,41 @@ def test_non_arc_raises(P3):
         are_equivalent(P3, H, bad)
     with pytest.raises(EquivError, match="collinear"):
         are_equivalent(P3, bad, H, marked=(bad[0], H[0]))
+
+
+@pytest.mark.parametrize("m,fam", [(3, "hyperconic"), (5, "cherowitzo"), (7, "cherowitzo")])
+def test_line_logs_in_slabs(monkeypatch, m, fam):
+    # the cube is the same in one slab and in slabs of one row of a (q = 8
+    # and 32 fill it in one slab, q = 128 in several), and the zero count
+    # that rejects a non-arc is summed over all slabs
+    P = field_create(m)
+    _, bad = non_arc(P)
+    H = hyperoval(P, fam)
+    assert (len(H) ** 3 <= equiv._LOG_SLAB_CELLS) == (P.q <= 64)
+    pts = equiv._coords_of_codes(P, H)
+    cubes = []
+    for cells in (None, len(H) ** 3, 1):
+        if cells is not None:
+            monkeypatch.setattr(equiv, "_LOG_SLAB_CELLS", cells)
+        cubes.append(equiv._line_logs(P, pts))
+        with pytest.raises(EquivError, match="collinear"):
+            equiv._line_logs(P, equiv._coords_of_codes(P, bad))
+    assert all(np.array_equal(c, cubes[0]) for c in cubes[1:])
+
+
+def test_line_logs_memory_at_q128():
+    # the cube is filled in slabs of a: at q = 128 the uint32 temporaries stay
+    # below the 4.4 MB int16 cube, whole they took 25 MiB
+    P = field_create(7)
+    pts = equiv._coords_of_codes(P, hyperoval(P, "cherowitzo"))
+    equiv._line_logs(P, pts)
+    tracemalloc.start()
+    try:
+        equiv._line_logs(P, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("broken", ["p0", "positive"])

@@ -5,93 +5,122 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nihoval import gf2m, geometry as geo
-from nihoval.geometry import (GeometryError, LineH, LineK, ProjPointH, ProjPointK,
-                              collinear, h_to_k, incident_h, incident_k, is_hyperoval,
-                              is_line_oval, is_oval, k_to_h, line_oval_points,
-                              line_through, nucleus, no_three_collinear)
+from nihoval import geometry as geo
+from nihoval.geometry import (GeometryError, h_codes_to_k, is_hyperoval, is_line_oval,
+                              k_codes_to_h_codes, line_oval_points, no_three_collinear)
 from nihoval.gf2m import field_create, unit_circle
+from point_oracle import coords, h_code, incident, k_point_to_h, line_through
 
 
-def all_points_h(P):
-    """The q^2 + q + 1 points of PG(2,q), in code order."""
-    return [ProjPointH.from_code(P, c) for c in range(P.q * P.q + P.q + 1)]
+def n_points(P) -> int:
+    return P.q * P.q + P.q + 1
 
 
-def line_intersection(l1, l2):
-    """Affine meeting point of two nonparallel lines, as a K code: the oracle
-    for the vectorized pairwise intersections of the line-oval checks."""
-    P = l1.params
-    d = P.bform(l1.ucode, l2.ucode)
+def incidence_matrix(P) -> np.ndarray:
+    """[line, point] = 1 iff the point lies on the line, over all codes; the
+    line with code c is [a : b : c'] for the coordinates (a : b : c') of c."""
+    x, y, z = geo.codes_to_coords_v(P, np.arange(n_points(P)))
+    fm = P.fmul_v
+    dots = fm(x[:, None], x) ^ fm(y[:, None], y) ^ fm(z[:, None], z)
+    return (dots == 0).astype(np.int64)
+
+
+def line_intersection(P, u1, mu1, u2, mu2):
+    """Affine meeting point of two nonparallel lines L(u, mu), as a K code: the
+    oracle for the vectorized pairwise intersections of the line-oval checks."""
+    d = P.bform(u1, u2)
     if d == 0:
         raise GeometryError("parallel lines do not meet in AG(2,q)")
-    x = P.kmul(l2.mu, l1.ucode) ^ P.kmul(l1.mu, l2.ucode)
+    x = P.kmul(mu2, u1) ^ P.kmul(mu1, u2)
     return P.kmul(x, P.finv(d))
 
 
-def hyperconic_points(P):
-    pts = [ProjPointH.make(P, t, P.fmul(t, t), 1) for t in range(P.q)]
-    return pts + [ProjPointH.make(P, 0, 1, 0), ProjPointH.make(P, 1, 0, 0)]
+def affine_line(P, u, mu) -> np.ndarray:
+    """The K codes x with <u, x> = mu."""
+    xs = np.arange(P.q * P.q, dtype=np.uint32)
+    return np.flatnonzero(P.bform_v(np.uint32(u), xs) == mu)
+
+
+def hyperconic_codes(P):
+    """The conic {(t : t^2 : 1)} u {(0:1:0)}, then its nucleus (1:0:0)."""
+    q = P.q
+    return [t * q + P.fmul(t, t) for t in range(q)] + [q * q, q * q + q]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_point_line_counts(m):
     P = field_create(m)
     q = P.q
-    pts = all_points_h(P)
-    assert len(pts) == q * q + q + 1
-    assert len({p.code for p in pts}) == len(pts)
-    for p in pts:
-        line = LineH.make(P, p.x, p.y, p.z)
-        assert sum(incident_h(r, line) for r in pts) == q + 1
+    inc = incidence_matrix(P)
+    assert inc.shape == (q * q + q + 1, q * q + q + 1)
+    # q+1 points on every line and q+1 lines through every point
+    assert np.all(inc.sum(axis=1) == q + 1) and np.all(inc.sum(axis=0) == q + 1)
+    # two distinct points lie on exactly one common line
+    common = inc.T @ inc
+    assert np.all(common[~np.eye(len(inc), dtype=bool)] == 1)
+    # the scalar normalization agrees with the code layout
+    assert all(h_code(P, *coords(P, c)) == c for c in range(len(inc)))
 
 
 def test_incidence_examples(P5):
-    # (1:0:0) on the line at infinity [0:0:1]
-    assert incident_h(ProjPointH.make(P5, 1, 0, 0), LineH.make(P5, 0, 0, 1))
-    # (0:1) incident with [u:0] for every u in S
-    origin = ProjPointK.affine(P5, 0)
+    q = P5.q
+    # (1:0:0) on the line at infinity [0:0:1] (code 0), with every (x:1:0)
+    inf = list(range(q * q, q * q + q + 1))
+    assert all(incident(P5, p, 0) for p in inf)
+    assert [c for c in range(n_points(P5)) if incident(P5, c, 0)] == inf
+    # the origin (0:1) of the K model is (0:0:1), code 0, and lies on every
+    # line L(u, 0)
+    assert k_codes_to_h_codes(P5, [0], 1).tolist() == [0]
     for u in unit_circle(P5).codes.tolist():
-        assert incident_k(origin, u, 0)
+        assert 0 in affine_line(P5, u, 0)
 
 
 def test_affine_line_has_q_points(P3):
-    S = unit_circle(P3)
-    for u in S.codes[:4].tolist():
-        for mu in range(P3.q):
-            line = LineK(P3, u, mu)
-            pts = line.points()
-            assert len(pts) == P3.q
-            for x in pts:
-                assert P3.bform(u, x) == mu
+    # for each direction u the q^2 points of AG(2,q) fall into q parallel
+    # lines L(u, mu) of q points each
+    xs = np.arange(P3.q * P3.q, dtype=np.uint32)
+    for u in unit_circle(P3).codes[:4].tolist():
+        mus = P3.bform_v(np.uint32(u), xs)
+        assert np.all(mus < P3.q)
+        assert np.bincount(mus, minlength=P3.q).tolist() == [P3.q] * P3.q
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_model_conversion_roundtrip(m):
+    # h_codes_to_k and k_codes_to_h_codes are inverse on every point, the
+    # points at infinity included, and agree with the scalar conversion
     P = field_create(m)
-    for p in all_points_h(P):
-        assert k_to_h(h_to_k(p)) == p
+    codes = np.arange(n_points(P))
+    x, z = h_codes_to_k(P, codes)
+    assert np.array_equal(k_codes_to_h_codes(P, x, z), codes)
+    assert np.array_equal(z == 0, codes >= P.q * P.q)
+    assert np.all(np.isin(x[z == 0], unit_circle(P).codes))
+    assert [k_point_to_h(P, int(a), int(b)) for a, b in zip(x, z)] == codes.tolist()
+    # the K side: every normalized K point maps to H and back
+    kx = np.concatenate([np.arange(P.q * P.q), unit_circle(P).codes]).astype(np.uint32)
+    kz = np.concatenate([np.ones(P.q * P.q), np.zeros(P.q + 1)]).astype(np.uint32)
+    bx, bz = h_codes_to_k(P, k_codes_to_h_codes(P, kx, kz))
+    assert np.array_equal(bx, kx) and np.array_equal(bz, kz)
 
 
 def test_model_conversion_anchors(P4):
     # (0:0:1) <-> 0 and (1:0:1) <-> 1
-    assert h_to_k(ProjPointH.make(P4, 0, 0, 1)).xcode == 0
-    assert h_to_k(ProjPointH.make(P4, 1, 0, 1)).xcode == 1
-    assert k_to_h(ProjPointK.affine(P4, 0)) == ProjPointH.make(P4, 0, 0, 1)
+    x, z = h_codes_to_k(P4, [h_code(P4, 0, 0, 1), h_code(P4, 1, 0, 1)])
+    assert x.tolist() == [0, 1] and z.tolist() == [1, 1]
+    assert k_codes_to_h_codes(P4, [0, 1], 1).tolist() == [h_code(P4, 0, 0, 1),
+                                                           h_code(P4, 1, 0, 1)]
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_model_conversion_preserves_incidence(m):
-    # affine K-lines L(u, mu) map to H-lines through the converted points
+    # affine K-lines L(u, mu) and their direction (u : 0) map to one H-line
     P = field_create(m)
-    S = unit_circle(P)
-    for u in S.codes[:3].tolist():
+    for u in unit_circle(P).codes[:3].tolist():
         for mu in (0, 1):
-            line = LineK(P, u, mu)
-            pts = [k_to_h(ProjPointK.affine(P, x)) for x in line.points()]
-            pts.append(k_to_h(ProjPointK.make(P, u, 0)))
-            hline = line_through(pts[0], pts[1])
-            assert all(incident_h(p, hline) for p in pts)
+            pts = k_codes_to_h_codes(P, affine_line(P, u, mu), 1).tolist()
+            pts += k_codes_to_h_codes(P, [u], 0).tolist()
+            line = line_through(P, pts[0], pts[1])
+            assert all(incident(P, p, line) for p in pts)
 
 
 def no_three_collinear_triples(P, codes) -> bool:
@@ -108,120 +137,119 @@ def no_three_collinear_triples(P, codes) -> bool:
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_hyperconic_is_hyperoval(m):
     P = field_create(m)
-    pts = hyperconic_points(P)
-    assert is_hyperoval(P, pts)
-    codes = [p.code for p in pts]
+    codes = hyperconic_codes(P)
+    assert is_hyperoval(P, codes)
     assert no_three_collinear(P, codes) == no_three_collinear_triples(P, codes) == True
 
 
 def test_hyperoval_methods_agree_on_negatives(P4):
-    pts = hyperconic_points(P4)
-    bad = [ProjPointH.make(P4, t, 0, 1) for t in range(3)] + pts[3:-1]
-    codes = [p.code for p in bad]
-    assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
+    pts = hyperconic_codes(P4)
+    bad = [h_code(P4, t, 0, 1) for t in range(3)] + pts[3:-1]
+    assert no_three_collinear(P4, bad) == no_three_collinear_triples(P4, bad) == False
     # exactly one collinear triple (h0, h1, c), its points at random positions
     rng = random.Random(4)
     for _ in range(20):
-        sub = rng.sample([p.code for p in pts], 8)
-        line = line_through(*(ProjPointH.from_code(P4, c) for c in sub[:2]))
-        c = next(s.code for s in all_points_h(P4) if incident_h(s, line) and s.code not in sub
-                 and no_three_collinear_triples(P4, sub[1:] + [s.code])
-                 and no_three_collinear_triples(P4, sub[:1] + sub[2:] + [s.code]))
+        sub = rng.sample(pts, 8)
+        line = line_through(P4, *sub[:2])
+        c = next(s for s in range(n_points(P4)) if incident(P4, s, line) and s not in sub
+                 and no_three_collinear_triples(P4, sub[1:] + [s])
+                 and no_three_collinear_triples(P4, sub[:1] + sub[2:] + [s]))
         codes = sub + [c]
         rng.shuffle(codes)
         assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
     # a repeated point: the oracle sees a zero determinant, the scan a repeat
-    codes = [p.code for p in pts[:-1]] + [pts[0].code]
+    codes = pts[:-1] + [pts[0]]
     assert no_three_collinear(P4, codes) == no_three_collinear_triples(P4, codes) == False
 
 
 def test_collinear_detection(P3):
-    a = ProjPointH.make(P3, 0, 0, 1)
-    b = ProjPointH.make(P3, 1, 0, 1)
-    c = ProjPointH.make(P3, 3, 0, 1)
-    d = ProjPointH.make(P3, 1, 1, 1)
-    assert collinear(a, b, c)
-    assert not collinear(a, b, d)
+    a, b, c, d = (h_code(P3, *p) for p in ((0, 0, 1), (1, 0, 1), (3, 0, 1), (1, 1, 1)))
+    assert not no_three_collinear(P3, [a, b, c])
+    assert no_three_collinear(P3, [a, b, d])
 
 
 def test_wrong_cardinality_raises(P3):
     with pytest.raises(GeometryError):
-        is_hyperoval(P3, hyperconic_points(P3)[:5])
-    with pytest.raises(GeometryError):
-        is_oval(P3, hyperconic_points(P3))
+        is_hyperoval(P3, hyperconic_codes(P3)[:5])
+    S = unit_circle(P3).codes
+    with pytest.raises(GeometryError, match="q\\+1"):
+        is_line_oval(P3, S[:-1], np.ones(P3.q, dtype=np.uint32))
 
 
 def test_nucleus_of_conic(P4):
-    # conic {(t : t^2 : 1)} u {(0:1:0)} has nucleus (1:0:0)
-    oval = [ProjPointH.make(P4, t, P4.fmul(t, t), 1) for t in range(P4.q)]
-    oval.append(ProjPointH.make(P4, 0, 1, 0))
-    n = nucleus(P4, oval)
-    assert (n.x, n.y, n.z) == (1, 0, 0)
+    # conic {(t : t^2 : 1)} u {(0:1:0)}: its nucleus (1:0:0) is the one point
+    # that completes it to a hyperoval
+    conic = hyperconic_codes(P4)[:-1]
+    assert no_three_collinear(P4, conic)
+    completing = [c for c in range(n_points(P4))
+                  if c not in conic and no_three_collinear(P4, conic + [c])]
+    assert completing == [h_code(P4, 1, 0, 0)]
 
 
 def test_oval_tangent_secant_counts(P3):
     # q+1 tangents concurrent in the nucleus; q(q+1)/2 secants; q(q-1)/2 exterior
-    oval = [ProjPointH.make(P3, t, P3.fmul(t, t), 1) for t in range(P3.q)]
-    oval.append(ProjPointH.make(P3, 0, 1, 0))
-    codes = {p.code for p in oval}
     q = P3.q
-    sec = tan = ext = 0
-    for lc in range(q * q + q + 1):
-        lp = ProjPointH.from_code(P3, lc)
-        line = LineH.make(P3, lp.x, lp.y, lp.z)
-        k = sum(incident_h(p, line) for p in oval)
-        sec += k == 2
-        tan += k == 1
-        ext += k == 0
-    assert (tan, sec, ext) == (q + 1, q * (q + 1) // 2, q * (q - 1) // 2)
+    conic = hyperconic_codes(P3)[:-1]
+    inc = incidence_matrix(P3)
+    k = inc[:, conic].sum(axis=1)
+    assert (np.sum(k == 1), np.sum(k == 2), np.sum(k == 0)) == \
+        (q + 1, q * (q + 1) // 2, q * (q - 1) // 2)
+    assert np.all(inc[k == 1, q * q + q] == 1)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_line_oval_and_covered_points(m):
     P = field_create(m)
-    S = unit_circle(P)
-    lines = [LineK(P, int(u), 1) for u in S.codes]
-    assert is_line_oval(lines)
-    E = line_oval_points(lines)
+    u = unit_circle(P).codes
+    mu = np.ones(P.q + 1, dtype=np.uint32)
+    assert is_line_oval(P, u, mu)
+    E = line_oval_points(P, u, mu)
     assert len(E) == P.q * (P.q + 1) // 2
     # each covered point lies on exactly two lines
     for x in E:
-        assert sum(P.bform(l.ucode, x) == l.mu for l in lines) == 2
+        assert sum(P.bform(int(v), x) == 1 for v in u) == 2
     # complement size q(q-1)/2
     assert P.q ** 2 - len(E) == P.q * (P.q - 1) // 2
 
 
 def test_line_oval_negative(P3):
-    S = unit_circle(P3)
-    lines = [LineK(P3, int(u), 0) for u in S.codes]  # all through the origin
-    assert not is_line_oval(lines)
+    u = unit_circle(P3).codes
+    mu = np.zeros(P3.q + 1, dtype=np.uint32)  # all through the origin
+    assert not is_line_oval(P3, u, mu)
     with pytest.raises(GeometryError):
-        line_oval_points(lines)
+        line_oval_points(P3, u, mu)
+    # a direction off the unit circle is not a line L(u, mu)
+    off = u.copy()
+    off[3] = next(x for x in range(P3.q * P3.q) if x not in set(u.tolist()))
+    for check in (is_line_oval, line_oval_points):
+        with pytest.raises(GeometryError, match="unit circle"):
+            check(P3, off, mu + 1)
 
 
 def test_parallel_lines_do_not_meet(P3):
-    u = unit_circle(P3).codes[2]
+    u = int(unit_circle(P3).codes[2])
     with pytest.raises(GeometryError):
-        line_intersection(LineK(P3, int(u), 0), LineK(P3, int(u), 1))
+        line_intersection(P3, u, 0, u, 1)
 
 
 def test_distinct_directions_meet_once(P3):
     S = unit_circle(P3)
-    l1 = LineK(P3, int(S.codes[1]), 3)
-    l2 = LineK(P3, int(S.codes[2]), 5)
-    x = line_intersection(l1, l2)
-    assert x in l1.points() and x in l2.points()
-    assert len(set(l1.points()) & set(l2.points())) == 1
+    (u1, mu1), (u2, mu2) = (int(S.codes[1]), 3), (int(S.codes[2]), 5)
+    x = line_intersection(P3, u1, mu1, u2, mu2)
+    common = np.intersect1d(affine_line(P3, u1, mu1), affine_line(P3, u2, mu2))
+    assert common.tolist() == [x]
 
 
 def test_point_set_serialization(P4):
-    pts = hyperconic_points(P4)
-    obj = json.loads(geo.points_to_json(P4, pts, "H"))
-    assert obj == {"model": "H", "m": 4, "points": sorted(p.hex() for p in pts)}
-    obj_k = json.loads(geo.points_to_json(P4, [h_to_k(p) for p in pts], "K"))
-    back_k = [k_to_h(ProjPointK.make(P4, *(int(v, 16) for v in hx.split(":"))))
-              for hx in obj_k["points"]]
-    assert obj_k["model"] == "K" and {p.code for p in back_k} == {p.code for p in pts}
+    codes = hyperconic_codes(P4)
+    obj = json.loads(geo.points_to_json(P4, codes, "H"))
+    expect = sorted(":".join(P4.f_hex(v) for v in coords(P4, c)) for c in codes)
+    assert obj == {"model": "H", "m": 4, "points": expect}
+    obj_k = json.loads(geo.points_to_json(P4, codes, "K"))
+    back = [k_point_to_h(P4, *(int(v, 16) for v in hx.split(":"))) for hx in obj_k["points"]]
+    assert obj_k["model"] == "K" and sorted(back) == sorted(codes)
+    with pytest.raises(GeometryError):
+        geo.points_to_json(P4, codes, "X")
 
 
 def test_golden_sec46_point_sets(P3, P4):
@@ -229,39 +257,41 @@ def test_golden_sec46_point_sets(P3, P4):
     from conftest import GOLDEN
     for m, P, fam in ((3, P3, "hyperconic"), (4, P4, "hyperconic"),
                       (4, P4, "lunelli_sce")):
-        g = gfun.g_catalog(P, fam)
-        pts = g.hyperoval_points_k()
+        codes = gfun.g_catalog(P, fam).hyperoval_codes_h()
         for model in ("H", "K"):
             expect = (GOLDEN / f"sec46_{fam}_m{m}_{model}.json").read_text().strip()
-            assert geo.points_to_json(P, pts, model) == expect
+            assert geo.points_to_json(P, codes, model) == expect
 
 
-def test_set_types(P4):
-    pts = hyperconic_points(P4)
-    H = geo.Hyperoval.make(P4, pts)
-    assert len(H.codes) == P4.q + 2 and list(H.codes) == sorted(H.codes)
-    assert pts[0] in H
-    # structural equality after shuffling the input
-    H2 = geo.Hyperoval.make(P4, list(reversed(pts)))
-    assert H == H2 and hash(H) == hash(H2)
-    with pytest.raises(GeometryError):
-        geo.Hyperoval.make(P4, pts[:-1] + [ProjPointH.make(P4, 1, 1, 1)])
-    oval_pts = pts[:-1]
-    O = geo.Oval.make(P4, oval_pts)
-    assert O.nucleus.code == pts[-1].code
-    assert O.hyperoval() == H
-    from nihoval.gf2m import unit_circle as uc
-    lines = [LineK(P4, int(u), 1) for u in uc(P4).codes]
-    LO = geo.LineOval.make(P4, lines)
-    assert len(line_oval_points(list(LO.lines))) == P4.q * (P4.q + 1) // 2
+def test_point_codes_outside_the_plane_raise(P3):
+    from nihoval import equiv
+    q = P3.q
+    H = hyperconic_codes(P3)
+    good = [np.int64(c) for c in H]
+    assert is_hyperoval(P3, good) and geo._as_codes(P3, good) == H
+    # (1:0:0) is code q^2 + q; the codes past it and below 0 name no point
+    for bad in (q * q + q + 1, q * q + q + 7, -3):
+        alias = H[:-1] + [bad]
+        for call in (lambda: is_hyperoval(P3, alias),
+                     lambda: equiv.stabilizer(P3, alias),
+                     lambda: equiv.are_equivalent(P3, H, alias),
+                     lambda: equiv.are_equivalent(P3, alias, H),
+                     lambda: equiv.are_equivalent(P3, H, H, marked=(H[0], bad)),
+                     lambda: equiv.point_invariant(P3, alias, H[0]),
+                     lambda: equiv.point_invariant(P3, H, bad),
+                     lambda: geo.points_to_json(P3, alias, "K")):
+            with pytest.raises(GeometryError, match="not a point code"):
+                call()
+    for bad in (1.0, "3", (0, 0, 1)):
+        with pytest.raises(GeometryError, match="not a point code"):
+            is_hyperoval(P3, H[:-1] + [bad])
 
 
-def unique_line_oval(lines):
+def unique_line_oval(P, u, mu):
     """The np.unique formulation: (is a line oval, its covered points or None)."""
-    P = lines[0].params
-    if len({l.ucode for l in lines}) != P.q + 1:
+    if len(np.unique(u)) != P.q + 1:
         return False, None
-    uniq, counts = np.unique(geo._pairwise_intersections(lines), return_counts=True)
+    uniq, counts = np.unique(geo._pairwise_intersections(P, u, mu), return_counts=True)
     ok = len(uniq) == P.q * (P.q + 1) // 2 and not np.any(counts != 1)
     return ok, ([int(v) for v in uniq] if ok else None)
 
@@ -277,18 +307,18 @@ def test_line_oval_counts_match_unique(m, fam, r):
     from nihoval import gfun
     P = field_create(m)
     g = gfun.g_catalog(P, fam, r=r)
-    lines = g.lines()
-    assert unique_line_oval(lines) == (True, line_oval_points(lines))
-    assert is_line_oval(lines)
+    u = g.S.codes
+    assert unique_line_oval(P, u, g.values) == (True, line_oval_points(P, u, g.values))
+    assert is_line_oval(P, u, g.values)
     if m == 1:
         return  # two lines meet in one point: no third line to make concurrent
     # change g(u_2) so that its line passes through the meeting point of the
     # lines at u_0 and u_1
     values = g.values.copy()
-    values[2] = P.bform(lines[2].ucode, line_intersection(lines[0], lines[1]))
+    meet = line_intersection(P, int(u[0]), int(values[0]), int(u[1]), int(values[1]))
+    values[2] = P.bform(int(u[2]), meet)
     assert values[2] != g.values[2]
-    bad = gfun.GFunction(P, values).lines()
-    assert unique_line_oval(bad) == (False, None)
-    assert not is_line_oval(bad)
+    assert unique_line_oval(P, u, values) == (False, None)
+    assert not is_line_oval(P, u, values)
     with pytest.raises(GeometryError, match="concurrent"):
-        line_oval_points(bad)
+        line_oval_points(P, u, values)

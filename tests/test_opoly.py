@@ -27,6 +27,19 @@ def test_monomial_negatives(P4, P6):
     assert not is_opolynomial(P6, tab(P6, "translation", r=3))
 
 
+def test_dh_points_are_codes(P4):
+    t = tab(P4, "hyperconic")
+    q = P4.q
+    assert opoly.dh_points(P4, t) == [x * q + P4.fmul(x, x) for x in range(q)] + [q * q, q * q + q]
+    # q distinct values that are not all in F: no permutation of F, so no
+    # codes t*q + h(t) that would alias points at infinity
+    bad = t.copy()
+    bad[bad == 15] = 17
+    assert not is_opolynomial(P4, bad)
+    with pytest.raises(OPolyError):
+        table_inverse(bad)
+
+
 def test_segre(P5):
     t = tab(P5, "segre")
     assert is_opolynomial(P5, t)
