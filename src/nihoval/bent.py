@@ -48,6 +48,7 @@ import numpy as np
 from . import geometry
 from .gf2m import (FieldParams, niho_power_sums, polar_grid, spread_i, trace_windows,
                    unit_circle)
+from .opoly import table_inverse
 
 
 class BentError(ValueError):
@@ -272,45 +273,28 @@ def dual_lineoval_check(g) -> DualLineOvalReport:
 
 
 @lru_cache(maxsize=None)
-def _trace_dual_basis(params: FieldParams) -> tuple[int, ...]:
-    """d_0..d_{m-1} with tr(d_j * 2^k) = delta_jk; recovers c from tr(c*e_k)."""
-    m = params.m
-    # rows of A: A[j] has bit k = tr(e_j e_k)
-    rows = []
-    for j in range(m):
-        mask = 0
-        for k in range(m):
-            if params.ftr(params.fmul(1 << j, 1 << k)):
-                mask |= 1 << k
-        rows.append(mask)
-    # invert A over F_2 (columns of inverse give the dual basis coordinates)
-    aug = [(rows[j], 1 << j) for j in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][0] >> col & 1)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(m):
-            if r != col and aug[r][0] >> col & 1:
-                aug[r] = (aug[r][0] ^ aug[col][0], aug[r][1] ^ aug[col][1])
-    inv_rows = [a[1] for a in aug]  # row j of A^{-1}
-    dual_basis = []
-    for j in range(m):
-        d = 0
-        for k in range(m):
-            if inv_rows[k] >> j & 1:
-                d ^= 1 << k
-        dual_basis.append(d)
-    # dual basis d_j satisfies tr(d_j e_k) = delta_jk
-    for j in range(m):
-        assert all(params.ftr(params.fmul(dual_basis[j], 1 << k)) == (j == k)
-                   for k in range(m))
-    return tuple(dual_basis)
+def _trace_coords_inverse(params: FieldParams) -> np.ndarray:
+    """The inverse of sig(c) = sum_k tr(c * 2^k) * 2^k, the trace coordinates
+    of c on the power basis e_k = 2^k.
+
+    sig is a permutation of F since the trace form is nondegenerate, so the
+    trace dual basis is d_j = sig^-1[2^j].  Built once per field and shared,
+    so the table is read-only.
+    """
+    P = params
+    c = np.arange(P.q, dtype=np.uint32)
+    sig = np.zeros(P.q, dtype=np.uint32)
+    for k in range(P.m):
+        sig |= P.f_tr[P.fmul_v(c, np.uint32(1 << k))].astype(np.uint32) << np.uint32(k)
+    inv = table_inverse(sig)
+    inv.flags.writeable = False
+    return inv
 
 
 def _from_basis_traces(P: FieldParams, bits) -> np.ndarray:
-    """c_l = sum_k bits[k, l] * d_k: the F values with tr(e_k * c_l) = bits[k, l]
-    on the power basis e_k = 2^k, for an (m, n) array of 0/1."""
-    duals = np.array(_trace_dual_basis(P), dtype=np.uint32)
-    return np.bitwise_xor.reduce(np.where(bits, duals[:, None], 0), axis=0)
+    """c_l = sig^-1[sum_k bits[k, l] * 2^k]: the F values with tr(e_k * c_l) =
+    bits[k, l] on the power basis e_k = 2^k, for an (m, n) array of 0/1."""
+    return _trace_coords_inverse(P)[(1 << np.arange(P.m)) @ bits]
 
 
 def recover_g_values(f: BooleanFn) -> np.ndarray | None:
@@ -318,6 +302,8 @@ def recover_g_values(f: BooleanFn) -> np.ndarray | None:
 
     Returns the value table in unit-circle order, or None when some
     restriction of f to a spread line is not F_2-linear (or f(0) != 0).
+    g(u) is the element whose trace coordinates on the power basis are the
+    values f(2^j * u), one gather from the inverse trace-coordinate table.
     """
     P = f.params
     if f.table[0]:
@@ -347,8 +333,9 @@ class NihoPolynomial:
         Every exponent must be a Niho exponent, e >= 1 with e = 2^j mod q-1,
         so that x^e at x = lambda*u is lambda^(2^j) * u^e and f(lambda*u) is
         additive in lambda.  The values f(e_k*u), e_k = 2^k, must lie in F_2;
-        then f(lambda*u) = tr(lambda*gamma(u)) with gamma(u) = sum_k
-        f(e_k*u)*d_k over the trace dual basis, as in recover_g_values.
+        then f(lambda*u) = tr(lambda*gamma(u)), gamma(u) the element whose
+        trace coordinates on the power basis are the f(e_k*u), read from the
+        inverse table of the trace-coordinate map as in recover_g_values.
         """
         P = self.params
         residues = {(1 << j) % (P.q - 1) for j in range(P.m)}
@@ -398,13 +385,12 @@ def f_shift(g, s_index: int) -> NihoPolynomial:
     return f_univariate(g.params, shifted_oval_codes(g, s_index))
 
 
-def f_translation_forms(params: FieldParams, r: int, a_code: int | None = None
-                        ) -> tuple[BooleanFn, BooleanFn]:
+def f_translation_forms(params: FieldParams, r: int) -> tuple[BooleanFn, BooleanFn]:
     """(piecewise form, Niho-exponent form) of the translation bent function.
 
     Piecewise: tr(sqrt(x conj x)) on F, tr(T(x^{1+2^{m-r}})/T(x^{2^{m-r}}))
     off F.  Niho form: Tr(a x^{q+1} + sum x^{d_i}) with 2^r d_i = (q-1)i + 2^r
-    and T(a) = 1 (default a = i).
+    and a = i, so T(a) = 1.
     """
     q, m, n = params.q, params.m, params.n
     if not 1 <= r < m:
@@ -418,12 +404,8 @@ def f_translation_forms(params: FieldParams, r: int, a_code: int | None = None
     lam[polar_grid(params)] = params.f_tr[params.f_exp[:q - 1, None]]
     piecewise = BooleanFn(params, np.where(den == 0, lam, off_f).astype(np.uint8))
 
-    if a_code is None:
-        a_code = spread_i(params)
-    if params.kT(a_code) != 1:
-        raise BentError("Niho form needs T(a) = 1")
     order = q * q - 1
-    terms = [(a_code, q + 1)]
+    terms = [(spread_i(params), q + 1)]
     for i in range(1, (1 << (r - 1))):
         d = ((q - 1) * i + (1 << r)) * pow(2, n - r, order) % order
         terms.append((1, d))

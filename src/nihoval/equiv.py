@@ -95,6 +95,8 @@ class Collineation:
         """The H code of the image of the point with H code `code`."""
         P = self.params
         q2 = P.q * P.q
+        if not 0 <= code <= q2 + P.q:
+            raise geometry.GeometryError(f"not a point code of PG(2,{P.q}): {code!r}")
         x, y, z = ((code // P.q, code % P.q, 1) if code < q2
                    else (code - q2, 1, 0) if code < q2 + P.q else (1, 0, 0))
         fr = P.f_frob[self.frob]

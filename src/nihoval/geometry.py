@@ -47,8 +47,11 @@ def normalize_codes_v(params: FieldParams, xs, ys, zs) -> np.ndarray:
 
 
 def codes_to_coords_v(params: FieldParams, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized coordinates of point codes; each must lie in [0, q^2 + q]."""
     q = params.q
     codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() > q * q + q):
+        raise GeometryError(f"not a point code of PG(2,{q}): outside [0, {q * q + q}]")
     aff = codes < q * q
     inf = (codes >= q * q) & (codes < q * q + q)
     x = np.where(aff, codes // q, np.where(inf, codes - q * q, 1))

@@ -81,30 +81,24 @@ def _gf2_mulmod(a: int, b: int, modulus: int, m: int) -> int:
     return r
 
 
+def _gf2_mod(a: int, b: int) -> int:
+    """a mod b for GF(2)[x] polynomials as bit masks."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
 def is_irreducible(modulus: int, m: int) -> bool:
     """Check irreducibility of a degree-m polynomial over GF(2).
 
-    Uses x^(2^m) == x (mod p) together with x^(2^d) != x for every proper
-    divisor d of m; for degree-m polynomials this is exactly irreducibility.
+    A reducible polynomial of degree m has a factor of degree at most m/2, so
+    trial division by every such polynomial decides it (at most 2^(m/2+1)
+    divisors).
     """
     if modulus >> m != 1:
         return False
-    if m == 1:
-        return True
-    if not modulus & 1:  # divisible by x
-        return False
-    x = 2
-    t = x
-    powers = {}
-    for k in range(1, m + 1):
-        t = _gf2_mulmod(t, t, modulus, m)
-        powers[k] = t
-    if powers[m] != x:
-        return False
-    for d in range(1, m):
-        if m % d == 0 and powers[d] == x:
-            return False
-    return True
+    return all(_gf2_mod(modulus, d) for d in range(2, 2 << (m // 2)))
 
 
 def factorize(n: int) -> list[int]:
@@ -160,9 +154,7 @@ class FieldParams:
 
         # K tables are lazy; scalar K ops only need the F tables.
         self._k_built = False
-        self._artin_k: dict[int, int] | None = None
         self._gen_k: int | None = None
-        self._ext_eta: int | None = None
         self._bform_rows: np.ndarray | None = None
 
     # ------------------------------------------------------------------ F
@@ -276,10 +268,6 @@ class FieldParams:
         a, b = self.ksplit(x)
         return self.fmul(a, a) ^ self.fmul(a, b) ^ self.fmul(self.delta, self.fmul(b, b))
 
-    def ktr_abs(self, x: int) -> int:
-        """Absolute trace Tr(x) = tr(T(x))."""
-        return int(self.f_tr[x >> self.m])
-
     def kmul(self, x: int, y: int) -> int:
         a, b = self.ksplit(x)
         c, d = self.ksplit(y)
@@ -353,12 +341,16 @@ class FieldParams:
         self._k_built = True
 
     def k_generator(self) -> int:
-        """Least code generating the multiplicative group of K."""
+        """Least code generating the multiplicative group of K.
+
+        The search starts at q: the codes below it are F, whose elements
+        have orders dividing q-1.
+        """
         if self._gen_k is not None:
             return self._gen_k
         order = self.q * self.q - 1
         primes = factorize(order)
-        for cand in range(2, order + 2):
+        for cand in range(self.q, order + 1):
             if all(self.kpow(cand, order // p) != 1 for p in primes):
                 self._gen_k = cand
                 return cand
@@ -401,32 +393,8 @@ class FieldParams:
         return self.kT_v(self.kmul_v(x, self.kconj_v(y)))
 
     def ktr_abs_v(self, x):
+        """Absolute trace Tr(x) = tr(T(x))."""
         return self.f_tr[x >> np.uint32(self.m)]
-
-    # --------------------------------------------------- quadratic solving
-
-    def artin_solve_k(self, c: int) -> int | None:
-        """Some z in K with z^2 + z = c, or None when Tr(c) = 1."""
-        if self.m > K_TABLE_MAX_M:
-            raise FieldError("Artin-Schreier table unavailable for large m")
-        if self._artin_k is None:
-            q2 = self.q * self.q
-            codes = np.arange(q2, dtype=np.uint32)
-            vals = self.kmul_v(codes, codes) ^ codes
-            table = {}
-            for z in range(q2):
-                table.setdefault(int(vals[z]), z)
-            self._artin_k = table
-        return self._artin_k.get(c)
-
-    def ext_eta(self) -> int:
-        """Least K-element with absolute trace 1 (defines L = K[zeta])."""
-        if self._ext_eta is None:
-            for c in range(self.q * self.q):
-                if self.ktr_abs(c) == 1:
-                    self._ext_eta = c
-                    break
-        return self._ext_eta
 
     # --------------------------------------------------------- scalar prod
 
@@ -613,43 +581,3 @@ def spread_i(params: FieldParams) -> int:
         i = 1 << params.m
     assert params.kT(i) == 1
     return i
-
-
-def dickson_eval_code(params: FieldParams, k: int, x: int) -> int:
-    """D_k(x) for x in K via the functional identity D_k(y + 1/y) = y^k + y^-k.
-
-    y solves y^2 + x*y + 1 = 0 in K when Tr(1/x^2) = 0, otherwise in the
-    quadratic extension L = K[zeta]; in the latter case y^(q^2+1) = 1 so the
-    (possibly huge) index k is reduced mod q^2+1, in the former mod q^2-1.
-    """
-    if x == 0:
-        return 0
-    q2 = params.q * params.q
-    c = params.ksq(params.kinv(x))  # 1/x^2
-    t = params.artin_solve_k(c)
-    if t is not None:
-        # y = x*t solves y^2 + x*y + 1 = 0 inside K (t != 0 since c != 0)
-        y = params.kmul(x, t)
-        yk = params.kpow(y, k % (q2 - 1))
-        return yk ^ params.kinv(yk)
-    # roots live in L = K[zeta], zeta^2 = zeta + eta with Tr(eta) = 1
-    eta = params.ext_eta()
-    p = params.artin_solve_k(c ^ eta)
-    assert p is not None
-    # y = x*(p + zeta) in L has y^(q^2+1) = 1, and then
-    # y^k + y^-k = Tr_{L/K}(y^k), i.e. the zeta-coefficient of y^k.
-    def lmul(u, v):
-        (ua, ub), (va, vb) = u, v
-        bd = params.kmul(ub, vb)
-        return (params.kmul(ua, va) ^ params.kmul(eta, bd),
-                params.kmul(ua, vb) ^ params.kmul(ub, va) ^ bd)
-
-    e = k % (q2 + 1)
-    r = (1, 0)
-    base = (params.kmul(x, p), x)
-    while e:
-        if e & 1:
-            r = lmul(r, base)
-        base = lmul(base, base)
-        e >>= 1
-    return r[1]

@@ -246,7 +246,8 @@ def segre_class_g(params: FieldParams, which: int) -> GFunction:
     """The four Segre class forms (0..3) for odd m >= 5.
 
     Classes 0..2 are the monomial closed forms for s = 6, 1/6 and 1-6; class 3
-    is the branch through the Dickson inverse of t + (t+1)(t/(t+1))^6.
+    is the branch through the Dickson inverse of t + (t+1)(t/(t+1))^6, whose
+    D_{1/5} is read from the inverse table of D_5 on F.
     """
     q = params.q
     if which in (0, 1, 2):
@@ -254,15 +255,12 @@ def segre_class_g(params: FieldParams, which: int) -> GFunction:
         g = g_monomial(params, s)
         return GFunction(params, g.values, f"segre-class{which}")
     if which == 3:
-        inv5 = exponent_inverse(5, q * q - 1)
         om = unit_circle(params).omega()
         S = unit_circle(params).codes
         b = params.kT_v(S)
         abar = params.bform_v(np.uint32(params.kconj(om)), S)  # omega u + conj(omega u)
         arg = params.fmul_v(abar, params.fpow_v(b, q - 2))
-        from .gf2m import dickson_eval_code
-        d = np.array([dickson_eval_code(params, inv5, int(t)) for t in arg],
-                     dtype=np.uint32)
+        d = opoly.dickson_inverse5_table(params)[arg]
         vals = params.fmul_v(params.fpow_v(d, q * q - 2), b)
         return GFunction(params, vals, "segre-class3")
     raise GFunError("which must be 0..3")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .gf2m import FieldParams, dickson_eval_code, exponent_inverse, unit_circle
+from .gf2m import FieldParams, exponent_inverse, unit_circle
 
 
 class OPolyError(ValueError):
@@ -57,12 +57,11 @@ class OPolyFamily:
     name: str
     r: int | None = None        # translation exponent
     d: int | None = None        # subiaco parameter (F code)
-    b: int | None = None        # adelaide parameter (K code, on S)
     k: int | None = None        # adelaide exponent, +-(q-1)/3
 
     def label(self) -> str:
-        extra = {k: v for k, v in (("r", self.r), ("d", self.d),
-                                   ("b", self.b), ("k", self.k)) if v is not None}
+        extra = {k: v for k, v in (("r", self.r), ("d", self.d), ("k", self.k))
+                 if v is not None}
         return self.name if not extra else f"{self.name}({extra})"
 
 
@@ -171,7 +170,7 @@ def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
         den2 = params.fmul_v(den, den)
         return params.fmul_v(num, params.finv_v(den2)) ^ params.fpow_v(t, 1 << (m - 1))
     if name == "adelaide":
-        b = fam.b if fam.b is not None else adelaide_default_b(params)
+        b = adelaide_default_b(params)
         k = fam.k if fam.k is not None else (q - 1) // 3
         tb = params.kT(b)
         tbk = params.kT(params.kpow(b, k))
@@ -240,13 +239,19 @@ def transform_pi(k: int, params: FieldParams, table: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------- closed-form inverses
 
 
+def dickson_inverse5_table(params: FieldParams) -> np.ndarray:
+    """D_{1/5} on F: the inverse of the table of D_5(t) = t + t^3 + t^5.
+
+    D_5 permutes F exactly when gcd(5, q^2-1) = 1, i.e. for odd m; for even m
+    its table is no permutation and OPolyError is raised.
+    """
+    t = np.arange(params.q, dtype=np.uint32)
+    return table_inverse(t ^ params.fpow_v(t, 3) ^ params.fpow_v(t, 5))
+
+
 def payne_inverse_table(params: FieldParams) -> np.ndarray:
-    """h^{-1}(t) = (D_{1/5}(t))^6 for the Payne o-polynomial."""
-    q = params.q
-    inv5 = exponent_inverse(5, q * q - 1)
-    vals = np.array([dickson_eval_code(params, inv5, t) for t in range(q)],
-                    dtype=np.uint32)
-    return params.fpow_v(vals, 6)
+    """h^{-1}(t) = (D_{1/5}(t))^6 for the Payne o-polynomial (odd m)."""
+    return params.fpow_v(dickson_inverse5_table(params), 6)
 
 
 def cherowitzo_inverse_table(params: FieldParams) -> np.ndarray:

@@ -145,15 +145,23 @@ def test_recover_g_roundtrip(P4):
     assert recover_g_values(f) is None
 
 
+def dual_basis_scan(P):
+    """d_j with tr(d_j * 2^k) = [j = k], found by scanning F."""
+    return [next(c for c in range(P.q)
+                 if all(P.f_tr[P.fmul(c, 1 << k)] == (j == k) for k in range(P.m)))
+            for j in range(P.m)]
+
+
 @pytest.mark.parametrize("m,modulus", [(1, None), (3, None), (4, None), (4, 0b11111),
                                        (8, None)])
 def test_trace_dual_basis_cached(m, modulus):
     P = field_create(m, modulus)
-    d = bent._trace_dual_basis(P)
-    assert isinstance(d, tuple) and d is bent._trace_dual_basis(P)
-    for j in range(m):
-        for k in range(m):
-            assert P.f_tr[P.fmul(d[j], 1 << k)] == (j == k)
+    inv = bent._trace_coords_inverse(P)
+    assert inv is bent._trace_coords_inverse(P) and not inv.flags.writeable
+    # inv inverts c -> sum_k tr(c * 2^k) * 2^k, and the dual basis is inv at 2^j
+    for c in range(P.q):
+        assert inv[sum(int(P.f_tr[P.fmul(c, 1 << k)]) << k for k in range(m))] == c
+    assert inv[1 << np.arange(m)].tolist() == dual_basis_scan(P)
 
 
 def loop_bent_table(g):
@@ -171,7 +179,7 @@ def loop_recover_g_values(f):
     P = f.params
     if f.table[0]:
         return None
-    duals = bent._trace_dual_basis(P)
+    duals = dual_basis_scan(P)
     vals = np.zeros(P.q + 1, dtype=np.uint32)
     lam = np.arange(1, P.q, dtype=np.uint32)
     for idx, u in enumerate(unit_circle(P).codes):

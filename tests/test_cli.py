@@ -27,6 +27,9 @@ def test_field_custom_modulus(capsys):
 def test_field_rejects_reducible(capsys):
     rc, _, err = run(capsys, "field", "--m", "3", "--modulus-hex", "f")
     assert rc == 2 and "error" in err
+    # x^6+x^4+x+1 has the root 1
+    rc, _, err = run(capsys, "field", "--m", "6", "--modulus-hex", "53")
+    assert rc == 2 and "0x53 is not irreducible" in err
 
 
 def test_opoly_csv_and_json(capsys):

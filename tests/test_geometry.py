@@ -270,9 +270,13 @@ def test_point_codes_outside_the_plane_raise(P3):
     good = [np.int64(c) for c in H]
     assert is_hyperoval(P3, good) and geo._as_codes(P3, good) == H
     # (1:0:0) is code q^2 + q; the codes past it and below 0 name no point
+    identity = equiv.Collineation.make(P3, (1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
     for bad in (q * q + q + 1, q * q + q + 7, -3):
         alias = H[:-1] + [bad]
         for call in (lambda: is_hyperoval(P3, alias),
+                     lambda: geo.no_three_collinear(P3, alias),
+                     lambda: geo.codes_to_coords_v(P3, [bad]),
+                     lambda: identity.apply_code(bad),
                      lambda: equiv.stabilizer(P3, alias),
                      lambda: equiv.are_equivalent(P3, H, alias),
                      lambda: equiv.are_equivalent(P3, alias, H),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nihoval import gf2m
-from nihoval.gf2m import (FieldError, dickson_eval_code, exponent_inverse, field_create,
-                          niho_power_sums, polar_grid, polar_v, spread_i, unit_circle)
+from nihoval.gf2m import (FieldError, exponent_inverse, field_create, niho_power_sums,
+                          polar_grid, polar_v, spread_i, unit_circle)
+from nihoval.opoly import OPolyError, dickson_inverse5_table
 
 
 def dickson_recurrence(P, k, x):
@@ -18,6 +19,20 @@ def dickson_recurrence(P, k, x):
     for _ in range(k - 1):
         prev, cur = cur, P.kmul(x, cur) ^ prev
     return cur
+
+
+def dickson_functional(P, k):
+    """D_k on F from D_k(y + 1/y) = y^k + y^-k, over every y in K* with
+    y + 1/y in F; y^(q^2-1) = 1 lets k be reduced mod q^2 - 1."""
+    y = np.arange(1, P.q * P.q, dtype=np.uint32)
+    x = y ^ P.kinv_v(y)
+    y, x = y[x < P.q], x[x < P.q]
+    yk = P.kpow_v(y, k % (P.q * P.q - 1))
+    vals = yk ^ P.kinv_v(yk)
+    table = np.full(P.q, P.q, dtype=np.uint32)
+    table[x] = vals
+    assert np.array_equal(table[x], vals) and np.all(table < P.q)  # well defined on all of F
+    return table
 
 
 def test_field_create_defaults():
@@ -35,6 +50,30 @@ def test_field_create_rejects_reducible():
         field_create(0)
     with pytest.raises(FieldError):
         field_create(17)
+
+
+def gf2_product(a, b):
+    """Carry-less product of two GF(2)[x] polynomials as bit masks."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
+
+
+def test_is_irreducible_matches_products():
+    # the irreducible polynomials of degree m are those that are no product
+    # of two polynomials of degree >= 1
+    for m in range(1, 13):
+        products = {gf2_product(a, b) for d in range(1, m // 2 + 1)
+                    for a in range(1 << d, 2 << d) for b in range(1 << (m - d), 2 << (m - d))}
+        for modulus in range(1 << m, 2 << m):
+            assert gf2m.is_irreducible(modulus, m) == (modulus not in products)
+    # x^6+x^4+x+1 = (x+1)(x^2+x+1)(x^3+x+1): every factor degree divides 6,
+    # so x^(2^6) = x modulo it, yet x^(2^d) != x for d = 1, 2, 3
+    for modulus, m in ((0x53, 6), (0x65, 6), (0x100f, 12)):
+        assert not gf2m.is_irreducible(modulus, m)
 
 
 def test_nonprimitive_irreducible_modulus_works():
@@ -74,7 +113,7 @@ def test_inv_error_and_pow_conventions(P5):
 
 def test_traces_and_norm_examples(P5):
     assert P5.kT(spread_i(P5)) == 1  # T(i) = 1
-    assert (P5.kT(0), P5.ktr_abs(0), P5.knorm(0)) == (0, 0, 0)
+    assert (P5.kT(0), P5.ktr_abs_v(np.uint32(0)), P5.knorm(0)) == (0, 0, 0)
     for a in range(P5.q):  # conjugation fixes F: T = 0, N = a^2
         assert P5.kT(a) == 0 and P5.knorm(a) == P5.fmul(a, a)
 
@@ -263,53 +302,39 @@ def test_spread_i_conventions():
 def test_dickson_d5_identity(P5):
     # D_5(x) = x + x^3 + x^5 on GF(32)
     for a in range(32):
-        expect = a ^ P5.fpow(a, 3) ^ P5.fpow(a, 5)
-        assert dickson_eval_code(P5, 5, a) == expect
-        assert dickson_recurrence(P5, 5, a) == expect
-    assert dickson_eval_code(P5, 1, 7) == 7
+        assert dickson_recurrence(P5, 5, a) == a ^ P5.fpow(a, 3) ^ P5.fpow(a, 5)
 
 
 def test_dickson_roundtrip_on_base_field(P5):
-    # the inverse of 5 modulo 2^n-1 inverts D_5 on F, where it is a permutation
-    inv5 = exponent_inverse(5, 2 ** 10 - 1)
-    assert inv5 == 614 == (3 * 32 ** 2 - 2) // 5
+    # the D_{1/5} table inverts D_5 on F, where it is a permutation
+    inv = dickson_inverse5_table(P5)
     for a in range(32):
-        d = dickson_eval_code(P5, 5, a)
-        assert dickson_eval_code(P5, inv5, d) == a
+        assert dickson_recurrence(P5, 5, int(inv[a])) == a
+        assert inv[dickson_recurrence(P5, 5, a)] == a
 
 
 def test_dickson_is_not_a_permutation_of_k(P5):
-    # gcd(5, 2^20-1) = 5: D_5 cannot permute K = GF(2^10); the permutation
-    # statement with modulus 2^n-1 is about the action on F = GF(2^m)
+    # gcd(5, 2^20-1) = 5: D_5 cannot permute K = GF(2^10), so D_{1/5} is a
+    # table on F only; for even m, 5 | q^2-1 and D_5 does not permute F either
     assert math.gcd(5, 2 ** 20 - 1) == 5
-    vals = {dickson_eval_code(P5, 5, x) for x in range(1024)}
-    assert len(vals) < 1024
+    x = np.arange(1024, dtype=np.uint32)
+    assert len(np.unique(x ^ P5.kpow_v(x, 3) ^ P5.kpow_v(x, 5))) == 614
+    for m in (2, 4, 6):
+        with pytest.raises(OPolyError, match="not a permutation"):
+            dickson_inverse5_table(field_create(m))
 
 
-def test_dickson_k_roundtrip_coprime_exponent(P5):
-    # s = 7 is coprime to 2^(2n)-1, so D_7 permutes all of K;
-    # this exercises the quadratic-extension branch of the evaluator
-    assert math.gcd(7, 2 ** 20 - 1) == 1
-    inv7 = exponent_inverse(7, 2 ** 20 - 1)
-    for x in range(0, 1024, 3):
-        d = dickson_eval_code(P5, 7, x)
-        assert dickson_eval_code(P5, inv7, d) == x
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_dickson_composition(m):
-    P = field_create(m)
-    for a in range(1, 6):
-        for b in range(1, 6):
-            for x in range(P.q ** 2):
-                lhs = dickson_eval_code(P, a, dickson_eval_code(P, b, x))
-                assert lhs == dickson_eval_code(P, a * b, x)
-
-
-def test_dickson_recurrence_matches_functional(P4):
-    for k in range(9):
-        for x in range(P4.q ** 2):
-            assert dickson_recurrence(P4, k, x) == dickson_eval_code(P4, k, x)
+def test_dickson_recurrence_matches_functional():
+    # D_5 and D_{1/5} on F against the functional identity, 1/5 taken mod q^2-1
+    for m in (3, 5, 7, 9):
+        P = field_create(m)
+        t = np.arange(P.q, dtype=np.uint32)
+        d5 = dickson_functional(P, 5)
+        assert np.array_equal(d5, t ^ P.fpow_v(t, 3) ^ P.fpow_v(t, 5))
+        if m <= 5:
+            assert d5.tolist() == [dickson_recurrence(P, 5, a) for a in range(P.q)]
+        inv5 = exponent_inverse(5, P.q * P.q - 1)
+        assert np.array_equal(dickson_inverse5_table(P), dickson_functional(P, inv5))
 
 
 def test_exponent_arith():
@@ -358,6 +383,21 @@ def test_field_params_golden():
     for m in range(1, 8):
         expect = (GOLDEN / f"field_m{m}.json").read_text().strip()
         assert field_create(m).to_json() == expect
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 6)] + [(4, 0b11111)])
+def test_k_generator_is_the_least_generator(m, modulus):
+    P = field_create(m, modulus)
+    order = P.q * P.q - 1
+
+    def multiplicative_order(c):
+        x, n = c, 1
+        while x != 1:
+            x, n = P.kmul(x, c), n + 1
+        return n
+
+    assert P.k_generator() == next(c for c in range(1, P.q * P.q)
+                                   if multiplicative_order(c) == order)
 
 
 def k_tables_scalar(P):

@@ -94,6 +94,29 @@ def test_monomial_closed_forms(P5):
     assert np.array_equal(g0.values, expect)
 
 
+# segre_class_g(P, 3) in unit-circle order, computed by evaluating D_{1/5}
+# through the functional identity in K or its quadratic extension
+SEGRE_CLASS3 = {
+    5: [
+        0, 23, 19, 15, 7, 8, 26, 29, 10, 9, 6, 1, 18, 20, 19, 11, 28, 14, 17, 22,
+        14, 3, 0, 10, 5, 21, 30, 31, 25, 8, 12, 24, 30],
+    7: [
+        0, 69, 93, 8, 127, 9, 56, 3, 11, 109, 64, 53, 96, 112, 93, 13, 93, 69, 22,
+        116, 97, 69, 92, 62, 50, 92, 93, 27, 17, 113, 16, 74, 113, 74, 23, 61, 89,
+        24, 96, 95, 120, 119, 105, 1, 85, 57, 32, 107, 62, 62, 69, 51, 42, 120, 11,
+        70, 11, 39, 68, 79, 103, 19, 37, 36, 11, 127, 100, 36, 127, 6, 126, 127, 2,
+        7, 8, 67, 44, 55, 93, 54, 63, 26, 68, 74, 127, 54, 0, 113, 10, 121, 43, 110,
+        36, 18, 112, 113, 66, 55, 75, 81, 10, 55, 55, 126, 11, 120, 72, 15, 101, 96,
+        64, 41, 21, 69, 4, 5, 43, 94, 42, 65, 20, 43, 43, 64, 8, 55, 104, 113, 43],
+}
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_segre_class3_values(m):
+    g = gfun.segre_class_g(field_create(m), 3)
+    assert g.values.tolist() == SEGRE_CLASS3[m] and validate_g(g).valid
+
+
 def test_glynn_monomial_forms_m7():
     P = field_create(7)
     for fam in ("glynn1", "glynn2"):

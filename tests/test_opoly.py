@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nihoval import opoly
-from nihoval.gf2m import dickson_eval_code, exponent_inverse, field_create
+from nihoval.gf2m import exponent_inverse, field_create
 from nihoval.opoly import (OPolyError, OPolyFamily, glynn_sigma_gamma,
                            is_opolynomial, opoly_table, table_inverse,
                            transform_pi)
@@ -60,6 +60,8 @@ def test_payne_cherowitzo(P5):
     che = tab(P5, "cherowitzo")
     assert is_opolynomial(P5, pay) and is_opolynomial(P5, che)
     assert np.array_equal(opoly.payne_inverse_table(P5), table_inverse(pay))
+    P7 = field_create(7)
+    assert np.array_equal(opoly.payne_inverse_table(P7), table_inverse(tab(P7, "payne")))
     assert np.array_equal(opoly.cherowitzo_inverse_table(P5), table_inverse(che))
     # Cherowitzo h(t) = t^s + t^(s+2) + t^(3s+4), s = 8, is a permutation
     x = np.arange(32, dtype=np.uint32)
@@ -93,8 +95,7 @@ def test_pi_transforms(P4, P5):
     assert np.array_equal(s3, expect)
     assert is_opolynomial(P5, s3)
     # closed-form inverse of the pi3 image: (D_{1/5}(t+1))^(q^2-2) + 1
-    inv5 = exponent_inverse(5, 32 * 32 - 1)
-    d = np.array([dickson_eval_code(P5, inv5, int(v)) for v in t1], dtype=np.uint32)
+    d = opoly.dickson_inverse5_table(P5)[t1]
     assert np.array_equal(P5.fpow_v(d, 32 * 32 - 2) ^ 1, table_inverse(s3))
 
 
