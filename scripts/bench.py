@@ -4,7 +4,11 @@
         [--workloads stab-q32,classify-q32 --seeds 44-53] [--out FILE]
 
 The commands are `nihoval reproduce table1|table2|sec4.6|theorems`,
-`nihoval classify --m 5` and `--m 6`, and the Tier-1 test suite.  Each runs
+`nihoval classify --m 5` and `--m 6` (the default family, the hyperconic),
+`classify --family cherowitzo --m 7` and `--family payne --m 7`, one
+stabilizer of the Adelaide hyperoval at q = 256, and the Tier-1 test suite.
+The q = 256 stabilizer has a peak RSS limit of 256 MiB; the record says for
+each tree whether its runs stayed under it.  Each runs
 --repeats times in a fresh interpreter, with the tree as working directory
 and TREE/src on PYTHONPATH.  Within a repeat every command runs once per
 tree, and the tree that runs first alternates between repeats, so the runs
@@ -42,9 +46,23 @@ COMMANDS = {
     "reproduce theorems": ["-m", "nihoval.cli", "reproduce", "theorems", "--quiet"],
     "classify --m 5": ["-m", "nihoval.cli", "classify", "--m", "5"],
     "classify --m 6": ["-m", "nihoval.cli", "classify", "--m", "6"],
+    "classify --family cherowitzo --m 7": ["-m", "nihoval.cli", "classify",
+                                           "--family", "cherowitzo", "--m", "7"],
+    "classify --family payne --m 7": ["-m", "nihoval.cli", "classify",
+                                      "--family", "payne", "--m", "7"],
+    # Adelaide at q = 256: order 2h = 16, orbits 1, 1 and 16 x 16
+    "stabilizer adelaide q=256": ["-c", "from nihoval import equiv, gfun\n"
+                                  "from nihoval.gf2m import field_create\n"
+                                  "P = field_create(8)\n"
+                                  "H = gfun.g_catalog(P, 'adelaide').hyperoval_codes_h()\n"
+                                  "d = equiv.stabilizer(P, H)\n"
+                                  "got = (d.stabilizer_order, d.orbit_sizes())\n"
+                                  "if got != (16, [1, 1] + [16] * 16):\n"
+                                  "    raise SystemExit(f'got {got}')\n"],
     "tier-1": ["-m", "pytest", "-q", "--continue-on-collection-errors",
                "-p", "no:cacheprovider"],
 }
+RSS_LIMIT_MIB = {"stabilizer adelaide q=256": 256}
 
 
 def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:
@@ -81,7 +99,7 @@ def time_commands(trees: dict[str, Path], repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(repeats):
             for name, args in COMMANDS.items():
-                if name != "tier-1":
+                if args[:2] == ["-m", "nihoval.cli"]:
                     args = args + ["--out", str(Path(tmp) / "report.json")]
                 for label, tree in interleaved(trees, i):
                     wall, rss, _ = run_child(tree, args)
@@ -89,9 +107,12 @@ def time_commands(trees: dict[str, Path], repeats: int) -> dict:
                     runs[label][name]["peak_rss_mib"].append(round(rss, 1))
                     print(f"{label:10s} {name:20s} {wall:8.2f} s {rss:7.1f} MiB", flush=True)
     for per_tree in runs.values():
-        for rec in per_tree.values():
+        for name, rec in per_tree.items():
             rec["median_s"] = statistics.median(rec["s"])
             rec["median_peak_rss_mib"] = statistics.median(rec["peak_rss_mib"])
+            if name in RSS_LIMIT_MIB:
+                rec["rss_limit_mib"] = RSS_LIMIT_MIB[name]
+                rec["under_rss_limit"] = max(rec["peak_rss_mib"]) < RSS_LIMIT_MIB[name]
     return runs
 
 

@@ -35,6 +35,14 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   no chunk; only A that tie P0's invariant need one.  The least point of
   every orbit is reached undecided, so the invariants the search computes
   cover every orbit, and the stabilizer reports one per orbit.
+* The invariant is built per pair row: n_A[b, c] counts the pairs of points
+  whose keys relative to (A, b, c) share v = k1 - 2*k0.  A collineation g
+  maps row (b, c) of A onto row (gb, gc) of gA with the same count, so a hit
+  taking (P0, P1, P2) to (A, b, c) needs n_A[b, c] = n_P0[P1, P2].  Every
+  chunk runs over those pair rows only, which the invariant of A (computed
+  anyway) names.  Chunk P0 of the catalog's non-classical hyperovals from
+  q = 32 to 128 keeps 0.2-11 % of the rows (Segre at q = 32: 35 %); the
+  hyperconic and translation hyperovals keep nearly all.
 * The sample elements are one hit per coset of each stabilizer along the
   base (P0, P1, P2, P3), so they generate Stab(P0) (Schreier).  They are
   kept as permutations of the points: the stabilizer of a hyperoval acts
@@ -44,13 +52,15 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   not an arc and the search raises EquivError.
 
 Chunks run over the first image point A (one chunk when `marked` pins it),
-each over all of its triangles at once.  Results are committed in A order,
-so they do not depend on the thread count.  are_equivalent runs the same
-search with an early exit on the first hit, optionally with a marked point
-(nucleus -> nucleus for oval equivalence).  point_invariant reuses the keys
-of all triangles at one point.  classify_bent takes the invariant of each
-class's nucleus from the stabilizer's orbit invariants and runs the marked
-search only for classes whose invariants tie.
+each over the triangles (A, b, c) of its kept pair rows, formed one slab of
+b at a time.  Results are committed in A order, so they do not depend on the
+thread count.  are_equivalent runs the same search with an early exit on the
+first hit, optionally with a marked point (nucleus -> nucleus for oval
+equivalence); an A whose invariant differs from the source P0's runs no
+chunk.  point_invariant reuses the keys of all triangles at one point.
+classify_bent takes the invariant of each class's nucleus from the
+stabilizer's orbit invariants and runs the marked search only for classes
+whose invariants tie.
 """
 
 from __future__ import annotations
@@ -204,6 +214,9 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+_FAN_SLAB_CELLS = 1 << 16      # _fan entries per slab of b in chunks and invariants
+
+
 def _key_dtype(Q: int):
     """Narrowest dtype for logs, keys, key offsets and point indices.  Logs lie
     in [0, Q) plus 2Q (the log of 0), so _fan's log differences lie in
@@ -258,9 +271,12 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     """Count/find collineations mapping the src set onto the dst set.
 
     `marked` = (src_code, dst_code) pins the image of one point.  With
-    `early_exit` the first hit is returned as the witness; otherwise every
-    chunk (one per first image point) is counted in full, except that
-    `want_orbits` (src = dst) finds the group G by orbit-stabilizer:
+    `early_exit` the first hit is returned as the witness: each first image
+    a whose point_invariant ties that of the source's P0 runs its chunk,
+    until one has a hit.  Otherwise every chunk (one per first image point)
+    is counted in full over all N^2 pair rows (the oracle of the tests),
+    except that `want_orbits` (src = dst) finds the group G by
+    orbit-stabilizer:
 
     * chunk P0 is counted in full, for |Stab(P0)| and its samples;
     * each other first image a is visited in index order.  It is skipped if
@@ -270,6 +286,11 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
       a's point_invariant is computed: if it differs from P0's, a is outside
       P0^G.  If it ties, chunk a runs with early exit: a hit records one
       element g with g(P0) = a, no hit puts a outside P0^G.
+
+    In the early-exit and orbit searches a chunk a runs only over the pair
+    rows (b, c) with n_a[b, c] = n_P0[P1, P2] (_process_chunk), read off a's
+    invariant; P0's invariant, computed once, serves as the source's and as
+    chunk P0's when src is dst.
 
     Stab(P0) and one element per positive chunk generate G, so the final
     classes are the orbits (`classes`), the order is |Stab(P0)| times the
@@ -324,9 +345,26 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                       dtype=LLs.dtype)
     ctx = _Torus(LLd, N, Q, shifts, np.array(order))
     res = _SearchResult()
+    if not (early_exit or want_orbits):      # every chunk over all pair rows
+        every_row = np.arange(N * N)
+        res.order = sum(_process_chunk(ctx, a, False, every_row)[0] for a in firsts)
+        return res
+    # a hit maps (P0, P1, P2) to (a, b, c) only where n_a[b, c] = n_P0[P1, P2]
+    inv0, n0 = _point_invariant(LLs, Q, p0)
+    want = n0[order[1] * N + order[2]]
+
+    def invariant(a):     # a's invariant and row counts; P0's are known when src is dst
+        return (inv0, n0) if LLd is LLs and a == p0 else _point_invariant(LLd, Q, a)
+
+    def chunk(a, early, n):
+        return _process_chunk(ctx, a, early, np.flatnonzero(n == want))
+
     if early_exit:
         for a in firsts:
-            res.order, found = _process_chunk(ctx, a, True)
+            v, n = invariant(a)
+            if v != inv0:
+                continue
+            res.order, found = chunk(a, True, n)
             if found:
                 # N_Q1 * frob_j(N_Q0^-1), Q0 the source quadrangle, Q1 its images
                 j, images = found[0]
@@ -336,41 +374,35 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                     P, _frame_matrix(P, dst[images[quad]]).reshape(-1), j).compose(base.inverse())
                 break
         return res
+    stab, found = chunk(p0, False, n0)
+    if stab < 1:
+        raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
+    least = np.arange(N)        # least[x]: the least point of the class of x
+    picks, negative = {}, []    # picks: the samples' point images, in the order found
+
+    def keep(images):
+        picks.setdefault(tuple(images.tolist()))
+        _join(least, images)
+
+    for _, images in found:
+        keep(images)
+    inv = res.invariants
+    inv[p0] = inv0
+
+    def visit(a):       # a's invariant, and its early-exit chunk if that ties P0's
+        v, n = invariant(a)
+        return v, (chunk(a, True, n) if v == inv0 else (0, []))
+
+    def decided(a) -> bool:
+        return least[a] == least[p0] or least[a] in least[negative]
+
     if threads > 1:        # imported here: it (and logging) would slow the package import
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        def run(f, points) -> list:
-            return list(map(f, points) if pool is None else pool.map(f, points))
-
-        if not want_orbits:
-            res.order = sum(count for count, _ in
-                            run(lambda a: _process_chunk(ctx, a, False), firsts))
-            return res
-        stab, found = _process_chunk(ctx, p0, False)
-        if stab < 1:
-            raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
-        least = np.arange(N)        # least[x]: the least point of the class of x
-        picks, negative = {}, []    # picks: the samples' point images, in the order found
-
-        def keep(images):
-            picks.setdefault(tuple(images.tolist()))
-            _join(least, images)
-
-        for _, images in found:
-            keep(images)
-        inv = res.invariants
-        inv[p0] = _point_invariant(LLd, Q, p0)
-
-        def visit(a):       # a's invariant, and its early-exit chunk if that ties P0's
-            v = _point_invariant(LLd, Q, a)
-            return v, (_process_chunk(ctx, a, True) if v == inv[p0] else (0, []))
-
-        def decided(a) -> bool:
-            return least[a] == least[p0] or least[a] in least[negative]
-
         todo = (a for a in firsts if a != p0 and not decided(a))
         while window := list(itertools.islice(todo, threads)):
-            for a, (v, (count, found)) in zip(window, run(visit, window)):
+            done = map(visit, window) if pool is None else pool.map(visit, window)
+            for a, (v, (count, found)) in zip(window, list(done)):
                 if decided(a):                  # by an earlier commit of this window
                     continue
                 inv[a] = v
@@ -396,8 +428,9 @@ def _join(least: np.ndarray, images: np.ndarray) -> None:
             least[least == max(u, v)] = min(u, v)
 
 
-def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
-    """The hits that map the source triangle to (a, b, c) for some b, c.
+def _process_chunk(ctx: _Torus, a: int, early_exit: bool, rows: np.ndarray):
+    """The hits that map the source triangle to (a, b, c) for the pair rows
+    b*N + c in `rows` (ascending).
 
     Returns (hit count, found).  A hit is the Frobenius power j and the image
     (a, b, c, y) of the source quadrangle (P0, P1, P2, P3), and `found`
@@ -411,31 +444,47 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     fixed), so by Schreier's lemma the samples generate Stab(P0).  Point
     images are gathered for them only.
 
+    _search passes the rows whose count n_a[b, c] (_point_invariant) equals
+    the source triangle's n_P0[P1, P2]: a collineation maps row (P1, P2) of
+    P0 onto row (b, c) of a with the same count, so no other row holds a
+    hit.  The rows keep their order, so the hits, the samples and the first
+    hit are those of the search over all rows.
+
     The keys of the points off a triangle form a permutation graph
     k1 = pi(k0) (an arc meets each line through c in at most one more
-    point), so the row of the pair (b, c) holds k1 and the image index at
-    column k0 of each point, and again at k0 + Q: k0 + offset needs no
+    point), so the kept row r of the pair (b, c) holds k1 and the image index
+    at column k0 of each point, and again at k0 + Q: k0 + offset needs no
     reduction.  A slot left empty (an arc smaller than a hyperoval, or a
     pair row whose a, b, c are not distinct) holds k1 = -2Q and never matches.
+    The rows are filled one slab of b at a time from _fan.
     """
     N, Q, shifts = ctx.N, ctx.Q, ctx.shifts
     m, W = len(shifts), 2 * Q
-    k0, k1, bad = _fan(ctx.LL, Q, a)
-    # candidate t = (b*N + c)*N + y, a, b, c, y distinct, sits at column k0
-    # of pair row b*N + c
+    # candidate h, the point y of kept row r, sits at base[h] = r*W + k0, in
+    # (r, y) order, so in (b, c, y) order
     at = np.int32 if N * N * W < 1 << 31 else np.int64
-    tri = np.flatnonzero(~bad).astype(at)
-    k0, k1 = k0.reshape(-1)[tri], k1.reshape(-1)[tri]
-    base = tri // N * W + k0
-    k1row = np.full(N * N * W, -W, dtype=ctx.LL.dtype)
+    rows = rows.astype(at)
+    k1row = np.full(len(rows) * W, -W, dtype=ctx.LL.dtype)
     yrow = np.zeros(len(k1row), dtype=ctx.LL.dtype)      # point index y
-    y = tri % N
-    for lift in (0, Q):
-        k1row[base + lift] = k1
-        yrow[base + lift] = y
+    base, k1 = [], []
+    slab = max(1, _FAN_SLAB_CELLS // (N * N))
+    for lo in range(0, N, slab):
+        i, k = np.searchsorted(rows, (lo * N, (lo + slab) * N)).tolist()
+        if i == k:
+            continue
+        k0s, k1s, bad = (f.reshape(-1, N)[rows[i:k] - lo * N]
+                         for f in _fan(ctx.LL, Q, a, slice(lo, lo + slab)))
+        t = np.flatnonzero(~bad).astype(at)      # r*N + y over the slab's rows
+        base.append((t // N + i) * W + k0s.reshape(-1)[t])
+        k1.append(k1s.reshape(-1)[t])
+        for lift in (0, Q):
+            k1row[base[-1] + lift] = k1[-1]
+            yrow[base[-1] + lift] = t % N
+    base, k1 = np.concatenate(base), np.concatenate(k1)
 
-    def corners(t):                      # (b, c, y) of candidate positions t
-        return t // (N * N), t // N % N, t % N
+    def corners(h):                      # (b, c, y) of candidates h
+        b, c = np.divmod(rows[base[h] // W], N)
+        return b, c, yrow[base[h]]
 
     def holds(cand, d0, d1):
         # the slot at k0 + d0 of the candidate's row holds k1 + d1 mod Q
@@ -445,7 +494,7 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
     def element(h, j):                   # j and the point images of candidate h
         images = np.empty(N, dtype=np.int64)
         images[ctx.src_order] = np.concatenate(
-            ([a], corners(tri[h]), yrow[base[h] + shifts[j][0]]))
+            ([a], corners(h), yrow[base[h] + shifts[j][0]]))
         return j, images
 
     count = 0
@@ -472,14 +521,14 @@ def _process_chunk(ctx: _Torus, a: int, early_exit: bool):
         hits = np.concatenate(hits) if hits else alive[:0]
         if early_exit:
             # only the first hit in (b, c, j, y) order counts
-            if len(hits) and (first is None or tri[hits[0]] // N < tri[first[0]] // N):
+            if len(hits) and (first is None or base[hits[0]] // W < base[first[0]] // W):
                 first = (hits[0], j)
             continue
         count += len(hits)
         # the first hit per image of P1, then of P2 among the hits fixing
         # P1, of P3 among those fixing P1 and P2, and the one fixing all three
         on = np.arange(len(hits))
-        for level, col in enumerate(corners(tri[hits])):
+        for level, col in enumerate(corners(hits)):
             vals, pos = np.unique(col[on], return_index=True)
             for v, h in zip(vals.tolist(), hits[on[pos]].tolist()):
                 samples.setdefault((level + 1, v, j), h)
@@ -518,7 +567,11 @@ class OrbitDecomposition:
 def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecomposition:
     """Exact stabilizer order, orbits and sample elements of a hyperoval.
 
-    `invariants` holds the point_invariant of each orbit's points.
+    `invariants` holds the point_invariant of each orbit's points.  Each
+    chunk of the search runs only over the pair rows whose invariant row
+    count matches the base triangle's (see _search), one slab of b at a
+    time: Cherowitzo at q = 128 peaks at 7.7 MiB (tracemalloc), the
+    line-log cube and its slabs.  The hyperconic keeps most rows (45.5 MiB).
 
     `threads` > 1 visits several undecided points at once, with the same
     results.  It pays little: work that an earlier commit makes unnecessary
@@ -585,18 +638,23 @@ def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
     if N < 4:
         raise EquivError("the invariant needs at least four points")
     LL = _line_logs(params, _coords_of_codes(params, codes))
-    return _point_invariant(LL, params.q - 1, codes.index(point))
+    return _point_invariant(LL, params.q - 1, codes.index(point))[0]
 
 
-def _point_invariant(LL: np.ndarray, Q: int, a: int) -> tuple[int, ...]:
-    """point_invariant of point a, from the line-log cube of its point set."""
+def _point_invariant(LL: np.ndarray, Q: int, a: int):
+    """point_invariant of point a, and its row counts, from the line-log cube
+    of its point set.
+
+    Returns (histogram, n): n is the flat N*N array of the row counts
+    n_a[b, c] at b*N + c, and -1 where a, b, c are not distinct.
+    """
     N = len(LL)
     p = np.arange(N)
-    distinct = (p[:, None] != p) & (p[:, None] != a) & (p != a)    # pair rows (b, c)
+    distinct = ((p[:, None] != p) & (p[:, None] != a) & (p != a)).reshape(-1)   # pair rows
+    n_rows = np.full(N * N, -1, dtype=np.int64)
     # one slab of b at a time, with one bincount over (row, v), keeps the
     # temporaries and the bins few; `bad` entries go to the extra bin Q
-    slab = max(1, (1 << 16) // (N * max(N, Q + 1)))
-    counts = []
+    slab = max(1, _FAN_SLAB_CELLS // (N * max(N, Q + 1)))
     for lo in range(0, N, slab):
         k0, k1, bad = _fan(LL, Q, a, slice(lo, lo + slab))
         np.putmask(k0, bad, 0)           # keeps k1 - 2*k0 within _key_dtype
@@ -604,11 +662,14 @@ def _point_invariant(LL: np.ndarray, Q: int, a: int) -> tuple[int, ...]:
         for _ in range(2):               # from (-2Q, Q) into [0, Q)
             v += (v < 0) * v.dtype.type(Q)
         np.putmask(v, bad, Q)
-        v = v.reshape(-1, N)[distinct[lo:lo + slab].reshape(-1)]
+        keep = distinct[lo * N:(lo + slab) * N]
+        v = v.reshape(-1, N)[keep]
         n = np.bincount((np.arange(len(v))[:, None] * (Q + 1) + v).reshape(-1),
                         minlength=len(v) * (Q + 1)).reshape(-1, Q + 1)[:, :Q]
-        counts.append((n * (n - 1) // 2).sum(axis=1))
-    return tuple(np.bincount(np.concatenate(counts)).tolist())
+        # the pairs with equal v, (sum n^2 - sum n) / 2: on an arc the N - 3
+        # points off the triangle are exactly the entries that are not `bad`
+        n_rows[lo * N:(lo + slab) * N][keep] = (np.einsum("ij,ij->i", n, n) - (N - 3)) // 2
+    return tuple(np.bincount(n_rows[distinct]).tolist()), n_rows
 
 
 # --------------------------------------------------------- bent class counts
@@ -655,14 +716,16 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
     # hyperoval point k < q+1 is u_k/g(u_k), point q+1 is the nucleus 0
     dec = stabilizer(P, g.hyperoval_codes_h(), threads=threads)
 
+    shifts = gfun.g_shift_tables(g, np.arange(P.q + 1))     # row s: g_s
     classes = []
     for orbit in dec.orbits:
-        cands = [(None, g) if idx == P.q + 1 else (idx, gfun.g_shift(g, idx))
-                 for idx in orbit]
-        s_idx, g_rep = min(cands, key=lambda t: t[1].values.tobytes())
-        if s_idx is None:
+        s_idx = min(orbit, key=lambda idx: (g.values if idx == P.q + 1
+                                            else shifts[idx]).tobytes())
+        if s_idx == P.q + 1:
+            s_idx, g_rep = None, g
             rep_oval, f_rep = oval, bent_mod.f_univariate(P, oval)
-        else:
+        else:       # g_shift forms that row again: bench/ traces it as a layer boundary
+            g_rep = gfun.g_shift(g, s_idx)
             rep_oval = gfun.shifted_oval_codes(g, s_idx)
             f_rep = bent_mod.f_shift(g, s_idx)
         oval_h = geometry.k_codes_to_h_codes(P, np.append(rep_oval, 0), 1)

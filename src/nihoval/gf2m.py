@@ -281,14 +281,6 @@ class FieldParams:
         b2 = self.fmul(b, b)
         return (self.fmul(a, a) ^ self.fmul(self.delta, b2)) | (b2 << self.m)
 
-    def kinv(self, x: int) -> int:
-        if x == 0:
-            raise FieldError("inverse of 0")
-        # 1/x = conj(x) / N(x)
-        nx = self.finv(self.knorm(x))
-        a, b = self.ksplit(self.kconj(x))
-        return self.fmul(a, nx) | (self.fmul(b, nx) << self.m)
-
     def kpow(self, x: int, e: int) -> int:
         """x^e in K with 0^0 = 1, 0^e = 0; e reduced mod q^2 - 1."""
         if x == 0:

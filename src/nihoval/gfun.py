@@ -11,7 +11,8 @@ Constructions:
   * for a monomial t^s:      g(u) = <i,u>^{1/s} <1,u>^{q-1/s}   (g(1) = 0)
   * from an oval O in K:     g(u) = sum_i (sum_{v in O} v^{(q-1)i/2-1}) u^{i+1}
   * nucleus shift at s:      g_s = g_from_oval(O_s) for the oval with nucleus 0
-                             O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)}
+                             O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)},
+                             read off the polar decomposition of O_s
 
 The inner sums are the Niho power sums b_t of gf2m.niho_power_sums at
 t = -i/2 mod q+1, and each term c_i u^{i+1} is one point of the polar grid.  g
@@ -164,8 +165,26 @@ def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunct
 
 def g_shift(g: GFunction, s_index: int) -> GFunction:
     """g_s: the g-function of the shifted oval O_s (see shifted_oval_codes)."""
-    return g_from_oval(g.params, shifted_oval_codes(g, s_index),
-                       f"{g.provenance}|shift(s_index={s_index})")
+    return GFunction(g.params, g_shift_tables(g, [s_index])[0],
+                     f"{g.provenance}|shift(s_index={s_index})")
+
+
+def g_shift_tables(g: GFunction, s_indices) -> np.ndarray:
+    """The tables of g_s, one row per s in s_indices: what g_from_oval gives
+    for O_s, by one polar decomposition of all the points.
+
+    The point x = lambda*u of O_s on the line through 0 in direction u is
+    u/g_s(u), so g_s(u) = 1/lambda.  Raises GFunError unless O_s has one point
+    on each line through 0 (g is then no valid g-function).
+    """
+    P, q = g.params, g.params.q
+    O = _shifted_ovals(g, s_indices)
+    k, l = polar_v(P, O)
+    if np.any(np.sort(l, axis=1) != np.arange(q + 1)):
+        raise GFunError("the points are not one on each line through 0")
+    vals = np.empty_like(O)
+    vals[np.arange(len(O))[:, None], l] = P.f_exp[(q - 1 - k) % (q - 1)]
+    return vals
 
 
 def shifted_oval_codes(g: GFunction, s_index: int) -> list[int]:
@@ -174,13 +193,20 @@ def shifted_oval_codes(g: GFunction, s_index: int) -> list[int]:
     Dropping s/g(s) from the hyperoval {u/g(u)} u {0} leaves an oval with
     nucleus s/g(s); the translation x -> x + s/g(s) moves that nucleus to 0.
     """
-    if not 0 <= s_index <= g.params.q:
-        raise GFunError(f"s_index must lie in 0..{g.params.q}, got {s_index}")
+    return _shifted_ovals(g, [s_index])[0].tolist()
+
+
+def _shifted_ovals(g: GFunction, s_indices) -> np.ndarray:
+    """The K codes of O_s (shifted_oval_codes), one row per s in s_indices."""
+    q = g.params.q
+    for s in s_indices:
+        if not 0 <= s <= q:
+            raise GFunError(f"s_index must lie in 0..{q}, got {s}")
+    s = np.asarray(s_indices, dtype=np.int64)
     pts = g.oval_codes_k()
-    c = pts[s_index]
-    out = pts ^ c
-    out[s_index] = c
-    return out.tolist()
+    out = pts ^ pts[s][:, None]
+    out[np.arange(len(s)), s] = pts[s]
+    return out
 
 
 def fix_zeros(g: GFunction) -> GFunction:

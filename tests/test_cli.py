@@ -94,7 +94,7 @@ def test_bent_artifacts(tmp_path):
     assert all("exp" in t for t in obj)
 
 
-@pytest.mark.parametrize("s_index", ["-1", "9"])
+@pytest.mark.parametrize("s_index", ["-1", "9", str(1 << 70)])
 def test_bent_s_index_out_of_range(capsys, s_index):
     rc, _, err = run(capsys, "bent", "--m", "3", "--s-index", s_index)
     assert rc == 2 and "s_index" in err

@@ -257,8 +257,15 @@ def assert_fan_matches_the_index_cubes(P, codes):
                        for f in (f0, f1, bad))
         assert not bad.any()
         assert np.array_equal(f0, k0) and np.array_equal(f1, k1)
-        assert (equiv._point_invariant(LL, Q, a)
-                == torus_oracle.point_invariant(LL, N, Q, a, tri))
+        inv, n = equiv._point_invariant(LL, Q, a)
+        assert inv == torus_oracle.point_invariant(LL, N, Q, a, tri)
+        # the row counts of the pair rows (b, c) of distinct other points, in
+        # the order of tri, and -1 in the rows through a and on the diagonal
+        n = n.reshape(N, N)
+        off = ~np.eye(N - 1, dtype=bool)
+        assert np.array_equal(np.delete(np.delete(n, a, 0), a, 1)[off],
+                              torus_oracle.row_counts(LL, N, Q, a, tri))
+        assert (n[a] == -1).all() and (n[:, a] == -1).all() and (np.diag(n) == -1).all()
 
 
 @pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
@@ -279,6 +286,85 @@ def test_fan_and_invariant_match_the_index_cubes_on_smaller_arcs(m, fam, size):
     P = field_create(m)
     arc = random.Random(f"{m}:{fam}:{size}").sample(hyperoval(P, fam), size)
     assert_fan_matches_the_index_cubes(P, arc)
+
+
+@pytest.mark.parametrize("m,fam", [(4, "lunelli_sce"), (5, "cherowitzo"), (6, "adelaide")])
+def test_row_counts_under_collineations(m, fam):
+    # a collineation phi maps the keys relative to (a, b, c) onto those
+    # relative to (phi a, phi b, phi c), so n_{phi a}[phi b, phi c] = n_a[b, c],
+    # with and without a Frobenius power; the rows are not all alike, and
+    # not symmetric in (b, c)
+    P = field_create(m)
+    H = hyperoval(P, fam)
+    N, Q = len(H), P.q - 1
+    LL = equiv._line_logs(P, equiv._coords_of_codes(P, H))
+    rng = random.Random(f"rows:{m}:{fam}")
+    for frob in (0, rng.randrange(1, m)):
+        while not (phi := equiv.Collineation.make(
+                P, [rng.randrange(P.q) for _ in range(9)], frob)).det():
+            pass
+        image = [phi.apply_code(c) for c in H]
+        rng.shuffle(image)
+        perm = np.array([image.index(phi.apply_code(c)) for c in H])
+        LLi = equiv._line_logs(P, equiv._coords_of_codes(P, image))
+        for a in rng.sample(range(N), 3):
+            n = equiv._point_invariant(LL, Q, a)[1].reshape(N, N)
+            ni = equiv._point_invariant(LLi, Q, perm[a])[1].reshape(N, N)
+            assert np.array_equal(ni[np.ix_(perm, perm)], n)
+            assert len(np.unique(n[n >= 0])) > 1 and not np.array_equal(n, n.T)
+
+
+def rows_checked_against_every_row(monkeypatch):
+    """From now on every chunk runs over its pair rows and again over all N^2,
+    and both must give the same count and found (samples, or first hit).
+    Returns the list of the shares of rows kept."""
+    real, shares = equiv._process_chunk, []
+
+    def result(out):
+        return out[0], [(j, images.tolist()) for j, images in out[1]]
+
+    def spy(ctx, a, early_exit, rows):
+        out = real(ctx, a, early_exit, rows)
+        assert result(out) == result(real(ctx, a, early_exit, np.arange(ctx.N ** 2)))
+        shares.append(len(rows) / ctx.N ** 2)
+        return out
+
+    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    return shares
+
+
+def unfiltered(LL, Q, a):
+    """A constant _point_invariant: every point ties and every row is kept."""
+    return (), np.zeros(len(LL) ** 2, dtype=np.int64)
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_pruned_rows_match_every_row(m, fam, r, monkeypatch):
+    # P0 in each orbit in turn: chunk P0's count and samples, each early-exit
+    # chunk's first hit, the stabilizer and the witness of are_equivalent
+    # (onto a seeded collineation image) equal those over all pair rows.  Up
+    # to q = 32 the witness also equals the one found with no filter at all,
+    # every chunk over all rows (at q = 64 that takes seconds per case)
+    P = field_create(m)
+    H = hyperoval(P, fam, r)
+    ref = stabilizer(P, H)
+    rng = random.Random(f"rows:{m}:{fam}:{r}")
+    for orbit in ref.orbits:
+        rotated = H[orbit[0]:] + H[:orbit[0]]
+        phi = random_collineation(P, rng)
+        image = [phi.apply_code(c) for c in rotated]
+        rng.shuffle(image)
+        shares = rows_checked_against_every_row(monkeypatch)
+        dec = stabilizer(P, rotated)
+        w = are_equivalent(P, rotated, image)
+        monkeypatch.undo()
+        assert shares and all(0 < s < 1 for s in shares)
+        assert (dec.stabilizer_order, orbit_sets(dec)) == (ref.stabilizer_order, orbit_sets(ref))
+        assert w is not None and {w.apply_code(c) for c in rotated} == set(image)
+        if m <= 5:
+            monkeypatch.setattr(equiv, "_point_invariant", unfiltered)
+            assert are_equivalent(P, rotated, image) == w
+            monkeypatch.undo()
 
 
 def test_int16_keys_at_m13_match_int32(monkeypatch):
@@ -316,13 +402,17 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
 def test_stabilizer_memory_stays_small(P5):
     # the whole-chunk key rows at q = 32 take well under a MiB.  With the
     # nucleus first, chunk P0 counts the whole group (163,680 hits): only its
-    # samples get point images, and the survivors are checked in blocks
+    # samples get point images, and the survivors are checked in blocks.  At
+    # q = 128 Cherowitzo's chunks keep few pair rows and form their keys in
+    # slabs of b: the 4.4 MB line-log cube and its slabs set the peak
     H = hyperoval(P5)
-    for codes, limit in ((hyperoval(P5, "cherowitzo"), 4 << 20),
-                         ([H[-1]] + H[:-1], 12 << 20)):
+    P7 = field_create(7)
+    for P, codes, limit in ((P5, hyperoval(P5, "cherowitzo"), 4 << 20),
+                            (P5, [H[-1]] + H[:-1], 12 << 20),
+                            (P7, hyperoval(P7, "cherowitzo"), 16 << 20)):
         tracemalloc.start()
         try:
-            stabilizer(P5, codes)
+            stabilizer(P, codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -337,8 +427,8 @@ def logged_chunks(monkeypatch):
     the search runs from now on."""
     log, real = [], equiv._process_chunk
 
-    def spy(ctx, a, early_exit):
-        out = real(ctx, a, early_exit)
+    def spy(ctx, a, early_exit, rows):
+        out = real(ctx, a, early_exit, rows)
         log.append((a, early_exit, *out))
         return out
 
@@ -352,7 +442,7 @@ def logged_invariants(monkeypatch):
 
     def spy(LL, Q, a):
         out = real(LL, Q, a)
-        log.append((a, out))
+        log.append((a, out[0]))
         return out
 
     monkeypatch.setattr(equiv, "_point_invariant", spy)
@@ -410,10 +500,11 @@ def test_orbit_stabilizer_matches_every_chunk_in_full(m, fam, r, monkeypatch):
 
 @pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
 def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch):
-    # a constant invariant ties every point with P0, so every undecided point
-    # runs its chunk, as before the filter.  Every point the filter refutes
-    # lies outside P0's orbit of the search that runs every chunk in full,
-    # and runs no chunk
+    # a constant invariant with constant row counts ties every point with P0
+    # and keeps every pair row, so every undecided point runs its chunk over
+    # all rows, as before the filters.  Every point the filter refutes lies
+    # outside P0's orbit of the search that runs every chunk in full, and
+    # runs no chunk
     P = field_create(m)
     H = hyperoval(P, fam, r)
 
@@ -423,7 +514,7 @@ def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch
     log = logged_chunks(monkeypatch)
     res = equiv._search(P, H, H, want_orbits=True)
     monkeypatch.undo()
-    monkeypatch.setattr(equiv, "_point_invariant", lambda *args: ())
+    monkeypatch.setattr(equiv, "_point_invariant", unfiltered)
     assert results(equiv._search(P, H, H, want_orbits=True)) == results(res)
     monkeypatch.undo()
     order, orbits = every_chunk_in_full(P, H, monkeypatch)
@@ -514,8 +605,8 @@ def test_broken_chunk_raises_orbit_stabilizer(P5, monkeypatch, broken):
     # the third point of that orbit joins it to P0
     real, broke = equiv._process_chunk, []
 
-    def patched(ctx, a, early_exit):
-        count, found = real(ctx, a, early_exit)
+    def patched(ctx, a, early_exit, rows):
+        count, found = real(ctx, a, early_exit, rows)
         if count and not broke and early_exit == (broken == "positive"):
             broke.append(a)
             return 0, []

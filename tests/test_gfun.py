@@ -227,6 +227,46 @@ def test_g_from_oval_error_paths_match_term_series(P3, P4):
                 g_from_oval(P, O)
 
 
+def test_g_shift_is_g_from_oval_of_the_shifted_oval(P3, P4, P5):
+    # the polar read-off equals the series on every nucleus shift of every
+    # catalog case with m <= 6, and raises GFunError where the series does:
+    # a g with zeros, an s off the circle, and a zero-free g that is not
+    # valid, whose shifted ovals meet lines through 0 twice
+    for m, fam, r in catalog_sweep_cases():
+        P = field_create(m)
+        g = fix_zeros(g_catalog(P, fam, r=r))
+        rows = gfun.g_shift_tables(g, np.arange(P.q + 1))
+        for sidx in range(P.q + 1):
+            gs = g_shift(g, sidx)
+            assert gs == g_from_oval(P, gfun.shifted_oval_codes(g, sidx))
+            assert gs.provenance == f"{g.provenance}|shift(s_index={sidx})"
+            assert np.array_equal(rows[sidx], gs.values)
+    zeros = g_catalog(P5, "subiaco")
+    rng = np.random.default_rng(21)
+    for g, sidx in ((zeros, 0), (g_catalog(P4, "hyperconic"), -1),
+                    (g_catalog(P4, "hyperconic"), P4.q + 1),
+                    (g_catalog(P4, "hyperconic"), 1 << 70)):
+        for route in (lambda: g_shift(g, sidx),
+                      lambda: g_from_oval(g.params, gfun.shifted_oval_codes(g, sidx))):
+            with pytest.raises(GFunError):
+                route()
+    raised = 0
+    for P in (P3, P4):
+        for _ in range(10):
+            g = GFunction(P, rng.integers(1, P.q, P.q + 1))
+            assert not validate_g(g).valid
+            for sidx in range(P.q + 1):
+                try:
+                    want = g_from_oval(P, gfun.shifted_oval_codes(g, sidx)).values
+                except GFunError:
+                    with pytest.raises(GFunError, match="one on each line"):
+                        g_shift(g, sidx)
+                    raised += 1
+                else:
+                    assert np.array_equal(g_shift(g, sidx).values, want)
+    assert raised > 100
+
+
 def pointset_g(P, codes):
     """g(u) = 1/lambda at each nonzero point lambda*u, decomposed one by one."""
     S = unit_circle(P)

@@ -37,10 +37,9 @@ def fan_keys(LL: np.ndarray, N: int, Q: int, a: int, tri: np.ndarray):
     return others, k0, k1
 
 
-def point_invariant(LL: np.ndarray, N: int, Q: int, a: int,
-                    tri: np.ndarray) -> tuple[int, ...]:
-    """point_invariant of point a, from the line-log table of its point set
-    and the positions tri = triples(N - 1)."""
+def row_counts(LL: np.ndarray, N: int, Q: int, a: int, tri: np.ndarray) -> np.ndarray:
+    """The count of pairs of points y with equal v = k1 - 2*k0 in each pair
+    row (b, c) of distinct other points, in the order of tri = triples(N - 1)."""
     _, k0, k1 = fan_keys(LL, N, Q, a, tri)
     v = k1 - 2 * k0
     for _ in range(2):                   # from (-2Q, Q) into [0, Q)
@@ -54,4 +53,11 @@ def point_invariant(LL: np.ndarray, N: int, Q: int, a: int,
         n = np.bincount((np.arange(len(block))[:, None] * Q + block).reshape(-1),
                         minlength=len(block) * Q)
         counts.append((n * (n - 1) // 2).reshape(-1, Q).sum(axis=1))
-    return tuple(np.bincount(np.concatenate(counts)).tolist())
+    return np.concatenate(counts)
+
+
+def point_invariant(LL: np.ndarray, N: int, Q: int, a: int,
+                    tri: np.ndarray) -> tuple[int, ...]:
+    """point_invariant of point a, from the line-log table of its point set
+    and the positions tri = triples(N - 1)."""
+    return tuple(np.bincount(row_counts(LL, N, Q, a, tri)).tolist())
