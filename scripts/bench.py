@@ -8,7 +8,14 @@ The commands are `nihoval reproduce table1|table2|sec4.6|theorems`,
 `classify --family cherowitzo --m 7` and `--family payne --m 7`, one
 stabilizer of the Adelaide hyperoval at q = 256, and the Tier-1 test suite.
 The q = 256 stabilizer has a peak RSS limit of 256 MiB; the record says for
-each tree whether its runs stayed under it.  Each runs
+each tree whether its runs stayed under it.  Four layer commands time every
+call of the point invariant `equiv._point_invariant` and count the minor
+page faults it takes (getrusage around each call): `invariants cherowitzo
+q=32` and `q=128` build one line-log cube and take the invariant of every
+point, again and again; `invariants in stab-q32` and `in classify-q32` run
+rounds of those bench/ workloads at seed 44.  Each checks every histogram
+and prints one JSON line, which the record keeps under "reported": the
+calls, the first pass (or round), and the warm calls after it.  Each runs
 --repeats times in a fresh interpreter, with the tree as working directory
 and TREE/src on PYTHONPATH.  Within a repeat every command runs once per
 tree, and the tree that runs first alternates between repeats, so the runs
@@ -64,6 +71,69 @@ COMMANDS = {
 }
 RSS_LIMIT_MIB = {"stabilizer adelaide q=256": 256}
 
+# wraps equiv._point_invariant: times each call, counts its minor faults and
+# checks that the histogram counts all (N-1)(N-2) pair rows of distinct points
+_INVARIANT_SPY = """
+import json, resource, statistics, sys, time
+from nihoval import equiv
+real, calls = equiv._point_invariant, []
+
+def timed(LL, Q, a):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    out = real(LL, Q, a)
+    t = time.perf_counter() - t0
+    calls.append((t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))
+    if sum(out[0]) != (len(LL) - 1) * (len(LL) - 2):
+        raise SystemExit(f'point {a}: the histogram sums to {sum(out[0])}')
+    return out
+
+equiv._point_invariant = timed
+
+def report(first):
+    warm = calls[first:]
+    print(json.dumps({'calls': len(calls), 'first_s': sum(t for t, _ in calls[:first]),
+                      'warm_min_s': min(t for t, _ in warm),
+                      'warm_median_s': statistics.median(t for t, _ in warm),
+                      'warm_faults_per_call': sum(f for _, f in warm) / len(warm)}))
+"""
+
+
+def invariants_of_every_point(m: int, passes: int) -> list[str]:
+    """The Cherowitzo hyperoval at q = 2^m: one cube, every point `passes` times."""
+    return ["-c", _INVARIANT_SPY + (
+        "from nihoval import gfun\n"
+        "from nihoval.gf2m import field_create\n"
+        f"P = field_create({m})\n"
+        "H = gfun.g_catalog(P, 'cherowitzo').hyperoval_codes_h()\n"
+        "LL = equiv._line_logs(P, equiv._coords_of_codes(P, H))\n"
+        f"for _ in range({passes}):\n"
+        "    for a in range(len(H)):\n"
+        "        equiv._point_invariant(LL, P.q - 1, a)\n"
+        "report(len(H))\n")]
+
+
+def invariants_in_rounds(workload: str, rounds: int) -> list[str]:
+    """`rounds` rounds of a bench/ workload at seed 44, each result checked."""
+    return ["-c", _INVARIANT_SPY + (
+        "import random\n"
+        "sys.path.insert(0, 'bench')\n"
+        "from workloads import WORKLOADS\n"
+        f"ops = WORKLOADS['{workload}'](random.Random('{workload}:44')).ops\n"
+        f"for r in range({rounds}):\n"
+        "    for op in ops:\n"
+        "        if (bad := op.check(op.run())) is not None:\n"
+        "            raise SystemExit(bad)\n"
+        "    if r == 0:\n"
+        "        first = len(calls)\n"
+        "report(first)\n")]
+
+
+COMMANDS.update({"invariants cherowitzo q=32": invariants_of_every_point(5, 30),
+                 "invariants cherowitzo q=128": invariants_of_every_point(7, 3),
+                 "invariants in stab-q32": invariants_in_rounds("stab-q32", 20),
+                 "invariants in classify-q32": invariants_in_rounds("classify-q32", 10)})
+
 
 def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:
     """(wall seconds, peak RSS in MiB, stdout) of one fresh interpreter."""
@@ -102,9 +172,12 @@ def time_commands(trees: dict[str, Path], repeats: int) -> dict:
                 if args[:2] == ["-m", "nihoval.cli"]:
                     args = args + ["--out", str(Path(tmp) / "report.json")]
                 for label, tree in interleaved(trees, i):
-                    wall, rss, _ = run_child(tree, args)
+                    wall, rss, out = run_child(tree, args)
                     runs[label][name]["s"].append(round(wall, 3))
                     runs[label][name]["peak_rss_mib"].append(round(rss, 1))
+                    if name.startswith("invariants "):
+                        runs[label][name].setdefault("reported", []).append(
+                            json.loads(out.strip().splitlines()[-1]))
                     print(f"{label:10s} {name:20s} {wall:8.2f} s {rss:7.1f} MiB", flush=True)
     for per_tree in runs.values():
         for name, rec in per_tree.items():

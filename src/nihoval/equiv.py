@@ -18,7 +18,8 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   with A = L[a], the keys relative to every triangle (a, b, c) are two
   broadcasts over (b, c, y), k0 = L - A[None] and k1 = L - A[:, None]
   mod q - 1, and an entry whose a, b, c, y are not distinct reads the log
-  of 0.  On an arc the keys relative to a triangle form a permutation graph
+  of 0, which the cube holds as -2(q - 1), outside every key range.  On an
+  arc the keys relative to a triangle form a permutation graph
   k1 = pi(k0), so one row of 2(q-1) slots per pair row (b, c) holds k1 and
   the image index at k0 and at k0 + q - 1.  Candidate translations come
   from the image of the fourth source point; gathers from the rows prune
@@ -57,7 +58,8 @@ b at a time.  Results are committed in A order, so they do not depend on the
 thread count.  are_equivalent runs the same search with an early exit on the
 first hit, optionally with a marked point (nucleus -> nucleus for oval
 equivalence); an A whose invariant differs from the source P0's runs no
-chunk.  point_invariant reuses the keys of all triangles at one point.
+chunk.  point_invariant reads v of all triangles at one point straight
+off the cube, with one table lookup per entry.
 classify_bent takes the invariant of each class's nucleus from the
 stabilizer's orbit invariants and runs the marked search only for classes
 whose invariants tie.
@@ -190,8 +192,11 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
 
     L_aa vanishes and L_ab vanishes on X_a and X_b; any further zero means
     three collinear (or two equal) points, which the torus keys cannot use.
-    The cube is filled in slabs of a of at most _LOG_SLAB_CELLS entries (one
-    slab up to q = 64), which bounds the uint32 temporaries.
+    Logs lie in [0, q - 1); the log of 0 reads _zero_log(q - 1) = -2(q - 1)
+    (not the 2(q - 1) of the field's own table), which keeps it out of the
+    key and invariant ranges.  The cube is filled in slabs of a of at most
+    _LOG_SLAB_CELLS entries (one slab up to q = 64), which bounds the uint32
+    temporaries.
     """
     fm = P.fmul_v
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -200,6 +205,8 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     l2 = fm(x[:, None], y[None, :]) ^ fm(y[:, None], x[None, :])
     n = len(pts)
     out = np.empty((n, n, n), dtype=_key_dtype(P.q - 1))
+    log = P.f_log.astype(out.dtype)
+    log[0] = _zero_log(P.q - 1)
     zeros = 0
     slab = max(1, _LOG_SLAB_CELLS // (n * n))
     for lo in range(0, n, slab):
@@ -208,22 +215,35 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
         dots ^= fm(l1[s, :, None], y)
         dots ^= fm(l2[s, :, None], z)
         zeros += np.count_nonzero(dots == 0)
-        out[s] = P.f_log[dots]
+        out[s] = log[dots]
     if zeros != n * n + 2 * n * (n - 1):
         raise EquivError("three of the points are collinear: not an arc")
     return out
 
 
-_FAN_SLAB_CELLS = 1 << 16      # _fan entries per slab of b in chunks and invariants
+_FAN_SLAB_CELLS = 1 << 16      # _fan entries per slab of b in a chunk
+_INVARIANT_SLAB_CELLS = 1 << 14   # cube entries per slab of b in an invariant
+
+
+def _zero_log(Q: int) -> int:
+    """The log of 0 in the line-log cube: -2Q lies outside the logs [0, Q)
+    and puts every s of _point_invariant that reads it outside
+    [-2Q + 2, 2Q - 2]."""
+    return -2 * Q
 
 
 def _key_dtype(Q: int):
     """Narrowest dtype for logs, keys, key offsets and point indices.  Logs lie
-    in [0, Q) plus 2Q (the log of 0), so _fan's log differences lie in
-    [-2Q, 2Q] and its keys in [-Q, 2Q]; the invariant forms k1 - 2*k0 in
-    [-3Q, 2Q] (k0 zeroed where `bad`) and the search -2Q - key: int16 only
-    while 3Q < 2^15 (m <= 13)."""
+    in [0, Q) plus -2Q (the log of 0), so _fan's log differences lie in
+    [-3Q, 3Q] and the search forms -2Q - key: int16 only while 3Q < 2^15
+    (m <= 13)."""
     return np.int16 if 3 * Q < 1 << 15 else np.int32
+
+
+def _sum_dtype(Q: int):
+    """Dtype of the invariant's s = 2*A - A - L in [-6Q, 6Q]: int16 only while
+    6Q < 2^15 (m <= 12)."""
+    return np.int16 if 6 * Q < 1 << 15 else np.int32
 
 
 def _fan(LL: np.ndarray, Q: int, a: int, b=slice(None)):
@@ -231,13 +251,13 @@ def _fan(LL: np.ndarray, Q: int, a: int, b=slice(None)):
     the first corners b (a slice or index list): k0, k1 and the mask `bad`,
     each over (b, c, y).  k0 and k1 lie in [0, Q) where a, b, c and y are
     pairwise distinct; `bad` marks the other entries, exactly those where a
-    log reads 2Q (the log of 0)."""
+    log reads -2Q (the log of 0)."""
     A, L = LL[a], LL[b]              # A[c, y] = log(L_ac . X_y)
     Ab = A[b][:, None]
     k0, k1 = L - A[None], L - Ab
     for k in (k0, k1):               # a difference of two logs in [0, Q) wraps once
         k += (k < 0) * k.dtype.type(Q)
-    zero = 2 * Q
+    zero = _zero_log(Q)
     return k0, k1, (L == zero) | (A == zero)[None] | (Ab == zero)
 
 
@@ -641,35 +661,58 @@ def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
     return _point_invariant(LL, params.q - 1, codes.index(point))[0]
 
 
+def _bin_table(Q: int) -> np.ndarray:
+    """The invariant's bin of each s in [-6Q, 6Q], read at s (a negative s
+    from the end): s mod Q on [-2Q + 2, 2Q - 2], where the points off a
+    triangle fall, and the discard bin Q everywhere else."""
+    table = np.full(12 * Q + 1, Q, dtype=np.intp)
+    good = np.arange(2 - 2 * Q, 2 * Q - 1)
+    table[good] = good % Q
+    return table
+
+
 def _point_invariant(LL: np.ndarray, Q: int, a: int):
     """point_invariant of point a, and its row counts, from the line-log cube
     of its point set.
 
     Returns (histogram, n): n is the flat N*N array of the row counts
     n_a[b, c] at b*N + c, and -1 where a, b, c are not distinct.
+
+    With A = LL[a] and L = LL[b], v = k1 - 2*k0 is read straight off the
+    cube as s = 2*A[c, y] - A[b, y] - L[c, y], in [-6Q, 6Q] (_sum_dtype),
+    and one table of 12Q + 1 entries (_bin_table) maps s to its bin.  In a
+    distinct row the N - 3 points off the triangle give s in
+    [-2Q + 2, 2Q - 2], binned at s mod Q; y = a, b and c read the log of 0,
+    Z = -2Q, and give Z - L, 2A - 2Z and Z - A, all outside that range, so
+    they land in the discard bin Q.
     """
     N = len(LL)
-    p = np.arange(N)
-    distinct = ((p[:, None] != p) & (p[:, None] != a) & (p != a)).reshape(-1)   # pair rows
-    n_rows = np.full(N * N, -1, dtype=np.int64)
-    # one slab of b at a time, with one bincount over (row, v), keeps the
-    # temporaries and the bins few; `bad` entries go to the extra bin Q
-    slab = max(1, _FAN_SLAB_CELLS // (N * max(N, Q + 1)))
+    table = _bin_table(Q)
+    A = LL[a].astype(_sum_dtype(Q))
+    A2 = 2 * A
+    n_rows = np.empty(N * N, dtype=np.int64)
+    # one slab of b at a time, with one bincount over (row, bin).  The slabs
+    # keep every intp temporary under about 128 KiB: larger ones are handed
+    # back to the system and faulted in again on every call
+    slab = max(1, _INVARIANT_SLAB_CELLS // (N * N))
+    offsets = (np.arange(slab * N) * (Q + 1))[:, None]
     for lo in range(0, N, slab):
-        k0, k1, bad = _fan(LL, Q, a, slice(lo, lo + slab))
-        np.putmask(k0, bad, 0)           # keeps k1 - 2*k0 within _key_dtype
-        v = k1 - 2 * k0
-        for _ in range(2):               # from (-2Q, Q) into [0, Q)
-            v += (v < 0) * v.dtype.type(Q)
-        np.putmask(v, bad, Q)
-        keep = distinct[lo * N:(lo + slab) * N]
-        v = v.reshape(-1, N)[keep]
-        n = np.bincount((np.arange(len(v))[:, None] * (Q + 1) + v).reshape(-1),
-                        minlength=len(v) * (Q + 1)).reshape(-1, Q + 1)[:, :Q]
-        # the pairs with equal v, (sum n^2 - sum n) / 2: on an arc the N - 3
-        # points off the triangle are exactly the entries that are not `bad`
-        n_rows[lo * N:(lo + slab) * N][keep] = (np.einsum("ij,ij->i", n, n) - (N - 3)) // 2
-    return tuple(np.bincount(n_rows[distinct]).tolist()), n_rows
+        L = LL[lo:lo + slab]
+        s = A2[None] - A[lo:lo + slab][:, None]
+        s -= L
+        rows = len(L) * N
+        bins = table[s.astype(np.intp)].reshape(rows, N)
+        bins += offsets[:rows]
+        n = np.bincount(bins.reshape(-1), minlength=rows * (Q + 1)).reshape(rows, -1)[:, :Q]
+        np.einsum("ij,ij->i", n, n, out=n_rows[lo * N:lo * N + rows])
+    # the pairs with equal v, (sum n^2 - sum n) / 2: on an arc the N - 3
+    # points off the triangle are exactly the entries binned below Q
+    n_rows -= N - 3
+    n_rows //= 2
+    n_rows[a * N:(a + 1) * N] = -1       # the rows through a and the diagonal
+    n_rows[a::N] = -1
+    n_rows[::N + 1] = -1
+    return tuple(np.bincount(n_rows[n_rows >= 0]).tolist()), n_rows
 
 
 # --------------------------------------------------------- bent class counts

@@ -362,9 +362,9 @@ class FieldParams:
         self._ensure_k_tables()
         if not zero_to_zero and np.any(x == 0):
             raise FieldError("inverse of 0")
-        order = self.q * self.q - 1
-        r = self.k_exp[(order - self.k_log[x].astype(np.int64)) % order]
-        return np.where(x == 0, 0, r).astype(np.uint32)
+        # g^(order - log x) lies in the doubled cycle; the log of 0, 2*order,
+        # reads index -order, in the zero-filled tail: no reduction, no mask
+        return self.k_exp[np.subtract(self.q * self.q - 1, self.k_log[x], dtype=np.intp)]
 
     def kpow_v(self, x, e: int):
         if e == 0:

@@ -280,12 +280,36 @@ def test_fan_and_invariant_match_the_index_cubes_on_the_catalog(m, fam, r):
 @pytest.mark.parametrize("m,fam,size", [(2, "hyperconic", 4), (3, "hyperconic", 5),
                                         (4, "lunelli_sce", 9), (5, "cherowitzo", 4),
                                         (5, "payne", 20), (6, "adelaide", 33),
-                                        (6, "subiaco", 48)])
+                                        (6, "subiaco", 48), (3, "hyperconic", 4),
+                                        (4, "lunelli_sce", 4), (6, "adelaide", 4)])
 def test_fan_and_invariant_match_the_index_cubes_on_smaller_arcs(m, fam, size):
-    # empty slots and rows shorter than the q - 1 keys of a hyperoval
+    # empty slots and rows shorter than the q - 1 keys of a hyperoval; on a
+    # 4-point arc each pair row has a single point off its triangle
     P = field_create(m)
     arc = random.Random(f"{m}:{fam}:{size}").sample(hyperoval(P, fam), size)
     assert_fan_matches_the_index_cubes(P, arc)
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_logs_of_zero_land_in_the_discard_bin(m, fam, r):
+    # in every pair row (b, c) of distinct points, the entries of
+    # s = 2*A[c, y] - A[b, y] - L[b, c, y] that read the log of 0 (y = a, b, c)
+    # map to the discard bin Q; the other N - 3 map below it
+    P = field_create(m)
+    Q = P.q - 1
+    LL = equiv._line_logs(P, equiv._coords_of_codes(P, hyperoval(P, fam, r)))
+    N, zero, table = len(LL), equiv._zero_log(Q), equiv._bin_table(Q)
+    assert table.shape == (12 * Q + 1,)
+    p, L = np.arange(N), LL.astype(np.int64)
+    for a in range(N):
+        A = L[a]
+        s = 2 * A[None] - A[:, None] - L
+        reads_zero = (A == zero)[None] | (A == zero)[:, None] | (L == zero)
+        distinct = ((p[:, None] != p) & (p[:, None] != a) & (p != a))[:, :, None]
+        assert np.abs(s).max() <= 6 * Q
+        assert (table[s[distinct & reads_zero]] == Q).all()
+        assert (table[s[distinct & ~reads_zero]] < Q).all()
+        assert np.count_nonzero(distinct & reads_zero) == 3 * (N - 1) * (N - 2)
 
 
 @pytest.mark.parametrize("m,fam", [(4, "lunelli_sce"), (5, "cherowitzo"), (6, "adelaide")])
@@ -375,6 +399,9 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
     P = field_create(13)
     assert equiv._key_dtype(P.q - 1) is np.int16
     assert equiv._key_dtype(2 * P.q - 1) is np.int32
+    # the invariant's s = 2*A - A - L spans [-6Q, 6Q]: int32 from m = 13 on
+    assert equiv._sum_dtype(P.q - 1) is np.int32
+    assert equiv._sum_dtype(P.q // 2 - 1) is np.int16
     rng = random.Random(13)
     x, y = rng.sample(range(2, P.q), 2)
     conic = [point_oracle.h_code(P, 1, t, P.fmul(t, t))
@@ -393,8 +420,11 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
                         hit.witness, [equiv.point_invariant(P, arc, c) for c in arc]))
         return out
 
+    real, sums = equiv._sum_dtype, []
+    monkeypatch.setattr(equiv, "_sum_dtype", lambda Q: sums.append(real(Q)) or sums[-1])
     narrow = run()
     assert [o[0] for o in narrow] == [2, 2, 8]
+    assert sums and all(d is np.int32 for d in sums)     # every invariant forms s in int32
     monkeypatch.setattr(equiv, "_key_dtype", lambda Q: np.int32)
     assert run() == narrow
 

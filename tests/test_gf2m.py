@@ -253,6 +253,24 @@ def test_inverse_table(m, modulus):
         P.finv_v(np.uint32(0))
 
 
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 11)] + [(4, 0b11111)])
+def test_k_inverse_gather(m, modulus):
+    # every code up to m = 6, a seeded vector (zeros included) beyond
+    P = field_create(m, modulus)
+    order = P.q * P.q - 1
+    x = (np.arange(order + 1, dtype=np.uint32) if m <= 6 else
+         np.random.default_rng(m).integers(0, order + 1, 1 << 14).astype(np.uint32))
+    x[:3] = 0, 1, order
+    got = P.kinv_v(x, zero_to_zero=True)
+    # the int64 index arithmetic the gather replaces
+    old = P.k_exp[(order - P.k_log[x].astype(np.int64)) % order]
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, np.where(x == 0, 0, old).astype(np.uint32))
+    assert np.all(P.kmul_v(x[x != 0], got[x != 0]) == 1)
+    with pytest.raises(FieldError):
+        P.kinv_v(x)
+
+
 def test_unit_circle_m2():
     P = field_create(2)
     assert len(unit_circle(P)) == 5
