@@ -7,8 +7,11 @@ The commands are `nihoval reproduce table1|table2|sec4.6|theorems`,
 `nihoval classify --m 5` and `--m 6` (the default family, the hyperconic),
 `classify --family cherowitzo --m 7` and `--family payne --m 7`, one
 stabilizer of the Adelaide hyperoval at q = 256, and the Tier-1 test suite.
-The q = 256 stabilizer has a peak RSS limit of 256 MiB; the record says for
-each tree whether its runs stayed under it.  Four layer commands time every
+In three stabilizers the whole group PGammaL(2, q), of order q(q^2 - 1)m,
+fixes point 0: `translation r=6 q=128`, `hyperconic q=128 nucleus first` and
+`translation r=7 q=256`; each checks that order and the orbits 1 and q + 1.
+The q = 256 stabilizers have a peak RSS limit of 256 MiB; the record says
+for each tree whether its runs stayed under it.  Four layer commands time every
 call of the point invariant `equiv._point_invariant` and count the minor
 page faults it takes (getrusage around each call): `invariants cherowitzo
 q=32` and `q=128` build one line-log cube and take the invariant of every
@@ -69,7 +72,23 @@ COMMANDS = {
     "tier-1": ["-m", "pytest", "-q", "--continue-on-collection-errors",
                "-p", "no:cacheprovider"],
 }
-RSS_LIMIT_MIB = {"stabilizer adelaide q=256": 256}
+RSS_LIMIT_MIB = {"stabilizer adelaide q=256": 256, "stabilizer translation r=7 q=256": 256}
+
+
+def conic_stabilizer(m: int, first: str) -> list[str]:
+    """The stabilizer of a conic whose group fixes point 0: translation
+    r = m - 1, or the hyperconic with its nucleus moved first."""
+    family = ("'translation', r=m - 1" if first == "translation" else "'hyperconic'")
+    return ["-c", "from nihoval import equiv, gfun\n"
+                  "from nihoval.gf2m import field_create\n"
+                  f"m = {m}\n"
+                  "P = field_create(m)\n"
+                  f"H = gfun.g_catalog(P, {family}).hyperoval_codes_h()\n"
+                  + ("H = [H[-1]] + H[:-1]\n" if first == "nucleus" else "") +
+                  "d = equiv.stabilizer(P, H)\n"
+                  "got = (d.stabilizer_order, d.orbit_sizes())\n"
+                  "if got != (P.q * (P.q ** 2 - 1) * m, [1, P.q + 1]):\n"
+                  "    raise SystemExit(f'got {got}')\n"]
 
 # wraps equiv._point_invariant: times each call, counts its minor faults and
 # checks that the histogram counts all (N-1)(N-2) pair rows of distinct points
@@ -129,6 +148,9 @@ def invariants_in_rounds(workload: str, rounds: int) -> list[str]:
         "report(first)\n")]
 
 
+COMMANDS.update({"stabilizer translation r=6 q=128": conic_stabilizer(7, "translation"),
+                 "stabilizer hyperconic q=128 nucleus first": conic_stabilizer(7, "nucleus"),
+                 "stabilizer translation r=7 q=256": conic_stabilizer(8, "translation")})
 COMMANDS.update({"invariants cherowitzo q=32": invariants_of_every_point(5, 30),
                  "invariants cherowitzo q=128": invariants_of_every_point(7, 3),
                  "invariants in stab-q32": invariants_in_rounds("stab-q32", 20),

@@ -14,11 +14,13 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   multiplies source keys by 2^j.  So (j, A, B, C, t) is a hit iff
   2^j K_src(X) + t is a key of T for every other source point X.
 * log(L_ab . X_l) is tabulated once per point set as an N x N x N cube L,
-  with N^3 field products.  After that the search is integer work only:
-  with A = L[a], the keys relative to every triangle (a, b, c) are two
-  broadcasts over (b, c, y), k0 = L - A[None] and k1 = L - A[:, None]
-  mod q - 1, and an entry whose a, b, c, y are not distinct reads the log
-  of 0, which the cube holds as -2(q - 1), outside every key range.  On an
+  from the pairs a < b only (L_ba = L_ab in characteristic 2), with
+  N^2 (N - 1) / 2 field products.  After that the search is integer work
+  only: with A = L[a], the keys of the points y relative to a triangle
+  (a, b, c) are k0 = L[b, c] - A[c] and k1 = L[b, c] - A[b] mod q - 1,
+  gathered for the pair rows (b, c) a chunk keeps, and an entry whose
+  a, b, c, y are not distinct reads the log of 0, which the cube holds as
+  -2(q - 1), outside every key range.  On an
   arc the keys relative to a triangle form a permutation graph
   k1 = pi(k0), so one row of 2(q-1) slots per pair row (b, c) holds k1 and
   the image index at k0 and at k0 + q - 1.  Candidate translations come
@@ -26,11 +28,14 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   them.
 * Every hit is one group element, and the hits with first image A form the
   coset {g : g(P0) = A}.  A stabilizer search counts only the chunk A = P0,
-  Stab(P0), in full: |G| = |Stab(P0)| * |P0^G|.  Every other A needs one hit
-  or a proof of none, and no chunk at all once the elements found so far
-  put it in P0's orbit or in the orbit of a point without a hit.  Stab(P0) and
-  one hit per reached A generate the group, so the closure of their point
-  images (table lookups) is the orbit partition.
+  Stab(P0): |G| = |Stab(P0)| * |P0^G|.  It counts Stab(P0) along the base
+  (P0, P1, P2), not hit by hit: |Stab(P0)| = n1 * n2 * n3, with n1 the
+  images of P1, n2 the images of P2 with P1 fixed and n3 the elements
+  fixing P1 and P2, so one checked hit decides each image of P1 or P2.
+  Every other A needs one hit or a proof of none, and no chunk at all once
+  the elements found so far put it in P0's orbit or in the orbit of a point
+  without a hit.  Stab(P0) and one hit per reached A generate the group, so
+  the closure of their point images (table lookups) is the orbit partition.
 * point_invariant is an exact collineation invariant of a point of the set,
   so an A whose invariant differs from P0's is outside P0's orbit and runs
   no chunk; only A that tie P0's invariant need one.  The least point of
@@ -53,13 +58,14 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
   not an arc and the search raises EquivError.
 
 Chunks run over the first image point A (one chunk when `marked` pins it),
-each over the triangles (A, b, c) of its kept pair rows, formed one slab of
-b at a time.  Results are committed in A order, so they do not depend on the
-thread count.  are_equivalent runs the same search with an early exit on the
-first hit, optionally with a marked point (nucleus -> nucleus for oval
-equivalence); an A whose invariant differs from the source P0's runs no
-chunk.  point_invariant reads v of all triangles at one point straight
-off the cube, with one table lookup per entry.
+each over the triangles (A, b, c) of its kept pair rows, whose slot tables
+are formed one slab of rows at a time; an early-exit chunk stops at its
+first slab with a hit.  Results are committed in A order, so they do not
+depend on the thread count.  are_equivalent runs the same search with an
+early exit on the first hit, optionally with a marked point (nucleus ->
+nucleus for oval equivalence); an A whose invariant differs from the source
+P0's runs no chunk.  point_invariant reads v of all triangles at one point
+straight off the cube, with one table lookup per entry.
 classify_bent takes the invariant of each class's nucleus from the
 stabilizer's orbit invariants and runs the marked search only for classes
 whose invariants tie.
@@ -67,9 +73,11 @@ whose invariants tie.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,7 +192,7 @@ def _frame_matrix(P: FieldParams, quad: np.ndarray) -> np.ndarray:
                     dtype=np.uint32).reshape(3, 3)
 
 
-_LOG_SLAB_CELLS = 66 ** 3      # the whole cube of a hyperoval at q = 64
+_LOG_SLAB_CELLS = 66 ** 3      # cube entries per slab: one slab up to q = 64
 
 
 def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
@@ -194,34 +202,37 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
     three collinear (or two equal) points, which the torus keys cannot use.
     Logs lie in [0, q - 1); the log of 0 reads _zero_log(q - 1) = -2(q - 1)
     (not the 2(q - 1) of the field's own table), which keeps it out of the
-    key and invariant ranges.  The cube is filled in slabs of a of at most
-    _LOG_SLAB_CELLS entries (one slab up to q = 64), which bounds the uint32
-    temporaries.
+    key and invariant ranges.  In characteristic 2, L_ba = L_ab, so only the
+    pairs a < b are computed and mirrored, in slabs of at most
+    _LOG_SLAB_CELLS entries, which bounds the uint32 temporaries.
     """
     fm = P.fmul_v
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    l0 = fm(y[:, None], z[None, :]) ^ fm(z[:, None], y[None, :])
-    l1 = fm(z[:, None], x[None, :]) ^ fm(x[:, None], z[None, :])
-    l2 = fm(x[:, None], y[None, :]) ^ fm(y[:, None], x[None, :])
     n = len(pts)
     out = np.empty((n, n, n), dtype=_key_dtype(P.q - 1))
     log = P.f_log.astype(out.dtype)
     log[0] = _zero_log(P.q - 1)
+    out[np.arange(n), np.arange(n)] = log[0]
+    first, second = np.triu_indices(n, 1)
     zeros = 0
-    slab = max(1, _LOG_SLAB_CELLS // (n * n))
-    for lo in range(0, n, slab):
-        s = slice(lo, lo + slab)
-        dots = fm(l0[s, :, None], x)
-        dots ^= fm(l1[s, :, None], y)
-        dots ^= fm(l2[s, :, None], z)
+    slab = max(1, _LOG_SLAB_CELLS // n)
+    for lo in range(0, len(first), slab):
+        a, b = first[lo:lo + slab], second[lo:lo + slab]
+        l0 = fm(y[a], z[b]) ^ fm(z[a], y[b])
+        l1 = fm(z[a], x[b]) ^ fm(x[a], z[b])
+        l2 = fm(x[a], y[b]) ^ fm(y[a], x[b])
+        dots = fm(l0[:, None], x)
+        dots ^= fm(l1[:, None], y)
+        dots ^= fm(l2[:, None], z)
         zeros += np.count_nonzero(dots == 0)
-        out[s] = log[dots]
-    if zeros != n * n + 2 * n * (n - 1):
+        out[a, b] = out[b, a] = log[dots]
+    if zeros != 2 * len(first):
         raise EquivError("three of the points are collinear: not an arc")
     return out
 
 
-_FAN_SLAB_CELLS = 1 << 16      # _fan entries per slab of b in a chunk
+_FAN_SLAB_CELLS = 1 << 16      # _fan entries (kept rows times N) per slab of a chunk
+_EXIT_FIRST_ROWS = 128         # kept rows in the first slab of an early-exit chunk
 _INVARIANT_SLAB_CELLS = 1 << 14   # cube entries per slab of b in an invariant
 
 
@@ -246,19 +257,19 @@ def _sum_dtype(Q: int):
     return np.int16 if 6 * Q < 1 << 15 else np.int32
 
 
-def _fan(LL: np.ndarray, Q: int, a: int, b=slice(None)):
-    """Torus keys of every point y relative to every triangle (a, b, c), for
-    the first corners b (a slice or index list): k0, k1 and the mask `bad`,
-    each over (b, c, y).  k0 and k1 lie in [0, Q) where a, b, c and y are
-    pairwise distinct; `bad` marks the other entries, exactly those where a
-    log reads -2Q (the log of 0)."""
-    A, L = LL[a], LL[b]              # A[c, y] = log(L_ac . X_y)
-    Ab = A[b][:, None]
-    k0, k1 = L - A[None], L - Ab
+def _fan(LL: np.ndarray, Q: int, a: int, b, c):
+    """Torus keys of every point y relative to the triangles (a, b[i], c[i]),
+    b and c index arrays: k0, k1 and the mask `bad`, each over (i, y).  k0
+    and k1 lie in [0, Q) where a, b, c and y are pairwise distinct; `bad`
+    marks the other entries, exactly those where a log reads -2Q (the log of
+    0)."""
+    A = LL[a]                        # A[c, y] = log(L_ac . X_y)
+    L, Ab, Ac = LL[b, c], A[b], A[c]
+    k0, k1 = L - Ac, L - Ab
     for k in (k0, k1):               # a difference of two logs in [0, Q) wraps once
         k += (k < 0) * k.dtype.type(Q)
     zero = _zero_log(Q)
-    return k0, k1, (L == zero) | (A == zero)[None] | (Ab == zero)
+    return k0, k1, (L == zero) | (Ac == zero) | (Ab == zero)
 
 
 # ----------------------------------------------------------- the enumeration
@@ -298,7 +309,8 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     except that `want_orbits` (src = dst) finds the group G by
     orbit-stabilizer:
 
-    * chunk P0 is counted in full, for |Stab(P0)| and its samples;
+    * chunk P0 is counted along the base (_chain_count), for |Stab(P0)| and
+      its samples;
     * each other first image a is visited in index order.  It is skipped if
       the relation "x ~ g(x)" over the elements recorded so far puts it in
       P0's class (then a is in P0^G) or in the class of a point known to be
@@ -322,7 +334,13 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     is caught only if a later chunk joins its point to P0's class, else the
     order comes out too small.  Points refuted by their invariant are
     outside P0^G by proof, so the gap is left only for points that tie
-    P0's invariant.
+    P0's invariant.  Inside chunk P0 the check covers only n3: row
+    (P1, P2) holds the identity, so n3 = 0 raises.  A stream of chunk P0
+    wrongly left empty undercounts n1 or n2, and nothing in the search
+    catches it: the orbits stay right, since a point of P0's orbit that the
+    samples miss is visited and joined by its own chunk, but the order comes
+    out too small.  The tests catch it, against the count of every hit of
+    chunk P0.
 
     With threads > 1 the next `threads` undecided points are visited at
     once (invariant, and chunk on a tie) and committed in index order; a
@@ -359,7 +377,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     if want_orbits and (dst_codes != src_codes or p0 not in firsts):
         raise EquivError("an orbit search maps a point set (and a marked point) to itself")
     # keys of the other source points minus the fourth point's key, times 2^j
-    k0, k1 = (k[0, order[2], order[3:]] for k in _fan(LLs, Q, order[0], [order[1]])[:2])
+    k0, k1 = (k[0, order[3:]] for k in _fan(LLs, Q, order[0], [order[1]], [order[2]])[:2])
     d = np.stack([k0[1:] - k0[0], k1[1:] - k1[0]])
     shifts = np.array([d.astype(np.int64) * (1 << j) % Q for j in range(m)],
                       dtype=LLs.dtype)
@@ -394,7 +412,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                     P, _frame_matrix(P, dst[images[quad]]).reshape(-1), j).compose(base.inverse())
                 break
         return res
-    stab, found = chunk(p0, False, n0)
+    stab, found = chunk(p0, _CHAIN, n0)
     if stab < 1:
         raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
     least = np.arange(N)        # least[x]: the least point of the class of x
@@ -448,120 +466,212 @@ def _join(least: np.ndarray, images: np.ndarray) -> None:
             least[least == max(u, v)] = min(u, v)
 
 
-def _process_chunk(ctx: _Torus, a: int, early_exit: bool, rows: np.ndarray):
+_CHAIN = "chain"       # the mode of _process_chunk for chunk P0 of an orbit search
+
+
+def _slabs(rows: np.ndarray, N: int, size: int):
+    """Bounds (lo, hi) of successive slabs of the ascending pair rows b*N + c
+    in `rows`.  The first slab holds at most `size` rows and each next one
+    at most twice as many as the last, up to _FAN_SLAB_CELLS // N rows.  A
+    slab ends where the rows of one b end, and holds the rows of at least
+    one b."""
+    ends = np.searchsorted(rows, np.arange(1, N + 1) * N).tolist()
+    cap = max(1, _FAN_SLAB_CELLS // N)
+    size, lo = min(size, cap), 0
+    while lo < len(rows):
+        k = bisect.bisect_right(ends, lo + size)        # ends[:k] <= lo + size
+        hi = ends[k - 1] if k and ends[k - 1] > lo else ends[bisect.bisect_right(ends, lo)]
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
+
+
+class _Slab:
+    """The slot tables of the pair rows `rows` of chunk a, and the checks
+    that read them.
+
+    The keys of the points off a triangle form a permutation graph
+    k1 = pi(k0) (an arc meets each line through c in at most one more
+    point), so row i of the slab, the pair row rows[i] = b*N + c, holds k1
+    and the image index at column k0 of each point, and again at k0 + Q:
+    k0 + offset needs no reduction.  A slot left empty (an arc smaller than
+    a hyperoval, or a pair row whose a, b, c are not distinct) holds
+    k1 = -2Q and never matches.  Candidate h, the point y of row i, sits at
+    base[h] = i*2Q + k0, in (i, y) order, so in (b, c, y) order.
+    """
+
+    def __init__(self, ctx: _Torus, a: int, rows: np.ndarray):
+        N, Q = ctx.N, ctx.Q
+        self.ctx, self.a, self.rows, self.W = ctx, a, rows, 2 * Q
+        k0, k1, bad = _fan(ctx.LL, Q, a, rows // N, rows % N)
+        t = np.flatnonzero(~bad).astype(rows.dtype)      # i*N + y
+        self.base = t // N * self.W + k0.reshape(-1)[t]
+        self.k1 = k1.reshape(-1)[t]
+        self.k1row = np.full(len(rows) * self.W, -self.W, dtype=k1.dtype)
+        self.yrow = np.zeros(len(self.k1row), dtype=k1.dtype)     # point index y
+        for lift in (0, Q):
+            self.k1row[self.base + lift] = self.k1
+            self.yrow[self.base + lift] = t % N
+
+    def holds(self, cand, d0, d1):
+        # the slot at k0 + d0 of the candidate's row holds k1 + d1 mod Q
+        diff = self.k1row[self.base[cand] + d0] - self.k1[cand]
+        return (diff == d1) | (diff == d1 - self.ctx.Q)
+
+    def survivors(self, j: int, cand=None) -> np.ndarray:
+        """One candidate translation per (b, c, y), y the image of the fourth
+        source point, at Frobenius power j: those of the ascending candidates
+        `cand` (None: all) that hold on the fifth and sixth source points."""
+        d0, d1 = self.ctx.shifts[j]
+        if not len(d0):
+            return np.arange(len(self.base)) if cand is None else cand
+        if cand is None:            # every candidate: the probe needs no gather
+            alive = np.flatnonzero(self.holds(slice(None), d0[0], d1[0]))
+        else:
+            alive = cand[self.holds(cand, d0[0], d1[0])]
+        return alive[self.holds(alive, d0[1], d1[1])] if len(d0) > 1 else alive
+
+    def hits(self, cand: np.ndarray, j: int, first: bool = False) -> np.ndarray:
+        """The hits at power j among the ascending candidates `cand`, checked
+        on every source point in blocks of _FAN_SLAB_CELLS // N, which bounds
+        the memory; with `first`, only those of the first block with a hit."""
+        d0, d1 = self.ctx.shifts[j]
+        step = max(1, _FAN_SLAB_CELLS // self.ctx.N)
+        out = []
+        for lo in range(0, len(cand), step):
+            block = cand[lo:lo + step]
+            out.append(block[self.holds(block[:, None], d0, d1).all(axis=1)])
+            if first and len(out[-1]):
+                break
+        return np.concatenate(out) if out else cand[:0]
+
+    def corners(self, h) -> np.ndarray:
+        """The rows (a, b, c, y) of the candidates h: the images of the source
+        quadrangle."""
+        b, c = np.divmod(self.rows[self.base[h] // self.W], self.ctx.N)
+        return np.stack([np.full_like(b, self.a), b, c, self.yrow[self.base[h]]], axis=1)
+
+    def elements(self, h, j) -> list:
+        """(j[k], images) of candidate h[k] at power j[k]: images[x] is the
+        index of the image of source point x."""
+        ctx, h, j = self.ctx, np.asarray(h), np.asarray(j)
+        images = np.empty((len(h), ctx.N), dtype=np.int64)
+        images[:, ctx.src_order[:4]] = self.corners(h)
+        images[:, ctx.src_order[4:]] = self.yrow[self.base[h][:, None] + ctx.shifts[j, 0]]
+        return list(zip(j.tolist(), images))
+
+
+def _process_chunk(ctx: _Torus, a: int, early_exit, rows: np.ndarray):
     """The hits that map the source triangle to (a, b, c) for the pair rows
     b*N + c in `rows` (ascending).
 
     Returns (hit count, found).  A hit is the Frobenius power j and the image
     (a, b, c, y) of the source quadrangle (P0, P1, P2, P3), and `found`
     lists (j, images) pairs, images[x] the index of the image of source
-    point x: the quadrangle's images are images[src_order[:4]].  With
-    `early_exit` the count is 0 or 1 and `found` holds the first hit in
-    (b, c, j, y) order.  Otherwise every hit is counted and `found` holds the
-    samples: one hit per coset of each stabilizer along the base (P0, P1, P2,
-    P3).  In chunk P0, the stabilizer of P0, the cosets are told apart by the
-    image of P1, of P2 (P1 fixed), of P3 (P1, P2 fixed) and by j (all four
-    fixed), so by Schreier's lemma the samples generate Stab(P0).  Point
-    images are gathered for them only.
+    point x: the quadrangle's images are images[src_order[:4]].
+    `early_exit` is one of three modes:
+
+    * True: the count is 0 or 1 and `found` holds the first hit in
+      (b, c, j, y) order.  The rows run in slabs that double from
+      _EXIT_FIRST_ROWS, and the chunk returns at the first slab with a hit.
+    * False: every hit is counted, and `found` is empty (the oracle of the
+      tests).
+    * _CHAIN, for chunk P0 of an orbit search (a = P0, the destination the
+      source): the hits are Stab(P0), counted along the base (P0, P1, P2)
+      as n1 * n2 * n3 (_chain_count), and `found` holds the samples.
 
     _search passes the rows whose count n_a[b, c] (_point_invariant) equals
     the source triangle's n_P0[P1, P2]: a collineation maps row (P1, P2) of
     P0 onto row (b, c) of a with the same count, so no other row holds a
-    hit.  The rows keep their order, so the hits, the samples and the first
-    hit are those of the search over all rows.
-
-    The keys of the points off a triangle form a permutation graph
-    k1 = pi(k0) (an arc meets each line through c in at most one more
-    point), so the kept row r of the pair (b, c) holds k1 and the image index
-    at column k0 of each point, and again at k0 + Q: k0 + offset needs no
-    reduction.  A slot left empty (an arc smaller than a hyperoval, or a
-    pair row whose a, b, c are not distinct) holds k1 = -2Q and never matches.
-    The rows are filled one slab of b at a time from _fan.
+    hit.  The rows keep their order, so the count, the samples and the
+    first hit are those of the search over all rows.  Each slab builds the
+    slot tables of its rows only (_Slab), at most _FAN_SLAB_CELLS // N rows
+    (or those of one b), which bounds the memory.
     """
-    N, Q, shifts = ctx.N, ctx.Q, ctx.shifts
-    m, W = len(shifts), 2 * Q
-    # candidate h, the point y of kept row r, sits at base[h] = r*W + k0, in
-    # (r, y) order, so in (b, c, y) order
-    at = np.int32 if N * N * W < 1 << 31 else np.int64
-    rows = rows.astype(at)
-    k1row = np.full(len(rows) * W, -W, dtype=ctx.LL.dtype)
-    yrow = np.zeros(len(k1row), dtype=ctx.LL.dtype)      # point index y
-    base, k1 = [], []
-    slab = max(1, _FAN_SLAB_CELLS // (N * N))
-    for lo in range(0, N, slab):
-        i, k = np.searchsorted(rows, (lo * N, (lo + slab) * N)).tolist()
-        if i == k:
-            continue
-        k0s, k1s, bad = (f.reshape(-1, N)[rows[i:k] - lo * N]
-                         for f in _fan(ctx.LL, Q, a, slice(lo, lo + slab)))
-        t = np.flatnonzero(~bad).astype(at)      # r*N + y over the slab's rows
-        base.append((t // N + i) * W + k0s.reshape(-1)[t])
-        k1.append(k1s.reshape(-1)[t])
-        for lift in (0, Q):
-            k1row[base[-1] + lift] = k1[-1]
-            yrow[base[-1] + lift] = t % N
-    base, k1 = np.concatenate(base), np.concatenate(k1)
-
-    def corners(h):                      # (b, c, y) of candidates h
-        b, c = np.divmod(rows[base[h] // W], N)
-        return b, c, yrow[base[h]]
-
-    def holds(cand, d0, d1):
-        # the slot at k0 + d0 of the candidate's row holds k1 + d1 mod Q
-        diff = k1row[base[cand] + d0] - k1[cand]
-        return (diff == d1) | (diff == d1 - Q)
-
-    def element(h, j):                   # j and the point images of candidate h
-        images = np.empty(N, dtype=np.int64)
-        images[ctx.src_order] = np.concatenate(
-            ([a], corners(h), yrow[base[h] + shifts[j][0]]))
-        return j, images
-
+    N, m = ctx.N, len(ctx.shifts)
+    rows = rows.astype(np.int32 if N * N * 2 * ctx.Q < 1 << 31 else np.int64)
+    if early_exit is _CHAIN:
+        return _chain_count(ctx, a, rows)
     count = 0
-    base_pts = ctx.src_order[1:4]
-    samples = {}                          # (level, image, j) -> first such candidate
-    first = None
-    for j in range(m):
-        d0, d1 = shifts[j]
-        # one candidate translation per (b, c, y), y the fourth point's image;
-        # prune on the fifth and sixth source points, then check all at once
-        alive = (np.flatnonzero(holds(slice(None), d0[0], d1[0])) if len(d0)
-                 else np.arange(len(base)))
-        if len(d0) > 1:
-            alive = alive[holds(alive, d0[1], d1[1])]
-        # check the survivors in blocks doubling up to 2^14, which bounds the
-        # memory; an early exit needs only the first block with a hit
-        hits, lo = [], 0
-        while lo < len(alive) and not (early_exit and hits):
-            block = alive[lo:lo + min(lo + 64, 1 << 14)]
-            lo += len(block)
-            block = block[holds(block[:, None], d0, d1).all(axis=1)]
-            if len(block):
-                hits.append(block)
-        hits = np.concatenate(hits) if hits else alive[:0]
-        if early_exit:
-            # only the first hit in (b, c, j, y) order counts
-            if len(hits) and (first is None or base[hits[0]] // W < base[first[0]] // W):
-                first = (hits[0], j)
+    for lo, hi in _slabs(rows, N, _EXIT_FIRST_ROWS if early_exit else N * N):
+        slab = _Slab(ctx, a, rows[lo:hi])
+        if not early_exit:
+            count += sum(len(slab.hits(slab.survivors(j), j)) for j in range(m))
             continue
-        count += len(hits)
-        # the first hit per image of P1, then of P2 among the hits fixing
-        # P1, of P3 among those fixing P1 and P2, and the one fixing all three
-        on = np.arange(len(hits))
-        for level, col in enumerate(corners(hits)):
-            vals, pos = np.unique(col[on], return_index=True)
-            for v, h in zip(vals.tolist(), hits[on[pos]].tolist()):
-                samples.setdefault((level + 1, v, j), h)
-            on = on[col[on] == base_pts[level]]
-        for h in hits[on].tolist():
-            samples.setdefault((4, j, j), h)
-    if early_exit:
-        return (0, []) if first is None else (1, [element(*first)])
-    # first hit per stream in (b, c, y) order; the lowest j wins
-    kept = {}
-    for (level, v, j), h in sorted(samples.items()):
-        kept.setdefault((level, v), (h, j))
-    return count, [element(h, j) for h, j in kept.values()]
+        # the first hit in (b, c, j, y) order: the least row, then the least j
+        first = None
+        for j in range(m):
+            hits = slab.hits(slab.survivors(j), j, first=True)
+            if len(hits) and (first is None or
+                              slab.base[hits[0]] // slab.W < slab.base[first[0]] // slab.W):
+                first = hits[0], j
+        if first is not None:
+            return 1, slab.elements([first[0]], [first[1]])
+    return count, []
+
+
+def _chain_count(ctx: _Torus, a: int, rows: np.ndarray):
+    """|Stab(P0)| and its samples, for chunk P0 of an orbit search.
+
+    |Stab(P0)| = n1 * n2 * n3: n1 counts the images b of P1 with a hit (P1
+    included), n2 the images c of P2 with a hit in row block P1 (P2
+    included), and n3 the hits in row (P1, P2), over all j.  So one hit per
+    stream decides it: the rows of one b != P1 form a stream, and so does
+    each row (P1, c) with c != P2.  For each j in ascending order, after the
+    probes, only the first survivor of each undecided stream is checked,
+    and a stream whose survivor fails tries its next one; every survivor of
+    row (P1, P2) is checked.  The slabs hold whole rows of b, so each stream
+    lies in one slab.
+
+    The samples are one hit per coset of each stabilizer along the base
+    (P0, P1, P2, P3): the first hit per image of P1, of P2 among the hits
+    fixing P1, of P3 among those fixing P1 and P2, and per j among those
+    fixing all three, each at the lowest j with such a hit.  By Schreier's
+    lemma they generate Stab(P0).  A stream's first hit is its first hit in
+    (c, y) order at the lowest j; the others lie in row block P1, whose
+    lowest j with a hit finds the first hit of every stream there.  Point
+    images are gathered for the samples only, in (level, image) order.
+    """
+    N, m = ctx.N, len(ctx.shifts)
+    base = ctx.src_order[1:4].tolist()
+    p1, p2 = base[:2]
+    # streams with a hit: b for b != P1, N + c in row block P1, and 2N for
+    # row (P1, P2), which never closes
+    done = np.zeros(2 * N + 1, dtype=bool)
+    n3, samples = 0, {}
+    for lo, hi in _slabs(rows, N, N * N):
+        slab = _Slab(ctx, a, rows[lo:hi])
+        firsts = {}     # (level, image) -> (h, j); each lies in one slab
+        b, c = np.divmod(slab.rows, N)
+        stream = np.where(b != p1, b, N + c)
+        stream[slab.rows == p1 * N + p2] = 2 * N
+        stream = stream[slab.base // slab.W]          # of each candidate
+        for j in range(m):
+            undecided = ~done[stream]
+            if not undecided.any():
+                break
+            cand = None if undecided.all() else np.flatnonzero(undecided)
+            pending, found = slab.survivors(j, cand), []
+            while len(pending := pending[~done[stream[pending]]]):
+                s = stream[pending]
+                first = s == 2 * N
+                first[0] = True
+                first[1:] |= s[1:] != s[:-1]
+                found.append(slab.hits(pending[first], j))
+                done[stream[found[-1]]] = True
+                done[-1] = False
+                pending = pending[~first]
+            hits = np.sort(np.concatenate(found)) if found else pending
+            n3 += int(np.count_nonzero(stream[hits] == 2 * N))
+            for h, corners in zip(hits.tolist(), slab.corners(hits)[:, 1:].tolist()):
+                for level in range(4):
+                    firsts.setdefault((level + 1, corners[level] if level < 3 else j), (h, j))
+                    if level == 3 or corners[level] != base[level]:
+                        break
+        if firsts:
+            samples.update(zip(firsts, slab.elements(*zip(*firsts.values()))))
+    n2 = int(np.count_nonzero(done[N:2 * N])) + (n3 > 0)
+    n1 = int(np.count_nonzero(done[:N])) + (n2 > 0)
+    return n1 * n2 * n3, [samples[k] for k in sorted(samples)]
 
 
 # ----------------------------------------------------------------- public API
@@ -589,9 +699,14 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
 
     `invariants` holds the point_invariant of each orbit's points.  Each
     chunk of the search runs only over the pair rows whose invariant row
-    count matches the base triangle's (see _search), one slab of b at a
-    time: Cherowitzo at q = 128 peaks at 7.7 MiB (tracemalloc), the
-    line-log cube and its slabs.  The hyperconic keeps most rows (45.5 MiB).
+    count matches the base triangle's (see _search), one slab of rows at a
+    time, and chunk P0 counts Stab(P0) along the base.  At q = 128
+    Cherowitzo, the hyperconic (either point first) and the translation
+    hyperoval r = 6 each peak at 7.7 MiB (tracemalloc), the line-log cube
+    and its slabs; the hyperconic keeps nearly all rows, and peaked at
+    45.5 MiB when chunk P0 held them at once.  The nucleus-first hyperconic
+    and translation r = 6, whose whole group fixes point 0, take 0.2-0.5 s
+    at q = 128 (11 s when chunk P0 checked every hit).
 
     `threads` > 1 visits several undecided points at once, with the same
     results.  It pays little: work that an earlier commit makes unnecessary
@@ -661,13 +776,16 @@ def point_invariant(params: FieldParams, points, point) -> tuple[int, ...]:
     return _point_invariant(LL, params.q - 1, codes.index(point))[0]
 
 
+@lru_cache(maxsize=None)
 def _bin_table(Q: int) -> np.ndarray:
     """The invariant's bin of each s in [-6Q, 6Q], read at s (a negative s
     from the end): s mod Q on [-2Q + 2, 2Q - 2], where the points off a
-    triangle fall, and the discard bin Q everywhere else."""
+    triangle fall, and the discard bin Q everywhere else.  Built once per Q
+    and shared, so the table is read-only."""
     table = np.full(12 * Q + 1, Q, dtype=np.intp)
     good = np.arange(2 - 2 * Q, 2 * Q - 1)
     table[good] = good % Q
+    table.flags.writeable = False
     return table
 
 

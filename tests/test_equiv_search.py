@@ -236,21 +236,25 @@ def test_keys_form_a_permutation_graph(m, fam, sample):
     if sample:
         triangles = random.Random(m).sample(triangles, sample)
     for a, b, c in triangles:
-        k0, k1, bad = (k[0, c] for k in equiv._fan(LL, Q, a, [b]))
+        k0, k1, bad = (k[0] for k in equiv._fan(LL, Q, a, [b], [c]))
         assert np.flatnonzero(bad).tolist() == sorted((a, b, c))
         assert sorted(k0[~bad].tolist()) == sorted(k1[~bad].tolist()) == list(range(Q))
 
 
 def assert_fan_matches_the_index_cubes(P, codes):
-    """At every point a of the arc `codes`: _fan's keys equal the index-cube
-    keys at every distinct (b, c, y), `bad` marks every other entry, and the
-    slabbed invariant equals the index-cube one."""
+    """The half-filled line-log cube equals the full fill, and at every point
+    a of the arc `codes`: _fan's keys over all pair rows equal the
+    index-cube keys at every distinct (b, c, y), `bad` marks every other
+    entry, and the slabbed invariant equals the index-cube one."""
     N, Q = len(codes), P.q - 1
-    LL = equiv._line_logs(P, equiv._coords_of_codes(P, codes))
+    pts = equiv._coords_of_codes(P, codes)
+    LL = equiv._line_logs(P, pts)
+    assert np.array_equal(LL, torus_oracle.line_logs(P, pts))
     tri = torus_oracle.triples(N - 1)
+    b, c = np.divmod(np.arange(N * N), N)
     for a in range(N):
         _, k0, k1 = torus_oracle.fan_keys(LL, N, Q, a, tri)
-        f0, f1, bad = equiv._fan(LL, Q, a)
+        f0, f1, bad = (f.reshape(N, N, N) for f in equiv._fan(LL, Q, a, b, c))
         assert np.count_nonzero(~bad) == len(tri)
         # entries over the other points, in the compact layout of tri
         f0, f1, bad = (np.delete(np.delete(np.delete(f, a, 0), a, 1), a, 2).reshape(-1)[tri]
@@ -300,6 +304,7 @@ def test_logs_of_zero_land_in_the_discard_bin(m, fam, r):
     LL = equiv._line_logs(P, equiv._coords_of_codes(P, hyperoval(P, fam, r)))
     N, zero, table = len(LL), equiv._zero_log(Q), equiv._bin_table(Q)
     assert table.shape == (12 * Q + 1,)
+    assert equiv._bin_table(Q) is table and not table.flags.writeable   # built once per Q
     p, L = np.arange(N), LL.astype(np.int64)
     for a in range(N):
         A = L[a]
@@ -431,15 +436,20 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
 
 def test_stabilizer_memory_stays_small(P5):
     # the whole-chunk key rows at q = 32 take well under a MiB.  With the
-    # nucleus first, chunk P0 counts the whole group (163,680 hits): only its
-    # samples get point images, and the survivors are checked in blocks.  At
-    # q = 128 Cherowitzo's chunks keep few pair rows and form their keys in
-    # slabs of b: the 4.4 MB line-log cube and its slabs set the peak
+    # nucleus first, chunk P0 is the whole group (163,680 elements), counted
+    # along the base with one checked hit per stream.  At q = 128
+    # Cherowitzo's chunks keep few pair rows, and the hyperconic with the
+    # nucleus first and the translation hyperoval r = 6 (point 0 fixed by
+    # the whole group) keep nearly all: every chunk forms its slot tables in
+    # slabs of rows, so the 4.4 MB line-log cube and its slabs set the peak
     H = hyperoval(P5)
     P7 = field_create(7)
+    H7 = hyperoval(P7)
     for P, codes, limit in ((P5, hyperoval(P5, "cherowitzo"), 4 << 20),
                             (P5, [H[-1]] + H[:-1], 12 << 20),
-                            (P7, hyperoval(P7, "cherowitzo"), 16 << 20)):
+                            (P7, hyperoval(P7, "cherowitzo"), 16 << 20),
+                            (P7, [H7[-1]] + H7[:-1], 16 << 20),
+                            (P7, hyperoval(P7, "translation", 6), 16 << 20)):
         tracemalloc.start()
         try:
             stabilizer(P, codes)
@@ -484,25 +494,46 @@ _FULL = {}
 
 def every_chunk_in_full(P, H, monkeypatch):
     """Order and orbits by the search before orbit-stabilizer: every chunk in
-    full, each counting |Stab(P0)| hits or none, the order their sum and the
-    orbits the closure of the point images of all chunk samples.  Memoized
-    per point set (two tests share it)."""
+    full, each counting |Stab(P0)| hits or none, and the order their sum.
+    The orbits are the closure of the point images of elements that
+    generate the group: the samples along the base that the streams of
+    every hit of chunk P0 give (by the plain lookups of torus_oracle), and
+    the first hit of every other chunk with hits.  Memoized per point set
+    (two tests share it)."""
     key = (P.m, P.modulus, tuple(H))
     if key not in _FULL:
         _FULL[key] = _every_chunk_in_full(P, H, monkeypatch)
     return _FULL[key]
 
 
+def oracle_chunk(ctx, a, rows):
+    return torus_oracle.Chunk(ctx.LL, ctx.N, ctx.Q, ctx.shifts, ctx.src_order, a, rows)
+
+
 def _every_chunk_in_full(P, H, monkeypatch):
-    log = logged_chunks(monkeypatch)
+    log, real = [], equiv._process_chunk
+
+    def spy(ctx, a, early_exit, rows):
+        out = real(ctx, a, early_exit, rows)
+        log.append((ctx, a, rows, out[0]))
+        return out
+
+    monkeypatch.setattr(equiv, "_process_chunk", spy)
     order = equiv._search(P, H, H).order
     monkeypatch.undo()
-    counts = [count for _, _, count, _ in log]
+    counts = [count for *_, count in log]
     assert len(counts) == len(H) and set(counts) <= {0, counts[0]} and counts[0]
+    ctx, a, rows, count = log[0]
+    chunk = oracle_chunk(ctx, a, rows)
+    hits = chunk.hits()
+    assert a == 0 and sum(len(h) for h in hits) == count
+    quads = [chunk.quadrangles(h) for h in hits]
+    gens = [chunk.images(hits[j][[k]], j)[0]
+            for j, k in torus_oracle.stream_samples(quads, ctx.src_order[1:4].tolist())]
+    gens += [real(ctx, a, True, rows)[1][0][1] for ctx, a, rows, count in log[1:] if count]
     reach = np.eye(len(H), dtype=bool)
-    for *_, found in log:
-        for _, images in found:
-            reach[np.arange(len(H)), images] = True
+    for images in gens:
+        reach[np.arange(len(H)), images] = True
     while not np.array_equal(closed := reach | reach.T | (reach @ reach), reach):
         reach = closed
     return order, {frozenset(H[i] for i in np.flatnonzero(row)) for row in reach}
@@ -555,16 +586,109 @@ def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch
     assert refuted.isdisjoint(a for a, *_ in log)
 
 
+def chain_chunks(monkeypatch):
+    """The list of (ctx, a, rows, count, found) of every chunk counted along
+    the base from now on."""
+    log, real = [], equiv._process_chunk
+
+    def spy(ctx, a, early_exit, rows):
+        out = real(ctx, a, early_exit, rows)
+        if early_exit is equiv._CHAIN:
+            log.append((ctx, a, rows, *out))
+        return out
+
+    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    return log
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
+def test_chain_count_matches_every_hit(m, fam, r, monkeypatch):
+    # P0 in each orbit in turn: chunk P0 counted along the base (one checked
+    # hit per stream) equals the count of all its hits over the same rows,
+    # by the kernel and by plain lookups, and its samples are the first hits
+    # per (level, image) that the streams rebuilt from every hit give
+    P = field_create(m)
+    H = hyperoval(P, fam, r)
+    for orbit in stabilizer(P, H).orbits:
+        rotated = H[orbit[0]:] + H[:orbit[0]]
+        log = chain_chunks(monkeypatch)
+        stabilizer(P, rotated)
+        monkeypatch.undo()
+        ((ctx, a, rows, count, found),) = log
+        assert a == 0 and count == equiv._process_chunk(ctx, a, False, rows)[0]
+        chunk = oracle_chunk(ctx, a, rows)
+        hits = chunk.hits()
+        assert sum(len(h) for h in hits) == count
+        quads = [chunk.quadrangles(h) for h in hits]
+        samples = torus_oracle.stream_samples(quads, ctx.src_order[1:4].tolist())
+        assert ([(j, images[ctx.src_order[:4]].tolist()) for j, images in found]
+                == [(j, quads[j][k].tolist()) for j, k in samples])
+
+
+@pytest.mark.parametrize("m,first", [(6, "translation"), (7, "translation"), (7, "nucleus")])
+def test_groups_fixing_point_0_have_the_conic_order(m, first):
+    # translation r = m - 1 is a conic whose point 0 the whole group fixes,
+    # and so is the hyperconic with its nucleus first: chunk P0 is all of
+    # PGammaL(2, q), of order q(q^2 - 1)m, with orbits 1 and q + 1
+    P = field_create(m)
+    H = hyperoval(P, "translation", m - 1) if first == "translation" else hyperoval(P)
+    if first == "nucleus":
+        H = [H[-1]] + H[:-1]
+    dec = stabilizer(P, H)
+    assert dec.stabilizer_order == P.q * (P.q ** 2 - 1) * m
+    assert dec.orbits[0] == (0,) and dec.orbit_sizes() == [1, P.q + 1]
+
+
+@pytest.mark.parametrize("m,fam,r", [(4, "lunelli_sce", None), (5, "hyperconic", None),
+                                     (5, "segre", None), (5, "translation", 2),
+                                     (5, "cherowitzo", None), (6, "hyperconic", None)])
+def test_slab_sizes_do_not_change_results(m, fam, r, monkeypatch):
+    # the first early-exit slab and the cell budget at 1 (slabs of one b,
+    # survivors checked one by one) and above N^2 rows (one slab), with P0
+    # in each orbit in turn: the stabilizer with chunk P0's samples, and the
+    # early-exit witnesses onto a seeded image, marked and unmarked, and
+    # onto an inequivalent hyperoval (none), are those of the default slabs
+    P = field_create(m)
+    H = hyperoval(P, fam, r)
+    other = hyperoval(P, "hyperconic" if fam == "lunelli_sce" else "subiaco")
+    rng = random.Random(f"slabs:{m}:{fam}:{r}")
+    cases = []
+    for orbit in stabilizer(P, H).orbits:
+        rotated = H[orbit[0]:] + H[:orbit[0]]
+        phi = random_collineation(P, rng)
+        image = [phi.apply_code(c) for c in rotated]
+        rng.shuffle(image)
+        cases.append((rotated, image, (rotated[-1], phi.apply_code(rotated[-1]))))
+
+    def run():
+        out = []
+        for src, image, mk in cases:
+            dec = stabilizer(P, src)
+            out.append((dec.stabilizer_order, dec.orbits, dec.generators, dec.invariants,
+                        [are_equivalent(P, src, dst, marked=k) for dst, k in
+                         ((image, None), (image, mk), (other, None))]))
+        return out
+
+    ref = run()
+    assert all(ws[0] is not None and ws[2] is None for *_, ws in ref)
+    N = len(H)
+    for first, cells in ((1, 1), (N * N + 1, N ** 3 + 1)):
+        monkeypatch.setattr(equiv, "_EXIT_FIRST_ROWS", first)
+        monkeypatch.setattr(equiv, "_FAN_SLAB_CELLS", cells)
+        assert run() == ref
+        monkeypatch.undo()
+
+
 def test_hyperconic_with_p0_on_the_conic_refutes_the_nucleus_by_its_invariant(
         P5, monkeypatch):
     # Stab(P0) fixes the nucleus (last) and is transitive on the other conic
-    # points: chunk P0 in full and one hit for point 1; the nucleus's
-    # invariant differs from P0's, so it runs no chunk
+    # points: chunk P0 counted along the base and one hit for point 1; the
+    # nucleus's invariant differs from P0's, so it runs no chunk
     H = hyperoval(P5)
     log = logged_chunks(monkeypatch)
     res = equiv._search(P5, H, H, want_orbits=True)
     assert [(a, early, count) for a, early, count, _ in log] == [
-        (0, False, res.order // 33), (1, True, 1)]
+        (0, equiv._CHAIN, res.order // 33), (1, True, 1)]
     assert sorted(res.invariants) == [0, 1, 33]
     assert res.invariants[33] != res.invariants[0] == res.invariants[1]
 
@@ -594,15 +718,16 @@ def test_non_arc_raises(P3):
 
 @pytest.mark.parametrize("m,fam", [(3, "hyperconic"), (5, "cherowitzo"), (7, "cherowitzo")])
 def test_line_logs_in_slabs(monkeypatch, m, fam):
-    # the cube is the same in one slab and in slabs of one row of a (q = 8
-    # and 32 fill it in one slab, q = 128 in several), and the zero count
-    # that rejects a non-arc is summed over all slabs
+    # the cube is the same in one slab and in slabs of one pair (a, b), and
+    # equals the full fill (q = 8 and 32 fill it in one slab, q = 128 in
+    # several); the zero count that rejects a non-arc is summed over all
+    # slabs
     P = field_create(m)
     _, bad = non_arc(P)
     H = hyperoval(P, fam)
     assert (len(H) ** 3 <= equiv._LOG_SLAB_CELLS) == (P.q <= 64)
     pts = equiv._coords_of_codes(P, H)
-    cubes = []
+    cubes = [torus_oracle.line_logs(P, pts)]
     for cells in (None, len(H) ** 3, 1):
         if cells is not None:
             monkeypatch.setattr(equiv, "_LOG_SLAB_CELLS", cells)
@@ -634,10 +759,11 @@ def test_broken_chunk_raises_orbit_stabilizer(P5, monkeypatch, broken):
     # is trivial: a positive chunk reported empty is caught when the chunk of
     # the third point of that orbit joins it to P0
     real, broke = equiv._process_chunk, []
+    mode = {"p0": equiv._CHAIN, "positive": True}[broken]
 
     def patched(ctx, a, early_exit, rows):
         count, found = real(ctx, a, early_exit, rows)
-        if count and not broke and early_exit == (broken == "positive"):
+        if count and not broke and early_exit == mode:
             broke.append(a)
             return 0, []
         return count, found
