@@ -117,7 +117,7 @@ def cmd_bent(args) -> int:
 def cmd_classify(args) -> int:
     P = _params(args)
     g = gfun.fix_zeros(_catalog_g(P, args))
-    res = equiv.classify_bent(g, threads=args.threads)
+    res = equiv.classify_bent(g)
     report = {
         "family": args.family,
         "m": P.m,
@@ -138,14 +138,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _reproduce_table1(threads: int):
+def _reproduce_table1():
     P = field_create(5)
     rows = []
     for fam, r, expect in TABLE1:
         g = gfun.g_catalog(P, fam, r=r)
         codes = g.hyperoval_codes_h()
         hyper = geometry.no_three_collinear(P, codes)
-        dec = equiv.stabilizer(P, codes, threads=threads)
+        dec = equiv.stabilizer(P, codes)
         orbits = list(TABLE1_ORBITS[fam])
         rows.append({"family": fam, "expected_aut": expect,
                      "computed_aut": dec.stabilizer_order,
@@ -157,12 +157,12 @@ def _reproduce_table1(threads: int):
     return rows
 
 
-def _reproduce_table2(threads: int):
+def _reproduce_table2():
     P = field_create(6)
     rows = []
     for fam, expect, orbits in TABLE2:
         g = gfun.g_catalog(P, fam)
-        dec = equiv.stabilizer(P, g.hyperoval_codes_h(), threads=threads)
+        dec = equiv.stabilizer(P, g.hyperoval_codes_h())
         rows.append({"family": fam, "expected_aut": expect,
                      "computed_aut": dec.stabilizer_order,
                      "expected_orbits": list(orbits),
@@ -172,13 +172,13 @@ def _reproduce_table2(threads: int):
     return rows
 
 
-def _reproduce_sec46(threads: int):
+def _reproduce_sec46():
     rows = []
 
     def classify(m, fam, r=None):
         P = field_create(m)
         g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
-        return equiv.classify_bent(g, threads=threads)
+        return equiv.classify_bent(g)
 
     for m, expect in SEC46_HYPERCONIC:
         res = classify(m, "hyperconic")
@@ -239,17 +239,8 @@ def _reproduce_theorems():
 
 def cmd_reproduce(args) -> int:
     target = args.target
-    threads = args.threads
-    if target == "table1":
-        rows = _reproduce_table1(threads)
-    elif target == "table2":
-        rows = _reproduce_table2(threads)
-    elif target == "sec4.6":
-        rows = _reproduce_sec46(threads)
-    elif target == "theorems":
-        rows = _reproduce_theorems()
-    else:
-        raise CliError(f"unknown target {target!r}")
+    rows = {"table1": _reproduce_table1, "table2": _reproduce_table2,
+            "sec4.6": _reproduce_sec46, "theorems": _reproduce_theorems}[target]()
     ok = all(r["ok"] for r in rows)
     report = {"target": target, "ok": ok, "rows": rows}
     _write(args.out, json.dumps(report, sort_keys=True, indent=1))
@@ -258,13 +249,6 @@ def cmd_reproduce(args) -> int:
             label = r.get("check") or r["family"] + (f" m={r['m']}" if "m" in r else "")
             print(f"[{'PASS' if r['ok'] else 'FAIL'}] {target}: {label}", file=sys.stderr)
     return 0 if ok else 3
-
-
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
 
 
 def hex_int(text: str) -> int:
@@ -312,13 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="equivalence classes for a hyperoval")
     common(p)
-    p.add_argument("--threads", type=positive_int, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reproduce", help="check a reference target")
     p.add_argument("target", choices=("table1", "table2", "sec4.6", "theorems"))
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_reproduce)
     return ap

@@ -60,12 +60,12 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
 Chunks run over the first image point A (one chunk when `marked` pins it),
 each over the triangles (A, b, c) of its kept pair rows, whose slot tables
 are formed one slab of rows at a time; an early-exit chunk stops at its
-first slab with a hit.  Results are committed in A order, so they do not
-depend on the thread count.  are_equivalent runs the same search with an
-early exit on the first hit, optionally with a marked point (nucleus ->
-nucleus for oval equivalence); an A whose invariant differs from the source
-P0's runs no chunk.  point_invariant reads v of all triangles at one point
-straight off the cube, with one table lookup per entry.
+first slab with a hit.  An orbit search visits the A in index order.
+are_equivalent runs the same search with an early exit on the first hit,
+optionally with a marked point (nucleus -> nucleus for oval equivalence);
+an A whose invariant differs from the source P0's runs no chunk.
+point_invariant reads v of all triangles at one point straight off the
+cube, with one table lookup per entry.
 classify_bent takes the invariant of each class's nucleus from the
 stabilizer's orbit invariants and runs the marked search only for classes
 whose invariants tie.
@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -297,8 +296,7 @@ class _Torus:
 def _search(params: FieldParams, src_codes, dst_codes, *,
             marked: tuple[int, int] | None = None,
             early_exit: bool = False,
-            want_orbits: bool = False,
-            threads: int = 1) -> _SearchResult:
+            want_orbits: bool = False) -> _SearchResult:
     """Count/find collineations mapping the src set onto the dst set.
 
     `marked` = (src_code, dst_code) pins the image of one point.  With
@@ -334,22 +332,17 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     is caught only if a later chunk joins its point to P0's class, else the
     order comes out too small.  Points refuted by their invariant are
     outside P0^G by proof, so the gap is left only for points that tie
-    P0's invariant.  Inside chunk P0 the check covers only n3: row
-    (P1, P2) holds the identity, so n3 = 0 raises.  A stream of chunk P0
-    wrongly left empty undercounts n1 or n2, and nothing in the search
-    catches it: the orbits stay right, since a point of P0's orbit that the
-    samples miss is visited and joined by its own chunk, but the order comes
-    out too small.  The tests catch it, against the count of every hit of
-    chunk P0.
-
-    With threads > 1 the next `threads` undecided points are visited at
-    once (invariant, and chunk on a tie) and committed in index order; a
-    result whose point an earlier commit decided is dropped.  So the chunks
-    that count, the order, the orbits, the witness, the samples and the
-    invariants do not depend on the thread count.
+    P0's invariant.  Inside chunk P0, row (P1, P2) holds the identity, so
+    n3 = 0 raises, and _chain_count checks n1 against the orbit of P1 under
+    the samples and n2 against that of P2 under the samples fixing P1.  A
+    stream wrongly left empty undercounts n1 or n2, and is caught when the
+    other samples still reach its image.  They do whenever that level has
+    more than two images: with all of Stab(P0, P1), a subgroup reaching
+    n1 - 1 of the n1 images of P1 reaches all of them, since its orbit size
+    divides n1 (likewise for n2).  The gap left is a lost stream at a level
+    of two images, or several lost at once; the tests cover it against the
+    count of every hit of chunk P0.
     """
-    if threads < 1:
-        raise EquivError(f"threads must be >= 1, got {threads}")
     P = params
     Q, m = P.q - 1, P.m
     src_codes = [int(c) for c in src_codes]
@@ -427,27 +420,15 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
     inv = res.invariants
     inv[p0] = inv0
 
-    def visit(a):       # a's invariant, and its early-exit chunk if that ties P0's
-        v, n = invariant(a)
-        return v, (chunk(a, True, n) if v == inv0 else (0, []))
-
-    def decided(a) -> bool:
-        return least[a] == least[p0] or least[a] in least[negative]
-
-    if threads > 1:        # imported here: it (and logging) would slow the package import
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        todo = (a for a in firsts if a != p0 and not decided(a))
-        while window := list(itertools.islice(todo, threads)):
-            done = map(visit, window) if pool is None else pool.map(visit, window)
-            for a, (v, (count, found)) in zip(window, list(done)):
-                if decided(a):                  # by an earlier commit of this window
-                    continue
-                inv[a] = v
-                if count:
-                    keep(found[0][1])
-                else:
-                    negative.append(a)
+    for a in firsts:
+        if a == p0 or least[a] == least[p0] or least[a] in least[negative]:
+            continue
+        inv[a], n = invariant(a)
+        count, found = chunk(a, True, n) if inv[a] == inv0 else (0, [])
+        if count:
+            keep(found[0][1])
+        else:
+            negative.append(a)
     if np.any(least[negative] == least[p0]):
         raise EquivError("a point whose chunk has no hit lies in P0's orbit, "
                          "against orbit-stabilizer")
@@ -671,7 +652,26 @@ def _chain_count(ctx: _Torus, a: int, rows: np.ndarray):
             samples.update(zip(firsts, slab.elements(*zip(*firsts.values()))))
     n2 = int(np.count_nonzero(done[N:2 * N])) + (n3 > 0)
     n1 = int(np.count_nonzero(done[:N])) + (n2 > 0)
-    return n1 * n2 * n3, [samples[k] for k in sorted(samples)]
+    keys = sorted(samples)
+    found = [samples[k] for k in keys]
+    if n3:      # the samples generate Stab(P0), and those of level >= 2 Stab(P0, P1)
+        perms = np.array([images for _, images in found])
+        upper = np.array([level >= 2 for level, _ in keys])
+        if _orbit_size(perms[upper], p2) != n2 or _orbit_size(perms, p1) != n1:
+            raise EquivError("a stream of chunk P0 has no hit, against its samples")
+    return n1 * n2 * n3, found
+
+
+def _orbit_size(perms: np.ndarray, x: int) -> int:
+    """The size of the orbit of point x under the group that the rows of
+    `perms` (point permutations) generate."""
+    orbit = np.zeros(perms.shape[1], dtype=bool)
+    orbit[x] = True
+    while True:
+        size = np.count_nonzero(orbit)
+        orbit[perms[:, orbit]] = True
+        if np.count_nonzero(orbit) == size:
+            return size
 
 
 # ----------------------------------------------------------------- public API
@@ -708,17 +708,13 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
     and translation r = 6, whose whole group fixes point 0, take 0.2-0.5 s
     at q = 128 (11 s when chunk P0 checked every hit).
 
-    `threads` > 1 visits several undecided points at once, with the same
-    results.  It pays little: work that an earlier commit makes unnecessary
-    is run and dropped.  On a 2-core VM (median of 3 fresh processes, 1 vs 2
-    threads) Cherowitzo at q = 128 took 1.19 s and 1.04 s, Payne 0.78 s and
-    0.70 s, Glynn I 0.49 s and 0.50 s, Glynn II 0.55 s and 0.64 s, and
-    Adelaide at q = 64 0.085 s and 0.095 s.
+    `threads` is accepted and ignored, only because bench/workloads.py still
+    passes it; it goes once the benchmark drops it (ROADMAP item 3).
     """
     codes = geometry._as_codes(params, points)
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
-    res = _search(params, codes, codes, want_orbits=True, threads=threads)
+    res = _search(params, codes, codes, want_orbits=True)
     seen = {}                       # orbits in the order of their least points
     for k, least in enumerate(res.classes.tolist()):
         seen.setdefault(least, []).append(k)
@@ -858,7 +854,7 @@ class ClassifyResult:
         return len(self.classes)
 
 
-def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
+def classify_bent(g: "gfun.GFunction") -> ClassifyResult:
     """One Niho bent class per stabilizer orbit of the hyperoval of g.
 
     g must be nowhere zero (apply gfun.fix_zeros first).  Representatives are
@@ -875,7 +871,7 @@ def classify_bent(g: "gfun.GFunction", *, threads: int = 1) -> ClassifyResult:
         raise EquivError("g has zeros; apply fix_zeros first")
     oval = g.oval_codes_k()
     # hyperoval point k < q+1 is u_k/g(u_k), point q+1 is the nucleus 0
-    dec = stabilizer(P, g.hyperoval_codes_h(), threads=threads)
+    dec = stabilizer(P, g.hyperoval_codes_h())
 
     shifts = gfun.g_shift_tables(g, np.arange(P.q + 1))     # row s: g_s
     classes = []

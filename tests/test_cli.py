@@ -140,6 +140,8 @@ def test_rejected_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    if "--threads" in argv:     # an unknown option, not a value out of range
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_reproduce_theorems(capsys):
@@ -165,8 +167,8 @@ def test_reproduce_stderr_names_m_only_for_rows_that_have_one(capsys, monkeypatc
               "g_is_hyperoval": True, "ok": True}
     sec46 = {"family": "hyperconic", "m": 5, "expected_classes": 2, "computed_classes": 2,
              "ok": True}
-    monkeypatch.setattr(cli, "_reproduce_table1", lambda threads: [table1])
-    monkeypatch.setattr(cli, "_reproduce_sec46", lambda threads: [sec46])
+    monkeypatch.setattr(cli, "_reproduce_table1", lambda: [table1])
+    monkeypatch.setattr(cli, "_reproduce_sec46", lambda: [sec46])
     for target, row, line in (("table1", table1, "[PASS] table1: hyperconic"),
                               ("sec4.6", sec46, "[PASS] sec4.6: hyperconic m=5")):
         rc, out, err = run(capsys, "reproduce", target)

@@ -150,17 +150,6 @@ def test_stabilizer_rejects_non_hyperoval(P3):
         stabilizer(P3, codes)
 
 
-def test_threads_do_not_change_results(P4):
-    codes = hyperoval_codes(P4, "hyperconic")
-    with pytest.raises(EquivError):
-        stabilizer(P4, codes, threads=0)
-    a = stabilizer(P4, codes, threads=1)
-    b = stabilizer(P4, codes, threads=2)
-    assert a.stabilizer_order == b.stabilizer_order
-    assert a.orbits == b.orbits
-    assert a.generators == b.generators
-
-
 def test_are_equivalent_pi_transforms(P4, P5):
     # D(t^2) ~ D(t^(1/2)) via pi1
     hc = opoly.opoly_table(P4, opoly.OPolyFamily("hyperconic"))
