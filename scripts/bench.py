@@ -11,14 +11,20 @@ In three stabilizers the whole group PGammaL(2, q), of order q(q^2 - 1)m,
 fixes point 0: `translation r=6 q=128`, `hyperconic q=128 nucleus first` and
 `translation r=7 q=256`; each checks that order and the orbits 1 and q + 1.
 The q = 256 stabilizers have a peak RSS limit of 256 MiB; the record says
-for each tree whether its runs stayed under it.  Four layer commands time every
-call of the point invariant `equiv._point_invariant` and count the minor
-page faults it takes (getrusage around each call): `invariants cherowitzo
-q=32` and `q=128` build one line-log cube and take the invariant of every
-point, again and again; `invariants in stab-q32` and `in classify-q32` run
-rounds of those bench/ workloads at seed 44.  Each checks every histogram
-and prints one JSON line, which the record keeps under "reported": the
-calls, the first pass (or round), and the warm calls after it.  Each runs
+for each tree whether its runs stayed under it.  Every stabilizer command
+also reports the time of the `equiv.stabilizer` call alone, after import and
+field set-up.  Four layer commands time every call of the point invariant
+`equiv._point_invariant` and count the minor page faults it takes (getrusage
+around each call): `invariants cherowitzo q=32` and `q=128` build one
+line-log cube and take the invariant of every point, again and again;
+`invariants in stab-q32` and `in classify-q32` run rounds of those bench/
+workloads at seed 44.  Each checks every histogram.  Two more, `walsh m=9`
+and `walsh m=10`, time and count the same way every call of
+`bent.walsh_spectrum` on one catalog bent function (Cherowitzo at m = 9,
+Adelaide at m = 10), and check each spectrum: flat at +-q, and Parseval.
+These commands print one JSON line, which the record keeps under
+"reported": the calls, the first pass (or round, or call), and the warm
+calls after it; or the stabilizer time.  Each runs
 --repeats times in a fresh interpreter, with the tree as working directory
 and TREE/src on PYTHONPATH.  Within a repeat every command runs once per
 tree, and the tree that runs first alternates between repeats, so the runs
@@ -49,6 +55,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from baseline import machine, parse_seeds  # noqa: E402
 
+# runs equiv.stabilizer(P, H) alone under the clock and prints its time
+_TIMED_STABILIZER = ("import json, time\n"
+                     "t0 = time.perf_counter()\n"
+                     "d = equiv.stabilizer(P, H)\n"
+                     "print(json.dumps({'stabilizer_s': time.perf_counter() - t0}))\n"
+                     "got = (d.stabilizer_order, d.orbit_sizes())\n")
+
 COMMANDS = {
     "reproduce table1": ["-m", "nihoval.cli", "reproduce", "table1", "--quiet"],
     "reproduce table2": ["-m", "nihoval.cli", "reproduce", "table2", "--quiet"],
@@ -65,8 +78,7 @@ COMMANDS = {
                                   "from nihoval.gf2m import field_create\n"
                                   "P = field_create(8)\n"
                                   "H = gfun.g_catalog(P, 'adelaide').hyperoval_codes_h()\n"
-                                  "d = equiv.stabilizer(P, H)\n"
-                                  "got = (d.stabilizer_order, d.orbit_sizes())\n"
+                                  + _TIMED_STABILIZER +
                                   "if got != (16, [1, 1] + [16] * 16):\n"
                                   "    raise SystemExit(f'got {got}')\n"],
     "tier-1": ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -84,16 +96,27 @@ def conic_stabilizer(m: int, first: str) -> list[str]:
                   f"m = {m}\n"
                   "P = field_create(m)\n"
                   f"H = gfun.g_catalog(P, {family}).hyperoval_codes_h()\n"
-                  + ("H = [H[-1]] + H[:-1]\n" if first == "nucleus" else "") +
-                  "d = equiv.stabilizer(P, H)\n"
-                  "got = (d.stabilizer_order, d.orbit_sizes())\n"
+                  + ("H = [H[-1]] + H[:-1]\n" if first == "nucleus" else "")
+                  + _TIMED_STABILIZER +
                   "if got != (P.q * (P.q ** 2 - 1) * m, [1, P.q + 1]):\n"
                   "    raise SystemExit(f'got {got}')\n"]
 
+# report(calls, first) prints, for a list of (seconds, minor faults) per
+# call, the calls, the time of the first `first` and the warm calls after them
+_REPORT = """
+import json, resource, statistics, sys, time
+
+def report(calls, first):
+    warm = calls[first:]
+    print(json.dumps({'calls': len(calls), 'first_s': sum(t for t, _ in calls[:first]),
+                      'warm_min_s': min(t for t, _ in warm),
+                      'warm_median_s': statistics.median(t for t, _ in warm),
+                      'warm_faults_per_call': sum(f for _, f in warm) / len(warm)}))
+"""
+
 # wraps equiv._point_invariant: times each call, counts its minor faults and
 # checks that the histogram counts all (N-1)(N-2) pair rows of distinct points
-_INVARIANT_SPY = """
-import json, resource, statistics, sys, time
+_INVARIANT_SPY = _REPORT + """
 from nihoval import equiv
 real, calls = equiv._point_invariant, []
 
@@ -108,13 +131,6 @@ def timed(LL, Q, a):
     return out
 
 equiv._point_invariant = timed
-
-def report(first):
-    warm = calls[first:]
-    print(json.dumps({'calls': len(calls), 'first_s': sum(t for t, _ in calls[:first]),
-                      'warm_min_s': min(t for t, _ in warm),
-                      'warm_median_s': statistics.median(t for t, _ in warm),
-                      'warm_faults_per_call': sum(f for _, f in warm) / len(warm)}))
 """
 
 
@@ -129,7 +145,7 @@ def invariants_of_every_point(m: int, passes: int) -> list[str]:
         f"for _ in range({passes}):\n"
         "    for a in range(len(H)):\n"
         "        equiv._point_invariant(LL, P.q - 1, a)\n"
-        "report(len(H))\n")]
+        "report(calls, len(H))\n")]
 
 
 def invariants_in_rounds(workload: str, rounds: int) -> list[str]:
@@ -145,7 +161,30 @@ def invariants_in_rounds(workload: str, rounds: int) -> list[str]:
         "            raise SystemExit(bad)\n"
         "    if r == 0:\n"
         "        first = len(calls)\n"
-        "report(first)\n")]
+        "report(calls, first)\n")]
+
+
+def walsh_calls(m: int, family: str, calls: int) -> list[str]:
+    """`calls` Walsh transforms of the bent function of one catalog g at
+    q = 2^m, each timed with its minor faults and its spectrum checked."""
+    return ["-c", _REPORT + (
+        "import numpy as np\n"
+        "from nihoval import bent, gfun\n"
+        "from nihoval.gf2m import field_create\n"
+        f"P = field_create({m})\n"
+        f"f = bent.bent_from_g(gfun.g_catalog(P, '{family}'))\n"
+        "calls = []\n"
+        f"for _ in range({calls}):\n"
+        "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    t0 = time.perf_counter()\n"
+        "    w = bent.walsh_spectrum(f).values\n"
+        "    t = time.perf_counter() - t0\n"
+        "    calls.append((t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))\n"
+        "    if not np.all(np.abs(w) == P.q):\n"
+        "        raise SystemExit('the spectrum is not flat at +-q')\n"
+        "    if int((w.astype(np.int64) ** 2).sum()) != P.q ** 4:\n"
+        "        raise SystemExit('the spectrum fails Parseval')\n"
+        "report(calls, 1)\n")]
 
 
 COMMANDS.update({"stabilizer translation r=6 q=128": conic_stabilizer(7, "translation"),
@@ -155,6 +194,9 @@ COMMANDS.update({"invariants cherowitzo q=32": invariants_of_every_point(5, 30),
                  "invariants cherowitzo q=128": invariants_of_every_point(7, 3),
                  "invariants in stab-q32": invariants_in_rounds("stab-q32", 20),
                  "invariants in classify-q32": invariants_in_rounds("classify-q32", 10)})
+COMMANDS.update({"walsh m=9": walsh_calls(9, "cherowitzo", 200),
+                 "walsh m=10": walsh_calls(10, "adelaide", 50)})
+REPORTING = ("stabilizer ", "invariants ", "walsh ")
 
 
 def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:
@@ -197,10 +239,14 @@ def time_commands(trees: dict[str, Path], repeats: int) -> dict:
                     wall, rss, out = run_child(tree, args)
                     runs[label][name]["s"].append(round(wall, 3))
                     runs[label][name]["peak_rss_mib"].append(round(rss, 1))
-                    if name.startswith("invariants "):
-                        runs[label][name].setdefault("reported", []).append(
-                            json.loads(out.strip().splitlines()[-1]))
-                    print(f"{label:10s} {name:20s} {wall:8.2f} s {rss:7.1f} MiB", flush=True)
+                    note = ""
+                    if name.startswith(REPORTING):
+                        rep = json.loads(out.strip().splitlines()[-1])
+                        runs[label][name].setdefault("reported", []).append(rep)
+                        if "stabilizer_s" in rep:
+                            note = f" (stabilizer {rep['stabilizer_s']:.2f} s)"
+                    print(f"{label:10s} {name:20s} {wall:8.2f} s {rss:7.1f} MiB{note}",
+                          flush=True)
     for per_tree in runs.values():
         for name, rec in per_tree.items():
             rec["median_s"] = statistics.median(rec["s"])

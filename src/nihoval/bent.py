@@ -3,9 +3,12 @@
 A function g on the unit circle S determines f(lambda*u) = tr(lambda*g(u)),
 f(0) = 0, a Boolean function on K that is F_2-linear on every line u*F of the
 Desarguesian spread.  Walsh transforms use the scalar product
-a . b = tr(<a, b>); the fast butterfly works in standard coordinates and the
-change of basis is the Gram-matrix index permutation b -> G*b, computed once
-per field.  f is bent iff every Walsh value is +-2^m, and then the dual f~ is
+a . b = tr(<a, b>) = standard_dot(G*a, b), G the symmetric Gram matrix, so
+W_f is the standard Walsh-Hadamard transform of f o G^-1: the truth table is
+gathered through the index permutation x -> G^-1*x (one table per field),
+and the transform is a product of +-1 Hadamard blocks H_32 in float32, exact
+because every partial sum is an integer of magnitude at most 2^(2m) <= 2^24
+for m <= 12 (float64 past that).  f is bent iff every Walsh value is +-2^m, and then the dual f~ is
 read off the signs; the zero set of the dual of a Niho bent function is
 exactly E(O) for the line oval O = {L(u, g(u))}.
 
@@ -68,6 +71,8 @@ class BooleanFn:
     def __post_init__(self):
         if len(self.table) != self.params.q ** 2:
             raise BentError("truth table must have 2^(2m) entries")
+        if self.table.dtype != np.uint8 or self.table.max() > 1:
+            raise BentError("truth table entries must be uint8 0s and 1s")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BooleanFn) and self.params == other.params
@@ -185,55 +190,99 @@ class WalshSpectrum:
 
 
 @lru_cache(maxsize=None)
-def _scalar_index_map(params: FieldParams) -> np.ndarray:
-    """phi with tr(<b, x>) = standard_dot(phi[b], x); phi[b] = Gram * b.
+def _scalar_index_inverse(params: FieldParams) -> np.ndarray:
+    """phi^-1 for phi[b] = Gram * b, the map with tr(<b, x>) =
+    standard_dot(phi[b], x).
 
-    Filled by doubling, phi[2^i : 2^(i+1)] = phi[:2^i] ^ rows[i].  Built once
-    per field and shared, so the int32 array is read-only.
+    The Gram matrix is inverted over F_2 on its row masks (Gauss-Jordan, each
+    row carried with its preimage), and phi^-1 is filled by doubling,
+    inv[2^j : 2^(j+1)] = inv[:2^j] ^ phi^-1(e_j).  Built once per field and
+    shared, so the int32 array is read-only.
     """
-    rows = params.dot_rows()
-    phi = np.zeros(params.q ** 2, dtype=np.int32)
-    for i in range(params.n):
-        h = 1 << i
-        np.bitwise_xor(phi[:h], np.int32(rows[i]), out=phi[h:2 * h])
-    phi.flags.writeable = False
-    return phi
+    n = params.n
+    pairs = [(int(r), 1 << i) for i, r in enumerate(params.dot_rows())]  # (phi(b), b)
+    for j in range(n):
+        p = next(k for k in range(j, n) if pairs[k][0] >> j & 1)
+        pairs[j], pairs[p] = pairs[p], pairs[j]
+        v, b = pairs[j]
+        pairs = [(w ^ v, c ^ b) if k != j and w >> j & 1 else (w, c)
+                 for k, (w, c) in enumerate(pairs)]
+    inv = np.zeros(params.q ** 2, dtype=np.int32)
+    for j, (_, b) in enumerate(pairs):
+        h = 1 << j
+        np.bitwise_xor(inv[:h], np.int32(b), out=inv[h:2 * h])
+    inv.flags.writeable = False
+    return inv
 
 
-def _butterfly(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of an int32 vector of length 4^m.
+# multiply-adds per matrix product: OpenBLAS runs a product of this size or
+# less on the calling thread and allocates no thread buffers for it
+_MAX_PRODUCT = 1 << 18
 
-    Radix 4: each pass runs the stages h and 2h at once, from the quarters
-    a, b, c, d of every block of 4h to a+b+c+d, a-b+c-d, a+b-c-d and
-    a-b-c+d, through a scratch buffer into a ping-pong buffer.
+
+def _sum_dtype(n: int):
+    """Float dtype of the Walsh sums of a +-1 vector of length 2^n.  Every
+    partial sum is an integer of magnitude at most 2^n, and float32 holds
+    every integer up to 2^24 exactly: float32 while n <= 24."""
+    return np.float32 if n <= 24 else np.float64
+
+
+@lru_cache(maxsize=None)
+def _hadamard(k: int, dtype) -> np.ndarray:
+    """The Sylvester matrix H_(2^k), entries +-1; shared, so read-only."""
+    h = np.ones((1, 1), dtype=dtype)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _bit_groups(n: int) -> list[int]:
+    """n index bits in groups of at most 5, as equal as possible, low first."""
+    g = -(-n // 5)
+    return [n // g + (i < n % g) for i in range(g)]
+
+
+def _hadamard_transform(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a float vector of length 2^n.
+
+    H_(2^n) is the Kronecker product of one H_(2^k) per bit group, so the
+    transform multiplies along each group in turn: the lowest group as
+    (rows, d) @ H blocks of the vector, each later group as H @ (d, cols)
+    blocks of its (high, d, low) view, d = 2^k.  Every product has at most
+    _MAX_PRODUCT multiply-adds, and the passes ping-pong between v (which
+    is overwritten) and one buffer.
     """
     out = np.empty_like(v)
-    tmp = np.empty_like(v)
-    h = 1
-    while h < len(v):
-        x = v.reshape(-1, 4, h)
-        y = out.reshape(-1, 4, h)
-        s0, d0, s1, d1 = tmp.reshape(4, -1, h)
-        np.add(x[:, 0], x[:, 1], out=s0)
-        np.subtract(x[:, 0], x[:, 1], out=d0)
-        np.add(x[:, 2], x[:, 3], out=s1)
-        np.subtract(x[:, 2], x[:, 3], out=d1)
-        np.add(s0, s1, out=y[:, 0])
-        np.add(d0, d1, out=y[:, 1])
-        np.subtract(s0, s1, out=y[:, 2])
-        np.subtract(d0, d1, out=y[:, 3])
+    low = 1
+    for k in _bit_groups(len(v).bit_length() - 1):
+        d = 1 << k
+        H = _hadamard(k, v.dtype)
+        block = _MAX_PRODUCT >> 2 * k  # rows or columns per product
+        if low == 1:
+            rows = min(block, len(v) >> k)
+            np.matmul(v.reshape(-1, rows, d), H, out=out.reshape(-1, rows, d))
+        else:
+            cols = min(block, low)
+            x, y = (a.reshape(-1, d, low // cols, cols).transpose(0, 2, 1, 3) for a in (v, out))
+            np.matmul(H, x, out=y)
         v, out = out, v
-        h *= 4
+        low <<= k
     return v
 
 
 def walsh_spectrum(f: BooleanFn) -> WalshSpectrum:
-    """Exact Walsh transform under the scalar product tr(<a, b>)."""
-    phi = _scalar_index_map(f.params)
-    v = f.table.astype(np.int32)
+    """Exact Walsh transform under the scalar product tr(<a, b>).
+
+    tr(<b, x>) = standard_dot(b, phi(x)) since the Gram matrix is symmetric,
+    so W(b) is the standard transform of f o phi^-1 at b: the 1-byte table
+    is gathered through phi^-1, and the spectrum comes out in b order.
+    """
+    P = f.params
+    v = f.table.take(_scalar_index_inverse(P)).astype(_sum_dtype(P.n))
     v *= -2
     v += 1
-    return WalshSpectrum(f.params, _butterfly(v)[phi])
+    return WalshSpectrum(P, _hadamard_transform(v).astype(np.int32))
 
 
 def is_bent(f: BooleanFn) -> bool:

@@ -11,11 +11,22 @@ from nihoval.bent import (BentError, BooleanFn, bent_from_g, dual,
 from nihoval.gf2m import exponent_inverse, field_create, spread_i, unit_circle
 
 
+def scalar_map(P):
+    """phi with tr(<b, x>) = parity(phi[b] & x), built bit by bit from the
+    Gram rows: phi[b] is the XOR of rows[i] over the bits i of b."""
+    rows = P.dot_rows()
+    idx = np.arange(P.q ** 2, dtype=np.int32)
+    phi = np.zeros_like(idx)
+    for i in range(P.n):
+        phi ^= np.where((idx >> i) & 1, np.int32(rows[i]), 0)
+    return phi
+
+
 def walsh_naive(f):
     """Walsh values by the direct O(4^n) sum over tr(<b, x>); small m only."""
     P = f.params
     n2 = P.q ** 2
-    phi = bent._scalar_index_map(P)
+    phi = scalar_map(P)
     idx = np.arange(n2, dtype=np.int64)
     dots = np.bitwise_count(phi[:, None] & idx[None, :]) & 1
     signs = (1 - 2 * f.table.astype(np.int64))[None, :]
@@ -25,13 +36,15 @@ def walsh_naive(f):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_walsh_fast_equals_naive(m):
     P = field_create(m)
-    # both transforms share one read-only index map per field: tr(<b, x>) is
-    # the parity of phi[b] & x
-    phi = bent._scalar_index_map(P)
-    assert phi is bent._scalar_index_map(P) and not phi.flags.writeable
+    # tr(<b, x>) is the parity of phi[b] & x, and the transform keeps one
+    # read-only table per field, the inverse phi^-1
+    phi = scalar_map(P)
     for b in range(P.q ** 2):
         for x in range(P.q ** 2):
             assert P.f_tr[P.bform(b, x)] == bin(int(phi[b]) & x).count("1") % 2
+    inv = bent._scalar_index_inverse(P)
+    assert inv is bent._scalar_index_inverse(P) and not inv.flags.writeable
+    assert np.array_equal(inv[phi], np.arange(P.q ** 2))
     rng = np.random.default_rng(m)
     for _ in range(25):
         f = BooleanFn(P, rng.integers(0, 2, P.q ** 2, dtype=np.uint8))
@@ -43,18 +56,17 @@ def test_walsh_fast_equals_naive(m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_scalar_index_map_matches_bitwise_build(m):
+    # the cached table is phi^-1: phi^-1[phi[b]] = b for the bitwise phi
     P = field_create(m)
-    rows = P.dot_rows()
-    idx = np.arange(P.q ** 2, dtype=np.int32)
-    expect = np.zeros_like(idx)
-    for i in range(P.n):
-        expect ^= np.where((idx >> i) & 1, np.int32(rows[i]), 0)
-    phi = bent._scalar_index_map(P)
-    assert phi.dtype == np.int32 and np.array_equal(phi, expect)
+    inv = bent._scalar_index_inverse(P)
+    assert inv.dtype == np.int32 and not inv.flags.writeable
+    assert inv is bent._scalar_index_inverse(P)
+    assert np.array_equal(inv[scalar_map(P)], np.arange(P.q ** 2))
 
 
 def walsh_radix2(f):
-    """The radix-2 butterfly, one stage per pass, then the index map."""
+    """The integer radix-2 butterfly, one stage per pass, then the bitwise
+    index map b -> phi[b]."""
     v = 1 - 2 * f.table.astype(np.int32)
     h = 1
     while h < len(v):
@@ -65,21 +77,59 @@ def walsh_radix2(f):
         v[:, h:] = left - right
         v = v.reshape(-1)
         h *= 2
-    return v[bent._scalar_index_map(f.params)]
+    return v[scalar_map(f.params)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 8])
-def test_walsh_radix4_matches_radix2(m):
+@pytest.mark.parametrize("m", range(1, 11))
+def test_walsh_blocked_matches_radix2(m):
     P = field_create(m)
     rng = np.random.default_rng(300 + m)
-    tables = [rng.integers(0, 2, P.q ** 2, dtype=np.uint8) for _ in range(3)]
-    tables += [np.zeros(P.q ** 2, dtype=np.uint8), np.ones(P.q ** 2, dtype=np.uint8)]
-    for table in tables:
+    for table in [rng.integers(0, 2, P.q ** 2, dtype=np.uint8) for _ in range(2)]:
         f = BooleanFn(P, table)
         assert np.array_equal(walsh_spectrum(f).values, walsh_radix2(f))
+    # the constant tables reach |W(0)| = 2^(2m), the largest sum there is
+    for c in (0, 1):
+        f = BooleanFn(P, np.full(P.q ** 2, c, dtype=np.uint8))
+        spec = walsh_spectrum(f).values
+        assert np.array_equal(spec, walsh_radix2(f))
+        assert spec[0] == (1 - 2 * c) * P.q ** 2 and not np.any(spec[1:])
     f = bent_from_g(gfun.g_catalog(P, "hyperconic"))
     spec = walsh_spectrum(f)
     assert np.array_equal(spec.values, walsh_radix2(f)) and spec.is_bent()
+
+
+def test_walsh_sum_dtype_boundary():
+    # float32 holds every integer up to 2^24 exactly, and no further
+    assert bent._sum_dtype(24) is np.float32 and bent._sum_dtype(26) is np.float64
+    assert int(np.float32(2 ** 24 - 1)) == 2 ** 24 - 1
+    assert int(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
+
+
+def test_walsh_products_stay_single_threaded(monkeypatch):
+    # each matrix product of the m = 10 transform has at most 2^18
+    # multiply-adds, the size OpenBLAS runs on one thread
+    P = field_create(10)
+    f = bent_from_g(gfun.g_catalog(P, "hyperconic"))
+    real, sizes = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert walsh_spectrum(f).is_bent()
+    assert len(sizes) == 4 and max(sizes) <= 1 << 18, sizes
+
+
+def test_boolean_fn_rejects_non_binary_entries(P3):
+    table = np.zeros(64, dtype=np.uint8)
+    table[5] = 255
+    with pytest.raises(BentError):
+        BooleanFn(P3, table)
+    with pytest.raises(BentError):
+        BooleanFn(P3, np.zeros(64, dtype=np.int64))
+    table[5] = 1
+    assert BooleanFn(P3, table).table[5] == 1
 
 
 def test_walsh_fast_vs_naive_spot_m4(P4):
@@ -544,8 +594,10 @@ def test_construction_kernel_memory_m10():
     g = gfun.fix_zeros(gfun.g_catalog(P, "subiaco"))
     O = g.oval_codes_k()
     peaks = {}
+    f = bent_from_g(g)
     for name, run in (("power_sums", lambda: gf2m.niho_power_sums(P, O)),
-                      ("bent_from_g", lambda: bent_from_g(g))):
+                      ("bent_from_g", lambda: bent_from_g(g)),
+                      ("walsh_spectrum", lambda: walsh_spectrum(f))):
         run()  # per-field tables are built once, outside the measurement
         tracemalloc.start()
         try:
@@ -554,3 +606,5 @@ def test_construction_kernel_memory_m10():
         finally:
             tracemalloc.stop()
     assert peaks["power_sums"] < 10 and peaks["bent_from_g"] < 4, peaks
+    # the 1-byte gather, two float32 buffers and the int32 spectrum
+    assert peaks["walsh_spectrum"] < 10, peaks
