@@ -57,13 +57,15 @@ S onto an arc T of the same size (S = T for a stabilizer) by torus keys:
 * A zero in the line-log table means three collinear points: the input is
   not an arc and the search raises EquivError.
 
-Chunks run over the first image point A (one chunk when `marked` pins it),
-each over the triangles (A, b, c) of its kept pair rows, whose slot tables
-are formed one slab of rows at a time; an early-exit chunk stops at its
-first slab with a hit.  An orbit search visits the A in index order.
-are_equivalent runs the same search with an early exit on the first hit,
-optionally with a marked point (nucleus -> nucleus for oval equivalence);
-an A whose invariant differs from the source P0's runs no chunk.
+The search has two modes, both over the first image points A in index order
+(one A when `marked` pins it).  Each chunk runs over the triangles (A, b, c)
+of its kept pair rows, whose slot tables are formed one slab of rows at a
+time.  The orbit search (stabilizer) counts chunk P0 along the base and
+runs a first-hit chunk for each undecided A.  The witness search
+(are_equivalent, optionally with a marked point: nucleus -> nucleus for
+oval equivalence) runs first-hit chunks until one has a hit.  A first-hit
+chunk stops at its first slab with a hit, and an A whose invariant differs
+from the source P0's runs no chunk.
 point_invariant reads v of all triangles at one point straight off the
 cube, with one table lookup per entry.
 classify_bent takes the invariant of each class's nucleus from the
@@ -231,7 +233,7 @@ def _line_logs(P: FieldParams, pts: np.ndarray) -> np.ndarray:
 
 
 _FAN_SLAB_CELLS = 1 << 16      # _fan entries (kept rows times N) per slab of a chunk
-_EXIT_FIRST_ROWS = 128         # kept rows in the first slab of an early-exit chunk
+_EXIT_FIRST_ROWS = 128         # kept rows in the first slab of a first-hit chunk
 _INVARIANT_SLAB_CELLS = 1 << 14   # cube entries per slab of b in an invariant
 
 
@@ -276,7 +278,7 @@ def _fan(LL: np.ndarray, Q: int, a: int, b, c):
 
 @dataclass
 class _SearchResult:
-    order: int = 0
+    order: int = 0                      # orbit searches: |G|
     classes: np.ndarray | None = None   # orbit searches: least point of each point's orbit
     witness: Collineation | None = None
     generators: list = field(default_factory=list)   # point permutations, orbit searches
@@ -295,16 +297,14 @@ class _Torus:
 
 def _search(params: FieldParams, src_codes, dst_codes, *,
             marked: tuple[int, int] | None = None,
-            early_exit: bool = False,
-            want_orbits: bool = False) -> _SearchResult:
-    """Count/find collineations mapping the src set onto the dst set.
+            orbits: bool = False) -> _SearchResult:
+    """Find collineations mapping the src set onto the dst set.
 
-    `marked` = (src_code, dst_code) pins the image of one point.  With
-    `early_exit` the first hit is returned as the witness: each first image
-    a whose point_invariant ties that of the source's P0 runs its chunk,
-    until one has a hit.  Otherwise every chunk (one per first image point)
-    is counted in full over all N^2 pair rows (the oracle of the tests),
-    except that `want_orbits` (src = dst) finds the group G by
+    `marked` = (src_code, dst_code) pins the image of one point.  Without
+    `orbits` this is the witness search: each first image a whose
+    point_invariant ties that of the source's P0 runs its first-hit chunk
+    (_process_chunk), until one has a hit, which becomes `witness`.  With
+    `orbits` (src = dst) it is the orbit search, which finds the group G by
     orbit-stabilizer:
 
     * chunk P0 is counted along the base (_chain_count), for |Stab(P0)| and
@@ -314,13 +314,16 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
       P0's class (then a is in P0^G) or in the class of a point known to be
       outside P0^G (G preserves P0^G, so a is outside it too).  Otherwise
       a's point_invariant is computed: if it differs from P0's, a is outside
-      P0^G.  If it ties, chunk a runs with early exit: a hit records one
+      P0^G.  If it ties, chunk a runs to its first hit: a hit records one
       element g with g(P0) = a, no hit puts a outside P0^G.
 
-    In the early-exit and orbit searches a chunk a runs only over the pair
-    rows (b, c) with n_a[b, c] = n_P0[P1, P2] (_process_chunk), read off a's
-    invariant; P0's invariant, computed once, serves as the source's and as
-    chunk P0's when src is dst.
+    Every chunk a runs only over the pair rows (b, c) with
+    n_a[b, c] = n_P0[P1, P2], read off a's invariant: a collineation maps
+    row (P1, P2) of P0 onto row (b, c) of a with the same count, so no
+    other row holds a hit.  The rows keep their order, so the count, the
+    samples and the first hit are those over all N^2 rows.  P0's invariant,
+    computed once, serves as the source's and as chunk P0's when src is
+    dst.
 
     Stab(P0) and one element per positive chunk generate G, so the final
     classes are the orbits (`classes`), the order is |Stab(P0)| times the
@@ -367,7 +370,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         order = [ms] + [k for k in range(N) if k != ms]
         firsts = [dst_codes.index(marked[1])]
     p0 = order[0]
-    if want_orbits and (dst_codes != src_codes or p0 not in firsts):
+    if orbits and (dst_codes != src_codes or p0 not in firsts):
         raise EquivError("an orbit search maps a point set (and a marked point) to itself")
     # keys of the other source points minus the fourth point's key, times 2^j
     k0, k1 = (k[0, order[3:]] for k in _fan(LLs, Q, order[0], [order[1]], [order[2]])[:2])
@@ -376,26 +379,23 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                       dtype=LLs.dtype)
     ctx = _Torus(LLd, N, Q, shifts, np.array(order))
     res = _SearchResult()
-    if not (early_exit or want_orbits):      # every chunk over all pair rows
-        every_row = np.arange(N * N)
-        res.order = sum(_process_chunk(ctx, a, False, every_row)[0] for a in firsts)
-        return res
     # a hit maps (P0, P1, P2) to (a, b, c) only where n_a[b, c] = n_P0[P1, P2]
     inv0, n0 = _point_invariant(LLs, Q, p0)
     want = n0[order[1] * N + order[2]]
+    row_dtype = np.int32 if N * N * 2 * Q < 1 << 31 else np.int64
 
     def invariant(a):     # a's invariant and row counts; P0's are known when src is dst
         return (inv0, n0) if LLd is LLs and a == p0 else _point_invariant(LLd, Q, a)
 
-    def chunk(a, early, n):
-        return _process_chunk(ctx, a, early, np.flatnonzero(n == want))
+    def kept(n):          # the ascending pair rows b*N + c whose count is the base's
+        return np.flatnonzero(n == want).astype(row_dtype)
 
-    if early_exit:
+    if not orbits:
         for a in firsts:
             v, n = invariant(a)
             if v != inv0:
                 continue
-            res.order, found = chunk(a, True, n)
+            found = _process_chunk(ctx, a, kept(n))
             if found:
                 # N_Q1 * frob_j(N_Q0^-1), Q0 the source quadrangle, Q1 its images
                 j, images = found[0]
@@ -405,7 +405,7 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
                     P, _frame_matrix(P, dst[images[quad]]).reshape(-1), j).compose(base.inverse())
                 break
         return res
-    stab, found = chunk(p0, _CHAIN, n0)
+    stab, found = _chain_count(ctx, p0, kept(n0))
     if stab < 1:
         raise EquivError("chunk P0 has no hit, against orbit-stabilizer")
     least = np.arange(N)        # least[x]: the least point of the class of x
@@ -424,8 +424,8 @@ def _search(params: FieldParams, src_codes, dst_codes, *,
         if a == p0 or least[a] == least[p0] or least[a] in least[negative]:
             continue
         inv[a], n = invariant(a)
-        count, found = chunk(a, True, n) if inv[a] == inv0 else (0, [])
-        if count:
+        found = _process_chunk(ctx, a, kept(n)) if inv[a] == inv0 else []
+        if found:
             keep(found[0][1])
         else:
             negative.append(a)
@@ -445,9 +445,6 @@ def _join(least: np.ndarray, images: np.ndarray) -> None:
         u, v = least[x], least[images[x]]
         if u != v:
             least[least == max(u, v)] = min(u, v)
-
-
-_CHAIN = "chain"       # the mode of _process_chunk for chunk P0 of an orbit search
 
 
 def _slabs(rows: np.ndarray, N: int, size: int):
@@ -541,62 +538,42 @@ class _Slab:
         return list(zip(j.tolist(), images))
 
 
-def _process_chunk(ctx: _Torus, a: int, early_exit, rows: np.ndarray):
-    """The hits that map the source triangle to (a, b, c) for the pair rows
-    b*N + c in `rows` (ascending).
+def _process_chunk(ctx: _Torus, a: int, rows: np.ndarray) -> list:
+    """The first hit that maps the source triangle to (a, b, c), over the
+    pair rows b*N + c in `rows` (ascending), in (b, c, j, y) order.
 
-    Returns (hit count, found).  A hit is the Frobenius power j and the image
-    (a, b, c, y) of the source quadrangle (P0, P1, P2, P3), and `found`
-    lists (j, images) pairs, images[x] the index of the image of source
-    point x: the quadrangle's images are images[src_order[:4]].
-    `early_exit` is one of three modes:
-
-    * True: the count is 0 or 1 and `found` holds the first hit in
-      (b, c, j, y) order.  The rows run in slabs that double from
-      _EXIT_FIRST_ROWS, and the chunk returns at the first slab with a hit.
-    * False: every hit is counted, and `found` is empty (the oracle of the
-      tests).
-    * _CHAIN, for chunk P0 of an orbit search (a = P0, the destination the
-      source): the hits are Stab(P0), counted along the base (P0, P1, P2)
-      as n1 * n2 * n3 (_chain_count), and `found` holds the samples.
-
-    _search passes the rows whose count n_a[b, c] (_point_invariant) equals
-    the source triangle's n_P0[P1, P2]: a collineation maps row (P1, P2) of
-    P0 onto row (b, c) of a with the same count, so no other row holds a
-    hit.  The rows keep their order, so the count, the samples and the
-    first hit are those of the search over all rows.  Each slab builds the
-    slot tables of its rows only (_Slab), at most _FAN_SLAB_CELLS // N rows
-    (or those of one b), which bounds the memory.
+    A hit is the Frobenius power j and the image (a, b, c, y) of the source
+    quadrangle (P0, P1, P2, P3).  Returns `found`: empty, or the one pair
+    (j, images) of the first hit, images[x] the index of the image of
+    source point x (the quadrangle's images are images[src_order[:4]]).
+    The rows run in slabs that double from _EXIT_FIRST_ROWS, and the chunk
+    returns at the first slab with a hit.  Each slab builds the slot tables
+    of its rows only (_Slab), at most _FAN_SLAB_CELLS // N rows (or those
+    of one b), which bounds the memory.
     """
-    N, m = ctx.N, len(ctx.shifts)
-    rows = rows.astype(np.int32 if N * N * 2 * ctx.Q < 1 << 31 else np.int64)
-    if early_exit is _CHAIN:
-        return _chain_count(ctx, a, rows)
-    count = 0
-    for lo, hi in _slabs(rows, N, _EXIT_FIRST_ROWS if early_exit else N * N):
+    for lo, hi in _slabs(rows, ctx.N, _EXIT_FIRST_ROWS):
         slab = _Slab(ctx, a, rows[lo:hi])
-        if not early_exit:
-            count += sum(len(slab.hits(slab.survivors(j), j)) for j in range(m))
-            continue
         # the first hit in (b, c, j, y) order: the least row, then the least j
         first = None
-        for j in range(m):
+        for j in range(len(ctx.shifts)):
             hits = slab.hits(slab.survivors(j), j, first=True)
             if len(hits) and (first is None or
                               slab.base[hits[0]] // slab.W < slab.base[first[0]] // slab.W):
                 first = hits[0], j
         if first is not None:
-            return 1, slab.elements([first[0]], [first[1]])
-    return count, []
+            return slab.elements([first[0]], [first[1]])
+    return []
 
 
 def _chain_count(ctx: _Torus, a: int, rows: np.ndarray):
-    """|Stab(P0)| and its samples, for chunk P0 of an orbit search.
+    """|Stab(P0)| and its samples, for chunk P0 of an orbit search (a = P0,
+    the destination the source), over the pair rows `rows` (ascending).
 
-    |Stab(P0)| = n1 * n2 * n3: n1 counts the images b of P1 with a hit (P1
-    included), n2 the images c of P2 with a hit in row block P1 (P2
-    included), and n3 the hits in row (P1, P2), over all j.  So one hit per
-    stream decides it: the rows of one b != P1 form a stream, and so does
+    Returns (|Stab(P0)|, found), `found` the samples as (j, images) pairs
+    like those of _process_chunk.  |Stab(P0)| = n1 * n2 * n3: n1 counts the
+    images b of P1 with a hit (P1 included), n2 the images c of P2 with a
+    hit in row block P1 (P2 included), and n3 the hits in row (P1, P2),
+    over all j.  So one hit per stream decides it: the rows of one b != P1 form a stream, and so does
     each row (P1, c) with c != P2.  For each j in ascending order, after the
     probes, only the first survivor of each undecided stream is checked,
     and a stream whose survivor fails tries its next one; every survivor of
@@ -709,12 +686,12 @@ def stabilizer(params: FieldParams, points, *, threads: int = 1) -> OrbitDecompo
     at q = 128 (11 s when chunk P0 checked every hit).
 
     `threads` is accepted and ignored, only because bench/workloads.py still
-    passes it; it goes once the benchmark drops it (ROADMAP item 3).
+    passes it; it goes once the benchmark drops it (ROADMAP item 1).
     """
     codes = geometry._as_codes(params, points)
     if len(codes) != params.q + 2:
         raise EquivError("a hyperoval has q+2 points")
-    res = _search(params, codes, codes, want_orbits=True)
+    res = _search(params, codes, codes, orbits=True)
     seen = {}                       # orbits in the order of their least points
     for k, least in enumerate(res.classes.tolist()):
         seen.setdefault(least, []).append(k)
@@ -736,7 +713,7 @@ def are_equivalent(params: FieldParams, points_a, points_b,
     if marked is not None:
         ma, mb = geometry._as_codes(params, list(marked))
         mk = (ma, mb)
-    res = _search(params, codes_a, codes_b, marked=mk, early_exit=True)
+    res = _search(params, codes_a, codes_b, marked=mk)
     phi = res.witness
     if phi is None:
         return None

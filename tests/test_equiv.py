@@ -366,7 +366,7 @@ def test_classes_against_marked_searches(m, fam, r):
         if ia != ib:
             assert are_equivalent(P, a.oval_h_codes, b.oval_h_codes, marked=(0, 0)) is None
     for c in res.classes:
-        fixing = equiv._search(P, c.oval_h_codes, c.oval_h_codes, marked=(0, 0))
+        fixing = equiv._search(P, c.oval_h_codes, c.oval_h_codes, marked=(0, 0), orbits=True)
         assert fixing.order * c.orbit_size == res.stabilizer_order
 
 

@@ -83,6 +83,36 @@ def oracle_maps(perms, src, dst, marked=None):
     return perms[oracle_rows(perms, src, dst, marked)]
 
 
+def unfiltered(LL, Q, a):
+    """A constant _point_invariant: every point ties and every row is kept."""
+    return (), np.zeros(len(LL) ** 2, dtype=np.int64)
+
+
+def every_hit_chunks(P, src, dst, marked=None):
+    """(ctx, a, rows, hit count) of every chunk of the witness search from src
+    to dst, each over all N^2 pair rows with every hit counted
+    (torus_oracle.every_hit_count): with a constant invariant every first
+    image ties and keeps every row, and a chunk that reports no hit lets
+    the search visit every first image."""
+    log = []
+
+    def count(ctx, a, rows):
+        log.append((ctx, a, rows, torus_oracle.every_hit_count(ctx, a, rows)))
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equiv, "_point_invariant", unfiltered)
+        mp.setattr(equiv, "_process_chunk", count)
+        equiv._search(P, src, dst, marked=marked)
+    return log
+
+
+def all_rows_order(P, src, dst, marked=None):
+    """The number of collineations mapping src onto dst (and marked[0] to
+    marked[1]) that the kernel finds over every chunk in full."""
+    return sum(count for *_, count in every_hit_chunks(P, src, dst, marked))
+
+
 def test_stabilizer_matches_brute_force(oracle):
     P, perms = oracle
     H = hyperoval(P)
@@ -94,7 +124,7 @@ def test_stabilizer_matches_brute_force(oracle):
     # one marked point: the stabilizer of the point inside the stabilizer of H
     for p in H:
         fixing = oracle_maps(perms, H, H, marked=(p, p))
-        res = equiv._search(P, H, H, marked=(p, p), want_orbits=True)
+        res = equiv._search(P, H, H, marked=(p, p), orbits=True)
         assert res.order == len(fixing)
         got = {frozenset(H[i] for i in np.flatnonzero(res.classes == least))
                for least in res.classes}
@@ -118,7 +148,7 @@ def test_are_equivalent_matches_brute_force(oracle):
         marked = (src[0], rng.choice(dst))
         for mk in (None, marked):
             rows = oracle_rows(perms, src, dst, mk)
-            assert equiv._search(P, src, dst, marked=mk).order == len(rows)
+            assert all_rows_order(P, src, dst, mk) == len(rows)
             w = are_equivalent(P, src, dst, marked=mk)
             assert (w is not None) == (len(rows) > 0)
             if w is not None:
@@ -172,7 +202,7 @@ def test_high_frobenius_powers_at_large_m(m):
     image = [phi.apply_code(c) for c in src]
     w = are_equivalent(P, src, image)
     assert w is not None and {w.apply_code(c) for c in src} == set(image)
-    assert equiv._search(P, src, image).order == equiv._search(P, src, src).order
+    assert all_rows_order(P, src, image) == all_rows_order(P, src, src)
 
 
 @pytest.mark.parametrize("fam,sizes", [
@@ -292,11 +322,17 @@ def test_row_counts_under_collineations(m, fam):
     # a collineation phi maps the keys relative to (a, b, c) onto those
     # relative to (phi a, phi b, phi c), so n_{phi a}[phi b, phi c] = n_a[b, c],
     # with and without a Frobenius power; the rows are not all alike, and
-    # not symmetric in (b, c)
+    # not symmetric in (b, c).  With l = (L_bc.y, L_ca.y, L_ab.y),
+    # v = k1 - 2*k0 = 2 log l1 - log l0 - log l2 is symmetric in l0 and l2,
+    # which swapping a and c exchanges: n_a[b, c] = n_c[b, a] at every
+    # point, while n_a[b, c] = n_b[a, c] fails
     P = field_create(m)
     H = hyperoval(P, fam)
     N, Q = len(H), P.q - 1
     LL = equiv._line_logs(P, equiv._coords_of_codes(P, H))
+    n = np.stack([equiv._point_invariant(LL, Q, a)[1].reshape(N, N) for a in range(N)])
+    assert np.array_equal(n, n.transpose(2, 1, 0))
+    assert not np.array_equal(n, n.transpose(1, 0, 2))
     rng = random.Random(f"rows:{m}:{fam}")
     for frob in (0, rng.randrange(1, m)):
         while not (phi := equiv.Collineation.make(
@@ -315,26 +351,26 @@ def test_row_counts_under_collineations(m, fam):
 
 def rows_checked_against_every_row(monkeypatch):
     """From now on every chunk runs over its pair rows and again over all N^2,
-    and both must give the same count and found (samples, or first hit).
-    Returns the list of the shares of rows kept."""
-    real, shares = equiv._process_chunk, []
+    and both must give the same result: chunk P0's count and samples, or
+    another chunk's first hit.  Returns the list of the shares of rows kept."""
+    shares = []
 
-    def result(out):
-        return out[0], [(j, images.tolist()) for j, images in out[1]]
+    def plain(found):
+        return [(j, images.tolist()) for j, images in found]
 
-    def spy(ctx, a, early_exit, rows):
-        out = real(ctx, a, early_exit, rows)
-        assert result(out) == result(real(ctx, a, early_exit, np.arange(ctx.N ** 2)))
-        shares.append(len(rows) / ctx.N ** 2)
-        return out
+    def checked(real, result):
+        def spy(ctx, a, rows):
+            out = real(ctx, a, rows)
+            every_row = np.arange(ctx.N ** 2, dtype=rows.dtype)
+            assert result(out) == result(real(ctx, a, every_row))
+            shares.append(len(rows) / ctx.N ** 2)
+            return out
+        return spy
 
-    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    monkeypatch.setattr(equiv, "_process_chunk", checked(equiv._process_chunk, plain))
+    monkeypatch.setattr(equiv, "_chain_count", checked(
+        equiv._chain_count, lambda out: (out[0], plain(out[1]))))
     return shares
-
-
-def unfiltered(LL, Q, a):
-    """A constant _point_invariant: every point ties and every row is kept."""
-    return (), np.zeros(len(LL) ** 2, dtype=np.int64)
 
 
 @pytest.mark.parametrize("m,fam,r", catalog_sweep_cases())
@@ -389,8 +425,8 @@ def test_int16_keys_at_m13_match_int32(monkeypatch):
         for arc in arcs:
             LL = equiv._line_logs(P, equiv._coords_of_codes(P, arc))
             assert LL.dtype == equiv._key_dtype(P.q - 1)
-            res = equiv._search(P, arc, arc, want_orbits=True)
-            hit = equiv._search(P, arc, arc[::-1], early_exit=True)
+            res = equiv._search(P, arc, arc, orbits=True)
+            hit = equiv._search(P, arc, arc[::-1])
             out.append((res.order, res.classes.tolist(), res.generators, res.invariants,
                         hit.witness, [equiv.point_invariant(P, arc, c) for c in arc]))
         return out
@@ -437,33 +473,37 @@ def test_stabilizer_memory_stays_small(P5):
 
 
 def logged_chunks(monkeypatch):
-    """The list of (first image, early exit, hit count, found) of every chunk
-    the search runs from now on."""
-    log, real = [], equiv._process_chunk
+    """The list of (first image, kernel, hit count) of every chunk the search
+    runs from now on: kernel "_chain_count" for chunk P0 of an orbit search,
+    with |Stab(P0)|, and "_process_chunk" for a first-hit chunk, with 0 or 1."""
+    log = []
 
-    def spy(ctx, a, early_exit, rows):
-        out = real(ctx, a, early_exit, rows)
-        log.append((a, early_exit, *out))
-        return out
+    def spy(name, real):
+        def run(ctx, a, rows):
+            out = real(ctx, a, rows)
+            log.append((a, name, out[0] if name == "_chain_count" else len(out)))
+            return out
+        return run
 
-    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    for name in ("_chain_count", "_process_chunk"):
+        monkeypatch.setattr(equiv, name, spy(name, getattr(equiv, name)))
     return log
 
 
 _FULL = {}
 
 
-def every_chunk_in_full(P, H, monkeypatch):
+def every_chunk_in_full(P, H):
     """Order and orbits by the search before orbit-stabilizer: every chunk in
-    full, each counting |Stab(P0)| hits or none, and the order their sum.
-    The orbits are the closure of the point images of elements that
-    generate the group: the samples along the base that the streams of
-    every hit of chunk P0 give (by the plain lookups of torus_oracle), and
-    the first hit of every other chunk with hits.  Memoized per point set
-    (two tests share it)."""
+    full (every_hit_chunks), each counting |Stab(P0)| hits or none, and the
+    order their sum.  The orbits are the closure of the point images of
+    elements that generate the group: the samples along the base that the
+    streams of every hit of chunk P0 give (by the plain lookups of
+    torus_oracle), and the first hit of every other chunk with hits.
+    Memoized per point set (two tests share it)."""
     key = (P.m, P.modulus, tuple(H))
     if key not in _FULL:
-        _FULL[key] = _every_chunk_in_full(P, H, monkeypatch)
+        _FULL[key] = _every_chunk_in_full(P, H)
     return _FULL[key]
 
 
@@ -471,18 +511,10 @@ def oracle_chunk(ctx, a, rows):
     return torus_oracle.Chunk(ctx.LL, ctx.N, ctx.Q, ctx.shifts, ctx.src_order, a, rows)
 
 
-def _every_chunk_in_full(P, H, monkeypatch):
-    log, real = [], equiv._process_chunk
-
-    def spy(ctx, a, early_exit, rows):
-        out = real(ctx, a, early_exit, rows)
-        log.append((ctx, a, rows, out[0]))
-        return out
-
-    monkeypatch.setattr(equiv, "_process_chunk", spy)
-    order = equiv._search(P, H, H).order
-    monkeypatch.undo()
+def _every_chunk_in_full(P, H):
+    log = every_hit_chunks(P, H, H)
     counts = [count for *_, count in log]
+    order = sum(counts)
     assert len(counts) == len(H) and set(counts) <= {0, counts[0]} and counts[0]
     ctx, a, rows, count = log[0]
     chunk = oracle_chunk(ctx, a, rows)
@@ -491,7 +523,8 @@ def _every_chunk_in_full(P, H, monkeypatch):
     quads = [chunk.quadrangles(h) for h in hits]
     gens = [chunk.images(hits[j][[k]], j)[0]
             for j, k in torus_oracle.stream_samples(quads, ctx.src_order[1:4].tolist())]
-    gens += [real(ctx, a, True, rows)[1][0][1] for ctx, a, rows, count in log[1:] if count]
+    gens += [equiv._process_chunk(ctx, a, rows)[0][1] for ctx, a, rows, count in log[1:]
+             if count]
     reach = np.eye(len(H), dtype=bool)
     for images in gens:
         reach[np.arange(len(H)), images] = True
@@ -506,7 +539,7 @@ def test_orbit_stabilizer_matches_every_chunk_in_full(m, fam, r, monkeypatch):
     # classes decided so far, which are unions of Stab(P0)-orbits
     P = field_create(m)
     H = hyperoval(P, fam, r)
-    order, orbits = every_chunk_in_full(P, H, monkeypatch)
+    order, orbits = every_chunk_in_full(P, H)
     for orbit in orbits:
         k = min(H.index(c) for c in orbit)
         rotated = H[k:] + H[:k]
@@ -515,7 +548,7 @@ def test_orbit_stabilizer_matches_every_chunk_in_full(m, fam, r, monkeypatch):
         monkeypatch.undo()
         assert dec.stabilizer_order == order and orbit_sets(dec) == orbits
         fixing = equiv._search(P, rotated, rotated, marked=(rotated[0], rotated[0]),
-                               want_orbits=True)
+                               orbits=True)
         assert fixing.order * len(orbit) == order
         assert len(log) <= len(set(fixing.classes.tolist()))
 
@@ -534,12 +567,12 @@ def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch
         return res.order, res.classes.tolist(), res.generators
 
     log = logged_chunks(monkeypatch)
-    res = equiv._search(P, H, H, want_orbits=True)
+    res = equiv._search(P, H, H, orbits=True)
     monkeypatch.undo()
     monkeypatch.setattr(equiv, "_point_invariant", unfiltered)
-    assert results(equiv._search(P, H, H, want_orbits=True)) == results(res)
+    assert results(equiv._search(P, H, H, orbits=True)) == results(res)
     monkeypatch.undo()
-    order, orbits = every_chunk_in_full(P, H, monkeypatch)
+    order, orbits = every_chunk_in_full(P, H)
     assert res.order == order
     (p0_orbit,) = (o for o in orbits if H[0] in o)
     refuted = {a for a, v in res.invariants.items() if v != res.invariants[0]}
@@ -550,15 +583,14 @@ def test_invariant_filter_matches_the_unfiltered_schedule(m, fam, r, monkeypatch
 def chain_chunks(monkeypatch):
     """The list of (ctx, a, rows, count, found) of every chunk counted along
     the base from now on."""
-    log, real = [], equiv._process_chunk
+    log, real = [], equiv._chain_count
 
-    def spy(ctx, a, early_exit, rows):
-        out = real(ctx, a, early_exit, rows)
-        if early_exit is equiv._CHAIN:
-            log.append((ctx, a, rows, *out))
+    def spy(ctx, a, rows):
+        out = real(ctx, a, rows)
+        log.append((ctx, a, rows, *out))
         return out
 
-    monkeypatch.setattr(equiv, "_process_chunk", spy)
+    monkeypatch.setattr(equiv, "_chain_count", spy)
     return log
 
 
@@ -576,7 +608,7 @@ def test_chain_count_matches_every_hit(m, fam, r, monkeypatch):
         stabilizer(P, rotated)
         monkeypatch.undo()
         ((ctx, a, rows, count, found),) = log
-        assert a == 0 and count == equiv._process_chunk(ctx, a, False, rows)[0]
+        assert a == 0 and count == torus_oracle.every_hit_count(ctx, a, rows)
         chunk = oracle_chunk(ctx, a, rows)
         hits = chunk.hits()
         assert sum(len(h) for h in hits) == count
@@ -647,9 +679,8 @@ def test_hyperconic_with_p0_on_the_conic_refutes_the_nucleus_by_its_invariant(
     # nucleus's invariant differs from P0's, so it runs no chunk
     H = hyperoval(P5)
     log = logged_chunks(monkeypatch)
-    res = equiv._search(P5, H, H, want_orbits=True)
-    assert [(a, early, count) for a, early, count, _ in log] == [
-        (0, equiv._CHAIN, res.order // 33), (1, True, 1)]
+    res = equiv._search(P5, H, H, orbits=True)
+    assert log == [(0, "_chain_count", res.order // 33), (1, "_process_chunk", 1)]
     assert sorted(res.invariants) == [0, 1, 33]
     assert res.invariants[33] != res.invariants[0] == res.invariants[1]
 
@@ -719,17 +750,18 @@ def test_broken_chunk_raises_orbit_stabilizer(P5, monkeypatch, broken):
     # in P0's orbit.  At O'Keefe-Penttila P0 lies in a 3-orbit and Stab(P0)
     # is trivial: a positive chunk reported empty is caught when the chunk of
     # the third point of that orbit joins it to P0
-    real, broke = equiv._process_chunk, []
-    mode = {"p0": equiv._CHAIN, "positive": True}[broken]
+    name, empty = {"p0": ("_chain_count", (0, [])), "positive": ("_process_chunk", [])}[broken]
+    real, broke = getattr(equiv, name), []
 
-    def patched(ctx, a, early_exit, rows):
-        count, found = real(ctx, a, early_exit, rows)
-        if count and not broke and early_exit == mode:
+    def patched(ctx, a, rows):
+        out = real(ctx, a, rows)
+        found = out[1] if broken == "p0" else out
+        if found and not broke:
             broke.append(a)
-            return 0, []
-        return count, found
+            return empty
+        return out
 
-    monkeypatch.setattr(equiv, "_process_chunk", patched)
+    monkeypatch.setattr(equiv, name, patched)
     with pytest.raises(EquivError, match="orbit-stabilizer"):
         stabilizer(P5, hyperoval(P5, "okeefe_penttila"))
     assert broke
@@ -760,6 +792,15 @@ def test_lost_stream_of_chunk_p0_raises(m, fam, r, monkeypatch):
             assert "stream" in str(exc)
             raised.append((level, x))
     assert raised
+
+
+def test_orbit_search_maps_a_set_to_itself(P3):
+    # the orbit search reads dst as src: it refuses another point list (here
+    # the same points reordered) and a marked point that moves
+    H = hyperoval(P3)
+    for dst, mk in ((H[::-1], None), (H, (H[0], H[1]))):
+        with pytest.raises(EquivError, match="maps a point set"):
+            equiv._search(P3, H, dst, marked=mk, orbits=True)
 
 
 def test_marked_point_outside_set_raises(P3):

@@ -1,9 +1,10 @@
 """The index-cube formulation of the torus keys and the point invariant, kept
 as oracles for the broadcast kernel `equiv._fan` and `equiv._point_invariant`;
 the full fill of the line-log cube, the oracle of the half cube of
-`equiv._line_logs`; and every hit of a chunk by plain lookups (`Chunk`) with
-the streams of samples rebuilt from them (`stream_samples`), the oracles of
-`equiv._process_chunk`.
+`equiv._line_logs`; every hit of a chunk by plain lookups (`Chunk`) with
+the streams of samples rebuilt from them (`stream_samples`), and every hit
+of a chunk by the kernel's slot tables (`every_hit_count`), the oracles of
+`equiv._process_chunk` and `equiv._chain_count`.
 
 LL is the line-log cube of `equiv._line_logs`, read here at the flat index
 (a*N + b)*N + l.  The keys are gathered through int64 index cubes and the
@@ -11,6 +12,8 @@ compact layout `triples(N - 1)` of the pairwise distinct triples.
 """
 
 import numpy as np
+
+from nihoval import equiv
 
 
 def keys(LL: np.ndarray, N: int, Q: int, a, b, c, y):
@@ -153,3 +156,14 @@ def stream_samples(quads, base):
     for (level, v, j), h in sorted(samples.items()):
         kept.setdefault((level, v), (j, h))
     return list(kept.values())
+
+
+def every_hit_count(ctx, a: int, rows: np.ndarray) -> int:
+    """The number of hits of chunk a over the pair rows `rows` (ascending),
+    ctx the equiv._Torus of the search: every survivor of the kernel's
+    probes checked on every source point, at every j, in slabs of rows."""
+    count = 0
+    for lo, hi in equiv._slabs(rows, ctx.N, ctx.N * ctx.N):
+        slab = equiv._Slab(ctx, a, rows[lo:hi])
+        count += sum(len(slab.hits(slab.survivors(j), j)) for j in range(len(ctx.shifts)))
+    return count
