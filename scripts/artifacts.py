@@ -5,10 +5,13 @@
 DIR/golden/ receives the files scripts/make_golden.py writes, DIR/reproduce_*.json
 the reports of `nihoval reproduce table1|table2|sec4.6|theorems`, and
 DIR/classify_*.json the `classify` reports of the catalog cases below, and
-DIR/gfun_*.csv and DIR/bent_*.json the `gfun` table and the `bent` Niho
-polynomial (plain and with `--s-index 1`) of every catalog family at its
-smallest valid m, and of Payne at m = 7.  Two source trees produce the same
-artifacts iff `diff -r DIR1 DIR2` is empty.
+DIR/gfun_*.csv and DIR/bent_*.{json,bin,txt} the `gfun` table, the `bent` Niho
+polynomial (plain and with `--s-index 1`), the `bent --check` report, the
+`--spectrum` binary and the `--format bits` truth table of every catalog family
+at its smallest valid m, and of Payne at m = 7.  DIR/opoly_*.{csv,json} hold the
+`opoly` table in both formats of each o-polynomial family at its smallest valid
+m, of Subiaco at m = 6 and with an explicit d, and of Adelaide at m = 6.  Two
+source trees produce the same artifacts iff `diff -r DIR1 DIR2` is empty.
 """
 
 import pathlib
@@ -26,6 +29,12 @@ CATALOG = (("hyperconic", 1, None), ("translation", 2, 1), ("translation", 3, 2)
            ("subiaco", 4, None), ("lunelli_sce", 4, None), ("adelaide", 4, None),
            ("segre", 5, None), ("payne", 5, None), ("subiaco_payne", 5, None),
            ("cherowitzo", 5, None), ("okeefe_penttila", 5, None), ("payne", 7, None))
+# (family, m, options): each o-polynomial family at its smallest valid m, plus
+# Subiaco at m = 6 (d outside GF(4)) and with an explicit d, and Adelaide at m = 6.
+OPOLY = (("hyperconic", 1, ()), ("translation", 2, ("--r", "1")), ("subiaco", 4, ()),
+         ("adelaide", 4, ()), ("segre", 5, ()), ("payne", 5, ()), ("cherowitzo", 5, ()),
+         ("subiaco", 5, ("--d-hex", "5")), ("subiaco", 6, ()), ("adelaide", 6, ()),
+         ("glynn1", 7, ()), ("glynn2", 7, ()))
 
 
 def main(argv=None) -> int:
@@ -49,9 +58,19 @@ def main(argv=None) -> int:
         case = ["--family", fam, "--m", str(m)] + ([] if r is None else ["--r", str(r)])
         name = f"{fam}_m{m}" + ("" if r is None else f"_r{r}")
         runs = (("gfun", [], f"gfun_{name}.csv"), ("bent", [], f"bent_{name}.json"),
-                ("bent", ["--s-index", "1"], f"bent_{name}_s1.json"))
+                ("bent", ["--s-index", "1"], f"bent_{name}_s1.json"),
+                ("bent", ["--check"], f"bent_{name}_check.json"),
+                ("bent", ["--spectrum"], f"bent_{name}_spectrum.bin"),
+                ("bent", ["--format", "bits"], f"bent_{name}_bits.txt"))
         for cmd, extra, fname in runs:
             rc = cli.main([cmd, *case, *extra, "--out", str(out / fname)])
+            if rc:
+                return rc
+    for fam, m, opts in OPOLY:
+        name = "_".join([f"opoly_{fam}_m{m}", *(o.lstrip("-") for o in opts)])
+        for fmt in ("csv", "json"):
+            rc = cli.main(["opoly", "--family", fam, "--m", str(m), *opts,
+                           "--format", fmt, "--out", str(out / f"{name}.{fmt}")])
             if rc:
                 return rc
     print("artifacts written to", out)

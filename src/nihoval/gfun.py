@@ -219,7 +219,7 @@ def fix_zeros(g: GFunction) -> GFunction:
     if g.is_zero_free():
         return g
     i = spread_i(P)
-    first = [P.kmul(i, lam) for lam in range(1, P.q)]
+    first = P.kmul_v(np.uint32(i), np.arange(1, P.q, dtype=np.uint32)).tolist()
     skip = set(first) | {0}
     rest = (c for c in range(1, P.q ** 2) if c not in skip)
     S = g.S.codes
@@ -312,24 +312,20 @@ def g_catalog(params: FieldParams, family: str, r: int | None = None) -> GFuncti
         if r is None:
             raise GFunError("translation needs r")
         return translation_g(params, r)
+    if family in ("segre", "payne", "cherowitzo") and (m % 2 == 0 or m < 5):
+        raise GFunError(f"{family} needs odd m >= 5")
     if family == "segre":
-        if m % 2 == 0 or m < 5:
-            raise GFunError("segre needs odd m >= 5")
         if m == 5:
             om = unit_circle(params).omega()
             return g_series(params, 1, [(om, 9), (params.kconj(om), 12)], "segre")
         return segre_class_g(params, 0)
     if family == "payne":
-        if m % 2 == 0 or m < 5:
-            raise GFunError("payne needs odd m >= 5")
         return g_from_oval(params, payne_pointset_codes(params)[1:], "payne")
     if family == "subiaco_payne":
         if m != 5:
             raise GFunError("the published subiaco/payne table is for m = 5")
         return g_series(params, 1, [(1, 5), (1, 1)], "subiaco_payne")
     if family == "cherowitzo":
-        if m % 2 == 0 or m < 5:
-            raise GFunError("cherowitzo needs odd m >= 5")
         if m == 5:
             om = unit_circle(params).omega()
             return g_series(params, 0, [(1, 5), (1, 8), (1, 9), (om, 12), (om, 13),

@@ -1,17 +1,21 @@
 """The o-polynomial catalog as evaluable tables over F, with transforms.
 
 A polynomial h over F = GF(q) is an o-polynomial when
-D(h) = {(t : h(t) : 1)} u {(0:1:0), (1:0:0)} is a hyperoval.  Families:
+D(h) = {(t : h(t) : 1)} u {(0:1:0), (1:0:0)} is a hyperoval.  opoly_table
+evaluates the families below and raises OPolyError outside each one's domain,
+given on the right:
 
     hyperconic   t^2
-    translation  t^(2^r)                      gcd(r, m) = 1 for a hyperoval
+    translation  t^(2^r)                      1 <= r <= m-1; gcd(r, m) = 1 for a hyperoval
     segre        t^6                          m odd, m >= 5
     glynn1       t^(3s+4),   s = 2^((m+1)/2)  m odd, m >= 7
-    glynn2       t^(s+g),    g = 2^k (m=4k-1) or 2^(3k+1) (m=4k+1)
+    glynn2       t^(s+g),    g = 2^k (m=4k-1) or 2^(3k+1) (m=4k+1); m >= 7
     payne        t^(1/6) + t^(1/2) + t^(5/6)  m odd, m >= 5
     cherowitzo   t^s + t^(s+2) + t^(3s+4)     m odd, m >= 5
-    subiaco      rational in t plus t^(1/2), parameter d with tr(1/d) = 1
-    adelaide     trace expression in b on the unit circle, k = (q-1)/3, m even
+    subiaco      rational in t plus t^(1/2),  m >= 4, 0 < d < q, tr(1/d) = 1,
+                 parameter d                  d outside GF(4) if m = 2 mod 4
+    adelaide     trace expression in b on the unit circle, k = +-(q-1)/3,
+                 m even, m >= 4
 
 Fractional and negative exponents are reduced modulo q-1 before evaluation
 (0 maps to 0).  The fundamental-quadrangle maps act on tables as
@@ -89,28 +93,39 @@ def adelaide_default_b(params: FieldParams) -> int:
     raise OPolyError("no valid adelaide parameter")  # pragma: no cover
 
 
-def validate_family(params: FieldParams, fam: OPolyFamily) -> None:
-    m, q = params.m, params.q
+def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
+    """Evaluate the family on all of F: an array h with h[t] = h(t).
+
+    Raises OPolyError when m or the parameters lie outside the family's domain.
+    """
+    q, m = params.q, params.m
+    t = np.arange(q, dtype=np.uint32)
     name = fam.name
     if name == "hyperconic":
-        return
+        return params.fmul_v(t, t)
     if name == "translation":
         if fam.r is None or not 1 <= fam.r <= m - 1:
             raise OPolyError(f"translation needs 1 <= r <= m-1, got {fam.r}")
-        return
-    if name == "segre":
+        return params.fpow_v(t, 1 << fam.r)
+    if name in ("segre", "payne", "cherowitzo"):
         if m < 5 or m % 2 == 0:
-            raise OPolyError("segre needs odd m >= 5")
-        return
+            raise OPolyError(f"{name} needs odd m >= 5")
+        if name == "segre":
+            return params.fpow_v(t, 6)
+        if name == "payne":
+            i6 = exponent_inverse(6, q - 1)
+            half = 1 << (m - 1)
+            return (params.fpow_v(t, i6) ^ params.fpow_v(t, half)
+                    ^ params.fpow_v(t, 5 * i6 % (q - 1)))
+        s = 1 << ((m + 1) // 2)
+        return params.fpow_v(t, s) ^ params.fpow_v(t, s + 2) ^ params.fpow_v(t, 3 * s + 4)
     if name in ("glynn1", "glynn2"):
         if m < 7 or m % 2 == 0:
             raise OPolyError(f"{name} needs odd m >= 7")
-        glynn_sigma_gamma(m)
-        return
-    if name in ("payne", "cherowitzo"):
-        if m < 5 or m % 2 == 0:
-            raise OPolyError(f"{name} needs odd m >= 5")
-        return
+        s, g = glynn_sigma_gamma(m)
+        if name == "glynn1":
+            return params.fpow_v(t, 3 * s + 4)
+        return params.fpow_v(t, s + g)
     if name == "subiaco":
         if m < 4:
             raise OPolyError("subiaco needs m >= 4")
@@ -121,45 +136,6 @@ def validate_family(params: FieldParams, fam: OPolyFamily) -> None:
             raise OPolyError("subiaco needs tr(1/d) = 1")
         if m % 4 == 2 and params.fpow(d, 4) == d:
             raise OPolyError("subiaco with m = 2 mod 4 needs d outside GF(4)")
-        return
-    if name == "adelaide":
-        if m % 2 or m < 4:
-            raise OPolyError("adelaide needs even m >= 4")
-        k = fam.k if fam.k is not None else (q - 1) // 3
-        if k % (q - 1) not in ((q - 1) // 3, (q - 1) - (q - 1) // 3):
-            raise OPolyError("adelaide needs k = +-(q-1)/3")
-        return
-    raise OPolyError(f"unknown family {name!r}")
-
-
-def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
-    """Evaluate the family on all of F: an array h with h[t] = h(t)."""
-    validate_family(params, fam)
-    q, m = params.q, params.m
-    t = np.arange(q, dtype=np.uint32)
-    name = fam.name
-    if name == "hyperconic":
-        return params.fmul_v(t, t)
-    if name == "translation":
-        return params.fpow_v(t, 1 << fam.r)
-    if name == "segre":
-        return params.fpow_v(t, 6)
-    if name == "glynn1":
-        s, _ = glynn_sigma_gamma(m)
-        return params.fpow_v(t, 3 * s + 4)
-    if name == "glynn2":
-        s, g = glynn_sigma_gamma(m)
-        return params.fpow_v(t, s + g)
-    if name == "payne":
-        i6 = exponent_inverse(6, q - 1)
-        half = 1 << (m - 1)
-        return (params.fpow_v(t, i6) ^ params.fpow_v(t, half)
-                ^ params.fpow_v(t, 5 * i6 % (q - 1)))
-    if name == "cherowitzo":
-        s = 1 << ((m + 1) // 2)
-        return params.fpow_v(t, s) ^ params.fpow_v(t, s + 2) ^ params.fpow_v(t, 3 * s + 4)
-    if name == "subiaco":
-        d = fam.d if fam.d is not None else subiaco_default_d(params)
         d2 = params.fmul(d, d)
         c = 1 ^ d ^ d2  # 1 + d + d^2
         t2 = params.fmul_v(t, t)
@@ -170,8 +146,12 @@ def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
         den2 = params.fmul_v(den, den)
         return params.fmul_v(num, params.finv_v(den2)) ^ params.fpow_v(t, 1 << (m - 1))
     if name == "adelaide":
-        b = adelaide_default_b(params)
+        if m % 2 or m < 4:
+            raise OPolyError("adelaide needs even m >= 4")
         k = fam.k if fam.k is not None else (q - 1) // 3
+        if k % (q - 1) not in ((q - 1) // 3, (q - 1) - (q - 1) // 3):
+            raise OPolyError("adelaide needs k = +-(q-1)/3")
+        b = adelaide_default_b(params)
         tb = params.kT(b)
         tbk = params.kT(params.kpow(b, k))
         itb = params.finv(tb)
@@ -184,7 +164,7 @@ def opoly_table(params: FieldParams, fam: OPolyFamily) -> np.ndarray:
                 ^ params.fmul_v(params.fmul_v(tr_btk, np.uint32(itb)),
                                 params.fpow_v(base, (1 - k) % (q - 1)))
                 ^ root)
-    raise OPolyError(f"unknown family {name!r}")  # pragma: no cover
+    raise OPolyError(f"unknown family {name!r}")
 
 
 def is_permutation(table: np.ndarray) -> bool:

@@ -47,7 +47,9 @@ def test_opoly_csv_and_json(capsys):
 
 def test_opoly_validation_error(capsys):
     rc, _, err = run(capsys, "opoly", "--family", "segre", "--m", "4")
-    assert rc == 2
+    assert rc == 2 and err == "error: segre needs odd m >= 5\n"
+    rc, out, err = run(capsys, "opoly", "--family", "glynn2", "--m", "5")
+    assert rc == 2 and out == "" and err == "error: glynn2 needs odd m >= 7\n"
 
 
 @pytest.mark.parametrize("d_hex", ["40", "0"])

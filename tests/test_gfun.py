@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,15 +33,33 @@ def test_catalog_is_valid(m, fam, r):
     assert v.consistent and v.valid
 
 
-def test_catalog_rejects_bad_m():
-    with pytest.raises(GFunError):
-        g_catalog(field_create(4), "segre")
-    with pytest.raises(GFunError):
-        g_catalog(field_create(5), "adelaide")
-    with pytest.raises(GFunError):
-        g_catalog(field_create(5), "subiaco2")
-    with pytest.raises(GFunError):
-        g_catalog(field_create(5), "translation")
+# (family, m, g_catalog keywords, message): every GFunError domain error of g_catalog
+CATALOG_ERRORS = [
+    ("translation", 5, {}, "translation needs r"),
+    ("translation", 5, {"r": 5}, "need 1 <= r < m"),
+    ("segre", 3, {}, "segre needs odd m >= 5"),
+    ("segre", 4, {}, "segre needs odd m >= 5"),
+    ("payne", 3, {}, "payne needs odd m >= 5"),
+    ("payne", 4, {}, "payne needs odd m >= 5"),
+    ("cherowitzo", 3, {}, "cherowitzo needs odd m >= 5"),
+    ("cherowitzo", 4, {}, "cherowitzo needs odd m >= 5"),
+    ("subiaco_payne", 7, {}, "the published subiaco/payne table is for m = 5"),
+    ("okeefe_penttila", 7, {}, "okeefe_penttila lives at m = 5"),
+    ("subiaco", 3, {}, "subiaco needs m >= 4 (lunelli_sce: m = 4)"),
+    ("lunelli_sce", 5, {}, "lunelli_sce needs m >= 4 (lunelli_sce: m = 4)"),
+    ("subiaco2", 5, {}, "subiaco2 needs m = 2 mod 4"),
+    ("adelaide", 5, {}, "adelaide needs even m >= 4"),
+    ("nosuch", 5, {}, "unknown catalog family 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,m,kw,message", CATALOG_ERRORS,
+    ids=[f"{family}-m{m}" + "".join(f"-{k}{v}" for k, v in kw.items())
+         for family, m, kw, _ in CATALOG_ERRORS])
+def test_catalog_rejects_bad_m(family, m, kw, message):
+    with pytest.raises(GFunError, match=f"^{re.escape(message)}$"):
+        g_catalog(field_create(m), family, **kw)
 
 
 def test_g_values_stay_in_f(P5):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,43 @@ def test_dh_points_are_codes(P4):
 
 
 def test_segre(P5):
-    t = tab(P5, "segre")
-    assert is_opolynomial(P5, t)
-    with pytest.raises(OPolyError):
-        tab(field_create(4), "segre")
-    with pytest.raises(OPolyError):
-        tab(P5, "nosuch")
+    assert is_opolynomial(P5, tab(P5, "segre"))
+
+
+# (family, m, OPolyFamily keywords, message): every domain error of opoly_table
+DOMAIN_ERRORS = [
+    ("translation", 5, {}, "translation needs 1 <= r <= m-1, got None"),
+    ("translation", 5, {"r": 0}, "translation needs 1 <= r <= m-1, got 0"),
+    ("translation", 5, {"r": 5}, "translation needs 1 <= r <= m-1, got 5"),
+    ("segre", 3, {}, "segre needs odd m >= 5"),
+    ("segre", 4, {}, "segre needs odd m >= 5"),
+    ("payne", 4, {}, "payne needs odd m >= 5"),
+    ("payne", 6, {}, "payne needs odd m >= 5"),
+    ("cherowitzo", 4, {}, "cherowitzo needs odd m >= 5"),
+    ("cherowitzo", 6, {}, "cherowitzo needs odd m >= 5"),
+    ("glynn1", 6, {}, "glynn1 needs odd m >= 7"),
+    ("glynn2", 5, {}, "glynn2 needs odd m >= 7"),
+    ("glynn2", 8, {}, "glynn2 needs odd m >= 7"),
+    ("subiaco", 3, {}, "subiaco needs m >= 4"),
+    ("subiaco", 5, {"d": 0}, "subiaco needs 0 < d < q = 0x20, got d = 0x0"),
+    ("subiaco", 5, {"d": 32}, "subiaco needs 0 < d < q = 0x20, got d = 0x20"),
+    ("subiaco", 5, {"d": 2}, "subiaco needs tr(1/d) = 1"),  # tr(1/2) = 0
+    ("subiaco", 6, {"d": 58}, "subiaco with m = 2 mod 4 needs d outside GF(4)"),  # 58^4 = 58
+    ("adelaide", 5, {}, "adelaide needs even m >= 4"),
+    ("adelaide", 2, {}, "adelaide needs even m >= 4"),
+    ("adelaide", 4, {"k": 7}, "adelaide needs k = +-(q-1)/3"),
+    ("adelaide", 6, {"k": 5}, "adelaide needs k = +-(q-1)/3"),
+    ("nosuch", 5, {}, "unknown family 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,m,kw,message", DOMAIN_ERRORS,
+    ids=[f"{name}-m{m}" + "".join(f"-{k}{v}" for k, v in kw.items())
+         for name, m, kw, _ in DOMAIN_ERRORS])
+def test_domain_errors(name, m, kw, message):
+    with pytest.raises(OPolyError, match=f"^{re.escape(message)}$"):
+        tab(field_create(m), name, **kw)
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (6, 5)])
@@ -122,8 +155,8 @@ def test_glynn_constraints():
         s, g = glynn_sigma_gamma(m)
         q1 = 2 ** m - 1
         assert pow(s, 2, q1) == 2 and pow(g, 4, q1) == 2
-    with pytest.raises(OPolyError):
-        opoly.validate_family(field_create(5), OPolyFamily("glynn1"))
+    with pytest.raises(OPolyError, match="glynn1 needs odd m >= 7"):
+        opoly_table(field_create(5), OPolyFamily("glynn1"))
 
 
 def test_glynn_m7_hyperovals():
@@ -144,26 +177,12 @@ def test_subiaco(m):
         assert P.fpow(d, 4) != d  # d outside GF(4)
 
 
-def test_subiaco_rejects_bad_d(P5):
-    # tr(1/d) = 0 must be rejected
-    bad = next(d for d in range(1, 32) if P5.ftr(P5.finv(d)) == 0)
-    with pytest.raises(OPolyError):
-        opoly_table(P5, OPolyFamily("subiaco", d=bad))
-
-
 @pytest.mark.parametrize("m", [4, 6])
 def test_adelaide(m):
     P = field_create(m)
     t = tab(P, "adelaide")
     assert t[0] == 0 and t[1] == 1
     assert is_opolynomial(P, t)
-    with pytest.raises(OPolyError):
-        opoly_table(P, OPolyFamily("adelaide", k=5 if m == 6 else 7))
-
-
-def test_adelaide_needs_even_m(P5):
-    with pytest.raises(OPolyError):
-        tab(P5, "adelaide")
 
 
 def test_fractional_exponents_via_inverse(P5):
