@@ -22,6 +22,10 @@ workloads at seed 44.  Each checks every histogram.  Two more, `walsh m=9`
 and `walsh m=10`, time and count the same way every call of
 `bent.walsh_spectrum` on one catalog bent function (Cherowitzo at m = 9,
 Adelaide at m = 10), and check each spectrum: flat at +-q, and Parseval.
+`validate m=9` does the same for every call of the two geometric checks of
+`gfun.validate_g`, `geometry.no_three_collinear` and `is_line_oval`, on the
+Cherowitzo g at m = 9, and checks that each returns True; it reports each
+check on its own.
 These commands print one JSON line, which the record keeps under
 "reported": the calls, the first pass (or round, or call), and the warm
 calls after it; or the stabilizer time.  Each runs
@@ -101,17 +105,29 @@ def conic_stabilizer(m: int, first: str) -> list[str]:
                   "if got != (P.q * (P.q ** 2 - 1) * m, [1, P.q + 1]):\n"
                   "    raise SystemExit(f'got {got}')\n"]
 
-# report(calls, first) prints, for a list of (seconds, minor faults) per
-# call, the calls, the time of the first `first` and the warm calls after them
+# timed_call(calls, run) appends (seconds, minor faults) of one call of run;
+# summary(calls, first) gives, for such a list, the calls, the time of the
+# first `first` and the warm calls after them; report(calls, first) prints it
 _REPORT = """
 import json, resource, statistics, sys, time
 
-def report(calls, first):
+def summary(calls, first):
     warm = calls[first:]
-    print(json.dumps({'calls': len(calls), 'first_s': sum(t for t, _ in calls[:first]),
-                      'warm_min_s': min(t for t, _ in warm),
-                      'warm_median_s': statistics.median(t for t, _ in warm),
-                      'warm_faults_per_call': sum(f for _, f in warm) / len(warm)}))
+    return {'calls': len(calls), 'first_s': sum(t for t, _ in calls[:first]),
+            'warm_min_s': min(t for t, _ in warm),
+            'warm_median_s': statistics.median(t for t, _ in warm),
+            'warm_faults_per_call': sum(f for _, f in warm) / len(warm)}
+
+def report(calls, first):
+    print(json.dumps(summary(calls, first)))
+
+def timed_call(calls, run):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    out = run()
+    t = time.perf_counter() - t0
+    calls.append((t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))
+    return out
 """
 
 # wraps equiv._point_invariant: times each call, counts its minor faults and
@@ -121,11 +137,7 @@ from nihoval import equiv
 real, calls = equiv._point_invariant, []
 
 def timed(LL, Q, a):
-    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    t0 = time.perf_counter()
-    out = real(LL, Q, a)
-    t = time.perf_counter() - t0
-    calls.append((t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))
+    out = timed_call(calls, lambda: real(LL, Q, a))
     if sum(out[0]) != (len(LL) - 1) * (len(LL) - 2):
         raise SystemExit(f'point {a}: the histogram sums to {sum(out[0])}')
     return out
@@ -175,16 +187,32 @@ def walsh_calls(m: int, family: str, calls: int) -> list[str]:
         f"f = bent.bent_from_g(gfun.g_catalog(P, '{family}'))\n"
         "calls = []\n"
         f"for _ in range({calls}):\n"
-        "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    t0 = time.perf_counter()\n"
-        "    w = bent.walsh_spectrum(f).values\n"
-        "    t = time.perf_counter() - t0\n"
-        "    calls.append((t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))\n"
+        "    w = timed_call(calls, lambda: bent.walsh_spectrum(f).values)\n"
         "    if not np.all(np.abs(w) == P.q):\n"
         "        raise SystemExit('the spectrum is not flat at +-q')\n"
         "    if int((w.astype(np.int64) ** 2).sum()) != P.q ** 4:\n"
         "        raise SystemExit('the spectrum fails Parseval')\n"
         "report(calls, 1)\n")]
+
+
+def validate_calls(m: int, family: str, calls: int) -> list[str]:
+    """`calls` rounds of the two geometric checks of validate_g on one
+    catalog g at q = 2^m: every no_three_collinear and is_line_oval call
+    timed with its minor faults, each checked to return True."""
+    return ["-c", _REPORT + (
+        "from nihoval import geometry, gfun\n"
+        "from nihoval.gf2m import field_create\n"
+        f"P = field_create({m})\n"
+        f"g = gfun.g_catalog(P, '{family}')\n"
+        "H = g.hyperoval_codes_h()\n"
+        "checks = {'no_three_collinear': lambda: geometry.no_three_collinear(P, H),\n"
+        "          'is_line_oval': lambda: geometry.is_line_oval(P, g.S.codes, g.values)}\n"
+        "calls = {name: [] for name in checks}\n"
+        f"for _ in range({calls}):\n"
+        "    for name, run in checks.items():\n"
+        "        if not timed_call(calls[name], run):\n"
+        "            raise SystemExit(f'{name} is False')\n"
+        "print(json.dumps({name: summary(c, 1) for name, c in calls.items()}))\n")]
 
 
 COMMANDS.update({"stabilizer translation r=6 q=128": conic_stabilizer(7, "translation"),
@@ -195,8 +223,9 @@ COMMANDS.update({"invariants cherowitzo q=32": invariants_of_every_point(5, 30),
                  "invariants in stab-q32": invariants_in_rounds("stab-q32", 20),
                  "invariants in classify-q32": invariants_in_rounds("classify-q32", 10)})
 COMMANDS.update({"walsh m=9": walsh_calls(9, "cherowitzo", 200),
-                 "walsh m=10": walsh_calls(10, "adelaide", 50)})
-REPORTING = ("stabilizer ", "invariants ", "walsh ")
+                 "walsh m=10": walsh_calls(10, "adelaide", 50),
+                 "validate m=9": validate_calls(9, "cherowitzo", 100)})
+REPORTING = ("stabilizer ", "invariants ", "walsh ", "validate ")
 
 
 def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:

@@ -11,18 +11,25 @@ on S, given as arrays of directions u and offsets mu.
 The two models are glued by z = x + y*i (i the distinguished trace-one
 element), i.e. a point (x : y : 1) corresponds to x + y*i in K and then
 x = <i, z>, y = <1, z>; k_codes_to_h_codes and h_codes_to_k convert arrays of
-points.  Collinearity is decided once, by determinants over F in the
-homogeneous model.
+points.
 
 A hyperoval is q+2 points with no three collinear; removing any point leaves
-an oval whose nucleus is the removed point.  For line ovals, three lines are
-concurrent iff their dual points are collinear, and the covered point set
-E(O) consists of the pairwise intersection points, each on exactly two lines.
+an oval whose nucleus is the removed point.  Collinearity is decided by
+pencils in the homogeneous model: through each point, the line to every
+other point is coded by its point of PG(1, q), a slope or an intercept, and
+three points are collinear iff some row of codes repeats one.  For line
+ovals, three lines are concurrent iff their dual points are collinear, and
+the covered point set E(O) consists of the pairwise intersection points,
+each on exactly two lines; on each line the meeting points are coded by
+their parameter t in F, and three lines are concurrent iff some line's row
+of parameters repeats one.  Both counts run over blocks of rows of at most
+_PENCIL_CELLS cells, one bincount per block.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +38,12 @@ from .gf2m import FieldParams, polar_v, spread_i, unit_circle
 
 class GeometryError(ValueError):
     pass
+
+
+# the pencil counts work on blocks of rows of at most this many cells, so
+# their intp temporaries stay under 128 KiB: larger ones are handed back to
+# the system and faulted in again on every call
+_PENCIL_CELLS = 1 << 14
 
 
 # ------------------------------------------------------------ vector kernel
@@ -62,16 +75,65 @@ def codes_to_coords_v(params: FieldParams, codes) -> tuple[np.ndarray, np.ndarra
 
 def no_three_collinear(params: FieldParams, codes: list[int]) -> bool:
     """True iff the points are distinct and no three are collinear: through
-    each point, the lines to the other points are pairwise distinct."""
+    each point, the lines to the other points are pairwise distinct.
+
+    The lines through p_i are coded by their points of PG(1, q).  For an
+    affine p_i the line to p_j has the direction (dx : dy) = (x_j + x_i z_j :
+    y_j + y_i z_j), coded as the slope log dy - log dx mod q - 1, q - 1 for
+    dy = 0 and q for dx = 0 (_slope_table).  For p_i = (x_i : y_i : 0) the line
+    to an affine p_j is coded by its intercept y_i x_j + x_i y_j, and the line
+    to a point at infinity, the line at infinity, by q.
+    """
     if len(set(codes)) != len(codes):
         return False
-    x, y, z = (v[:, None] for v in codes_to_coords_v(params, np.array(codes, dtype=np.int64)))
-    fm = params.fmul_v
-    lines = normalize_codes_v(params, fm(y, z.T) ^ fm(z, y.T), fm(z, x.T) ^ fm(x, z.T),
-                              fm(x, y.T) ^ fm(y, x.T))
-    np.fill_diagonal(lines, -1)
-    lines.sort(axis=1)
-    return not np.any(lines[:, 1:] == lines[:, :-1])
+    x, y, z = codes_to_coords_v(params, np.array(codes, dtype=np.int64))
+    q, logs, slope = params.q, params.f_log.astype(np.intp), _slope_table(params.q)
+    affine = np.flatnonzero(z)
+    for rows in _row_blocks(affine, len(codes)):
+        dx = x[rows, None] * z
+        dx ^= x
+        dy = y[rows, None] * z
+        dy ^= y
+        s = np.take(logs, dy)
+        s -= np.take(logs, dx)
+        if _row_repeats(np.take(slope, s), rows, q + 1):
+            return False
+    for rows in _row_blocks(np.flatnonzero(z == 0), len(codes)):
+        lines = params.fmul_v(x[rows, None], y)
+        lines ^= y[rows, None] * x
+        lines[:, z == 0] = q
+        if _row_repeats(lines, rows, q + 1):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _slope_table(q: int) -> np.ndarray:
+    """The code of (dx : dy) in PG(1, q) at s = log dy - log dx in [-2L, 2L],
+    L = q - 1 (a negative s read from the end): s mod L where dx, dy != 0,
+    L where dy = 0 and q where dx = 0 (log 0 = 2L).  Shared, so read-only."""
+    L = q - 1
+    s = np.arange(4 * L + 1)
+    s[2 * L + 1:] -= 4 * L + 1
+    table = np.where(abs(s) < L, s % L, np.where(s > 0, L, q))
+    table.flags.writeable = False
+    return table
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """`rows` in blocks of at most _PENCIL_CELLS cells of `width` columns."""
+    step = max(1, _PENCIL_CELLS // max(width, 1))
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+
+
+def _row_repeats(codes: np.ndarray, cols: np.ndarray, n_codes: int) -> bool:
+    """True iff some row r of the codes in [0, n_codes) holds one code twice,
+    column cols[r] (the row's own point or line) left out.  One bincount over
+    (row, code); the left-out cell goes to a bin of its own, n_codes."""
+    rows = np.arange(len(codes))
+    codes[rows, cols] = n_codes
+    bins = codes + (rows * (n_codes + 1))[:, None]
+    return bool(np.bincount(bins.reshape(-1)).max() > 1)
 
 
 def k_codes_to_h_codes(params: FieldParams, xcodes, z) -> np.ndarray:
@@ -129,36 +191,58 @@ def is_line_oval(params: FieldParams, u, mu) -> bool:
     Extended by their points at infinity such a family is a line oval of
     PG(2,q) whose dual nucleus is the line at infinity.
     """
-    u, mu, distinct = _line_family(params, u, mu)
-    return distinct and bool(np.all(_intersection_counts(params, u, mu) <= 1))
+    mu, distinct = _line_family(params, u, mu)
+    return distinct and not any(_row_repeats(t, rows, params.q)
+                                for rows, t in _meeting_parameters(params, mu))
 
 
-def _line_family(params: FieldParams, u, mu) -> tuple[np.ndarray, np.ndarray, bool]:
-    """u and mu as uint32 arrays, and whether the q+1 directions are distinct."""
+def _line_family(params: FieldParams, u, mu) -> tuple[np.ndarray, bool]:
+    """mu ordered by direction, so that line k has direction w^k, and
+    whether the q+1 directions are distinct."""
     u = np.asarray(u, dtype=np.uint32)
     mu = np.asarray(mu, dtype=np.uint32)
     if len(u) != params.q + 1 or mu.shape != u.shape:
         raise GeometryError(f"a line oval has q+1 = {params.q + 1} lines, got {len(u)}")
-    directions = set(u.tolist())
-    if not directions <= set(unit_circle(params).codes.tolist()):
+    S = unit_circle(params)
+    k = S._positions(u)
+    if np.any(S.codes[k] != u):
         raise GeometryError("line direction must lie on the unit circle")
-    return u, mu, len(directions) == params.q + 1
+    ordered = np.zeros_like(mu)
+    ordered[k] = mu
+    return ordered, bool(np.all(np.bincount(k, minlength=params.q + 1)))
 
 
-def _pairwise_intersections(params: FieldParams, u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _meeting_parameters(params: FieldParams, mu: np.ndarray):
+    """Blocks (rows, t) with t[r, j] the parameter on line k = rows[r] of the
+    point where line j meets it, for the lines L(w^k, mu[k]).
+
+    On S, <u, u> = T(N(u)) = 0 and <u, i u> = T(conj(i)) = 1, so line k is
+    {mu_k i w^k + t w^k : t in F}, and line j meets it at
+    t = (mu_j + mu_k e[j-k]) / d[j-k] with d[s] = T(w^s) and
+    e[s] = T(conj(i) w^s), indices mod q+1.  d[s] = 0 only at s = 0, where t
+    reads 0.  Row k of e[j-k] and d[j-k] is the window at offset q+1-k of the
+    doubled table, a view, so a block is formed on the log tables with no
+    gather by j - k.
+    """
     P = params
-    ii, jj = np.triu_indices(len(u), k=1)
-    d = P.bform_v(u[ii], u[jj])
-    if np.any(d == 0):
-        raise GeometryError("parallel lines in family")
-    x = P.kmul_v(mu[jj], u[ii]) ^ P.kmul_v(mu[ii], u[jj])
-    return P.kmul_v(x, P.kinv_v(d))
+    n = P.q + 1
+    S = unit_circle(P).codes
+    d = P.kT_v(S)
+    e = P.kT_v(P.kmul_v(np.uint32(P.kconj(spread_i(P))), S))
 
+    def windows(table):
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate([table, table]), n)
 
-def _intersection_counts(params: FieldParams, u: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Number of pairs of the family meeting at each K code: all counts are
-    at most 1 iff no three lines are concurrent."""
-    return np.bincount(_pairwise_intersections(params, u, mu), minlength=params.q ** 2)
+    logs = P.f_log.astype(np.intp)
+    log_e, log_dinv = windows(logs[e]), windows(logs[P.f_inv[d]])
+    log_mu = logs[mu]
+    for rows in _row_blocks(np.arange(n), n):
+        at = slice(n - rows[0], n - rows[-1] - 1, -1)
+        t = np.take(P.f_exp, log_mu[rows, None] + log_e[at])
+        t ^= mu
+        s = np.take(logs, t)
+        s += log_dinv[at]
+        yield rows, np.take(P.f_exp, s)
 
 
 def line_oval_points(params: FieldParams, u, mu) -> list[int]:
@@ -167,13 +251,21 @@ def line_oval_points(params: FieldParams, u, mu) -> list[int]:
 
     Raises unless every covered point lies on exactly two lines of the family.
     """
-    u, mu, distinct = _line_family(params, u, mu)
+    P = params
+    mu, distinct = _line_family(P, u, mu)
     if not distinct:
         raise GeometryError("input is not a line oval (repeated directions)")
-    counts = _intersection_counts(params, u, mu)
-    if np.any(counts > 1):
-        raise GeometryError("input is not a line oval (three concurrent lines)")
-    return np.flatnonzero(counts).tolist()
+    S = unit_circle(P).codes
+    mu_i = P.kmul_v(mu, np.uint32(spread_i(P)))
+    points = []
+    for rows, t in _meeting_parameters(P, mu):
+        if _row_repeats(t, rows, P.q):
+            raise GeometryError("input is not a line oval (three concurrent lines)")
+        # each point once: at the meeting of line k with a line j > k
+        later = np.arange(P.q + 1) > rows[:, None]
+        t ^= mu_i[rows, None]         # mu_k i + t on line k, times w^k
+        points.append(P.kmul_v(t, S[rows, None])[later])
+    return np.sort(np.concatenate(points)).tolist()
 
 
 # ------------------------------------------------------------- serialization

@@ -350,6 +350,8 @@ def g_catalog(params: FieldParams, family: str, r: int | None = None) -> GFuncti
         if m % 2 or m < 4:
             raise GFunError("adelaide needs even m >= 4")
         return g_series(params, 1, [(1, (q - 1) // 3)], "adelaide")
+    if family in ("glynn1", "glynn2") and m % 2 == 0:
+        raise GFunError(f"{family} needs odd m")
     if family == "glynn1":
         s, _ = opoly.glynn_sigma_gamma(m)
         return g_monomial(params, 3 * s + 4)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -132,6 +133,21 @@ def no_three_collinear_triples(P, codes) -> bool:
     c = P.fmul_v(xs[i], ys[j]) ^ P.fmul_v(ys[i], xs[j])
     det = P.fmul_v(a, xs[k]) ^ P.fmul_v(b, ys[k]) ^ P.fmul_v(c, zs[k])
     return not np.any(det == 0)
+
+
+def no_three_collinear_cross(P, codes) -> bool:
+    """Oracle, the cross-product formulation: through each point, the lines
+    to the other points, normalized codes of the cross products, are
+    pairwise distinct."""
+    if len(set(codes)) != len(codes):
+        return False
+    x, y, z = (v[:, None] for v in geo.codes_to_coords_v(P, np.array(codes, dtype=np.int64)))
+    fm = P.fmul_v
+    lines = geo.normalize_codes_v(P, fm(y, z.T) ^ fm(z, y.T), fm(z, x.T) ^ fm(x, z.T),
+                                  fm(x, y.T) ^ fm(y, x.T))
+    np.fill_diagonal(lines, -1)
+    lines.sort(axis=1)
+    return not np.any(lines[:, 1:] == lines[:, :-1])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -291,11 +307,22 @@ def test_point_codes_outside_the_plane_raise(P3):
             is_hyperoval(P3, H[:-1] + [bad])
 
 
+def pairwise_intersections(P, u, mu) -> np.ndarray:
+    """The meeting points of every pair of the lines L(u_k, mu_k), as K codes:
+    line_intersection over the upper triangle, vectorized."""
+    ii, jj = np.triu_indices(len(u), k=1)
+    d = P.bform_v(u[ii], u[jj])
+    if np.any(d == 0):
+        raise GeometryError("parallel lines in family")
+    x = P.kmul_v(mu[jj], u[ii]) ^ P.kmul_v(mu[ii], u[jj])
+    return P.kmul_v(x, P.kinv_v(d))
+
+
 def unique_line_oval(P, u, mu):
     """The np.unique formulation: (is a line oval, its covered points or None)."""
     if len(np.unique(u)) != P.q + 1:
         return False, None
-    uniq, counts = np.unique(geo._pairwise_intersections(P, u, mu), return_counts=True)
+    uniq, counts = np.unique(pairwise_intersections(P, u, mu), return_counts=True)
     ok = len(uniq) == P.q * (P.q + 1) // 2 and not np.any(counts != 1)
     return ok, ([int(v) for v in uniq] if ok else None)
 
@@ -306,6 +333,24 @@ def catalog_cases():
     return catalog_sweep_cases() + [(m, fam, None) for m in (3, 5) for fam in ("glynn1", "glynn2")]
 
 
+def line_families(P, g, seed):
+    """Seeded (u, mu) around the line oval of g: the lines in permuted
+    orders, with mu unchanged or changed at one or two lines, and with one
+    direction repeated."""
+    rng = random.Random(seed)
+    out = []
+    for changed in (0, 0, 1, 1, 2):
+        perm = np.array(rng.sample(range(P.q + 1), P.q + 1))
+        mu = g.values.copy()
+        for k in rng.sample(range(P.q + 1), changed):
+            mu[k] = rng.choice([v for v in range(P.q) if v != mu[k]])
+        out.append((g.S.codes[perm], mu[perm]))
+    u = g.S.codes.copy()
+    u[rng.randrange(1, P.q + 1)] = u[0]
+    out.append((u, g.values))
+    return out
+
+
 @pytest.mark.parametrize("m,fam,r", catalog_cases())
 def test_line_oval_counts_match_unique(m, fam, r):
     from nihoval import gfun
@@ -314,6 +359,17 @@ def test_line_oval_counts_match_unique(m, fam, r):
     u = g.S.codes
     assert unique_line_oval(P, u, g.values) == (True, line_oval_points(P, u, g.values))
     assert is_line_oval(P, u, g.values)
+    # the lines in permuted orders, some with changed mu or a repeated direction
+    for uu, mu in line_families(P, g, seed=m * 100 + len(fam)):
+        ok, points = unique_line_oval(P, uu, mu)
+        assert is_line_oval(P, uu, mu) == ok
+        if ok:
+            assert line_oval_points(P, uu, mu) == points
+        else:
+            repeated = len(set(uu.tolist())) <= P.q
+            with pytest.raises(GeometryError, match="repeated directions" if repeated
+                               else "three concurrent"):
+                line_oval_points(P, uu, mu)
     if m == 1:
         return  # two lines meet in one point: no third line to make concurrent
     # change g(u_2) so that its line passes through the meeting point of the
@@ -326,3 +382,102 @@ def test_line_oval_counts_match_unique(m, fam, r):
     assert not is_line_oval(P, u, values)
     with pytest.raises(GeometryError, match="concurrent"):
         line_oval_points(P, u, values)
+
+
+# ------------------------------------------------ pencil counts vs the oracles
+
+
+def frame_image(P, codes, rng, targets):
+    """The image of the points under a collineation sending three seeded
+    points of them to the three H codes `targets` (no two of them equal and
+    not all on one line)."""
+    from nihoval import equiv
+    a, b, c = (coords(P, p) for p in rng.sample(codes, 3))
+    t1, t2, t3 = (coords(P, p) for p in targets)
+    to_frame = equiv.Collineation.make(P, [v for r in range(3) for v in (a[r], b[r], c[r])], 0)
+    frame_to = equiv.Collineation.make(P, [v for r in range(3) for v in (t1[r], t2[r], t3[r])], 0)
+    return [frame_to.compose(to_frame.inverse()).apply_code(p) for p in codes]
+
+
+def point_sets(P, H, seed):
+    """Seeded point sets around the hyperoval H: collineation images, some
+    through (1:0:0) and (0:1:0) or another point at infinity, each with one
+    point replaced (never an arc), with one point repeated, and 3-point sets."""
+    from nihoval import equiv
+    q, rng = P.q, random.Random(seed)
+    inf = [q * q + rng.randrange(1, q), q * q + q]    # (x:1:0), x != 0, and (1:0:0)
+    images = [H, frame_image(P, H, rng, [q * q + q, q * q, 0]),
+              frame_image(P, H, rng, inf + [rng.randrange(q * q)])]
+    while len(images) < 5:
+        M = [rng.randrange(q) for _ in range(9)]
+        if any(M) and (phi := equiv.Collineation.make(P, M, rng.randrange(P.m))).det():
+            images.append([phi.apply_code(p) for p in H])
+    sets = []
+    for image in images:
+        rng.shuffle(image)
+        k = rng.randrange(len(image))
+        other = rng.choice([c for c in range(n_points(P)) if c not in image])
+        sets += [(image, True), (image[:k] + [other] + image[k + 1:], False),
+                 (image[:k] + [image[(k + 1) % len(image)]] + image[k + 1:], False)]
+    sets += [(rng.sample(range(n_points(P)), 3), None) for _ in range(6)]
+    sets += [([q * q + q, q * q, rng.randrange(q * q, q * q + q)], False),
+             ([0, q * q + q, rng.randrange(1, q) * q], False)]
+    return sets
+
+
+@pytest.mark.parametrize("m,fam,r", catalog_cases())
+def test_pencil_codes_match_the_cross_products(m, fam, r):
+    from nihoval import gfun
+    P = field_create(m)
+    H = gfun.g_catalog(P, fam, r=r).hyperoval_codes_h()
+    for codes, arc in point_sets(P, H, seed=m * 100 + len(fam)):
+        got = no_three_collinear(P, codes)
+        assert got == no_three_collinear_cross(P, codes), codes
+        if arc is not None:
+            assert got == arc, codes
+        if m <= 4:
+            assert got == no_three_collinear_triples(P, codes), codes
+
+
+def pencil_answers(cases):
+    from nihoval import gfun
+    out = []
+    for m, fam, r in cases:
+        P = field_create(m)
+        g = gfun.g_catalog(P, fam, r=r)
+        H = g.hyperoval_codes_h()
+        out += [no_three_collinear(P, codes) for codes, _ in point_sets(P, H, seed=m)]
+        for u, mu in line_families(P, g, seed=m):
+            try:
+                out.append(line_oval_points(P, u, mu))
+            except GeometryError as exc:
+                out.append(str(exc))
+            out.append(is_line_oval(P, u, mu))
+    return out
+
+
+def test_pencil_counts_do_not_depend_on_the_row_budget(monkeypatch):
+    # one row per block gives the same answers as the default budget
+    cases = [(3, "hyperconic", None), (4, "lunelli_sce", None), (5, "cherowitzo", None),
+             (6, "adelaide", None)]
+    default = pencil_answers(cases)
+    monkeypatch.setattr(geo, "_PENCIL_CELLS", 1)
+    assert pencil_answers(cases) == default
+
+
+def test_pencil_counts_memory_m10():
+    from nihoval import gfun
+    P = field_create(10)
+    g = gfun.g_catalog(P, "adelaide")
+    H = g.hyperoval_codes_h()
+    peaks = {}
+    for name, run in (("no_three_collinear", lambda: no_three_collinear(P, H)),
+                      ("is_line_oval", lambda: is_line_oval(P, g.S.codes, g.values))):
+        assert run()  # per-field tables are built once, outside the measurement
+        tracemalloc.start()
+        try:
+            assert run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert peaks["no_three_collinear"] < 4 and peaks["is_line_oval"] < 4, peaks

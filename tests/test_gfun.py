@@ -49,6 +49,10 @@ CATALOG_ERRORS = [
     ("lunelli_sce", 5, {}, "lunelli_sce needs m >= 4 (lunelli_sce: m = 4)"),
     ("subiaco2", 5, {}, "subiaco2 needs m = 2 mod 4"),
     ("adelaide", 5, {}, "adelaide needs even m >= 4"),
+    ("glynn1", 4, {}, "glynn1 needs odd m"),
+    ("glynn1", 6, {}, "glynn1 needs odd m"),
+    ("glynn2", 4, {}, "glynn2 needs odd m"),
+    ("glynn2", 6, {}, "glynn2 needs odd m"),
     ("nosuch", 5, {}, "unknown catalog family 'nosuch'"),
 ]
 
