@@ -35,8 +35,9 @@ polynomial is additive on every line u*F (each residue is a power 2^j), so
 it is fixed by its m values f(2^k * u) per line: those are m*(q+1) K
 products per residue, and f(lambda*u) = tr(lambda*gamma(u)) is spread over
 the grid once, as f from g is.  The cost is terms*(q+1) + residues*m*(q+1)
-+ q^2 instead of terms*q^2.  Trace forms take general exponents, so each
-residue sum is spread over the lines u*F* with F-multiplies, residues*q^2.
++ q^2 instead of terms*q^2.  Trace forms take Niho exponents too: Tr(y)
+and tr(y) of such a sum y are F_2-linear on every line, so they share the
+m values per line (_line_values) and the spread.
 Truth-table index order is the K code (a-bits low, b-bits high).
 """
 
@@ -126,48 +127,46 @@ def _residue_sums(P: FieldParams, terms) -> dict[int, np.ndarray]:
     return sums
 
 
-def _eval_sparse(P: FieldParams, terms) -> np.ndarray:
-    """sum c*x^e at every x in K, as K codes in code order; terms are (e, c).
+def _line_values(P: FieldParams, terms) -> np.ndarray:
+    """The (m, q+1) K values y(e_k * u_l), e_k = 2^k, of y(x) = sum c*x^e
+    over the (e, c) terms, u_l in unit_circle order.
 
-    sum_r lambda^r * c_r(u) (see _residue_sums) is formed on the
-    (q-1) x (q+1) grid, two F products per entry and residue, and scattered
-    to the codes x = lambda*u of polar_grid.  The value at x = 0 uses the
-    polynomial convention 0^0 = 1, 0^e = 0 for e != 0.  Exponents are
-    arbitrary (trace forms); NihoPolynomial.evaluate has a cheaper path.
+    Every exponent must be a Niho exponent, e >= 1 with e = 2^j mod q-1,
+    so that x^e at x = lambda*u is lambda^(2^j) * u^e and y(lambda*u) is
+    F_2-linear in lambda: the m values per line fix y on the whole line.
+    They are m*(q+1) K products per residue sum (_residue_sums).
     """
-    q, m = P.q, P.m
-    qm1 = q - 1
-    at_zero = 0
-    for e, c in terms:
-        if e == 0:
-            at_zero ^= int(c)
-    k = np.arange(qm1, dtype=np.int64)[:, None]
-    lo = np.zeros((qm1, q + 1), dtype=np.uint32)
-    hi = np.zeros((qm1, q + 1), dtype=np.uint32)
-    for r, cu in _residue_sums(P, terms).items():
-        rk = r * k % qm1
-        lo ^= P.f_exp[rk + P.f_log[cu & np.uint32(qm1)]]
-        hi ^= P.f_exp[rk + P.f_log[cu >> np.uint32(m)]]
-    acc = np.empty(q * q, dtype=np.uint32)
-    acc[polar_grid(P)] = lo | (hi << np.uint32(m))
-    acc[0] = at_zero
-    return acc
+    residues = {(1 << j) % (P.q - 1) for j in range(P.m)}
+    for e, _ in terms:
+        if e < 1 or e % (P.q - 1) not in residues:
+            raise BentError(f"exponent {e} is not a Niho exponent")
+    e_k = np.uint32(1) << np.arange(P.m, dtype=np.uint32)
+    vals = np.zeros((P.m, P.q + 1), dtype=np.uint32)
+    for r, c_r in _residue_sums(P, terms).items():
+        vals ^= P.kmul_v(P.fpow_v(e_k, r)[:, None], c_r)
+    return vals
 
 
 def evaluate_trace_form(params: FieldParams, terms, mode: str = "abs") -> BooleanFn:
     """Truth table of x -> Tr(sum c*x^e) ("abs") or tr(sum c*x^e) ("rel").
 
-    `terms` is a list of (coeff K code, exponent).  In "rel" mode every sum
-    must land in the base field F.
+    `terms` is a list of (coeff K code, exponent), every exponent a Niho
+    exponent.  y(lambda*u) is F_2-linear in lambda, so either trace is fixed
+    by its m values per line (_line_values) and spread as in
+    NihoPolynomial.evaluate.  In "rel" mode every sum must land in the base
+    field F, and a line maps into F exactly when its m basis values do.
     """
     if mode not in ("abs", "rel"):
         raise BentError("mode must be 'abs' or 'rel'")
-    acc = _eval_sparse(params, [(e, c) for c, e in terms])
+    P = params
+    vals = _line_values(P, [(e, c) for c, e in terms])
     if mode == "abs":
-        return BooleanFn(params, params.ktr_abs_v(acc).astype(np.uint8))
-    if np.any(acc >> params.m):
+        bits = P.ktr_abs_v(vals)
+    elif np.any(vals >> P.m):
         raise BentError("trace-form values left the base field")
-    return BooleanFn(params, params.f_tr[acc].astype(np.uint8))
+    else:
+        bits = P.f_tr[vals]
+    return BooleanFn(P, _spread_table(P, _from_basis_traces(P, bits)))
 
 
 # ------------------------------------------------------------------- Walsh
@@ -194,23 +193,17 @@ def _scalar_index_inverse(params: FieldParams) -> np.ndarray:
     """phi^-1 for phi[b] = Gram * b, the map with tr(<b, x>) =
     standard_dot(phi[b], x).
 
-    The Gram matrix is inverted over F_2 on its row masks (Gauss-Jordan, each
-    row carried with its preimage), and phi^-1 is filled by doubling,
-    inv[2^j : 2^(j+1)] = inv[:2^j] ^ phi^-1(e_j).  Built once per field and
+    phi is filled by doubling from the Gram row masks, phi[2^j : 2^(j+1)] =
+    phi[:2^j] ^ rows[j], and inverted by one scatter: it is a permutation
+    since the scalar product is nondegenerate.  Built once per field and
     shared, so the int32 array is read-only.
     """
-    n = params.n
-    pairs = [(int(r), 1 << i) for i, r in enumerate(params.dot_rows())]  # (phi(b), b)
-    for j in range(n):
-        p = next(k for k in range(j, n) if pairs[k][0] >> j & 1)
-        pairs[j], pairs[p] = pairs[p], pairs[j]
-        v, b = pairs[j]
-        pairs = [(w ^ v, c ^ b) if k != j and w >> j & 1 else (w, c)
-                 for k, (w, c) in enumerate(pairs)]
-    inv = np.zeros(params.q ** 2, dtype=np.int32)
-    for j, (_, b) in enumerate(pairs):
+    phi = np.zeros(params.q ** 2, dtype=np.int32)
+    for j, row in enumerate(params.dot_rows()):
         h = 1 << j
-        np.bitwise_xor(inv[:h], np.int32(b), out=inv[h:2 * h])
+        np.bitwise_xor(phi[:h], np.int32(row), out=phi[h:2 * h])
+    inv = np.empty_like(phi)
+    inv[phi] = np.arange(len(phi), dtype=np.int32)
     inv.flags.writeable = False
     return inv
 
@@ -379,22 +372,14 @@ class NihoPolynomial:
     def evaluate(self) -> BooleanFn:
         """Truth table from the m values f(e_k*u) on the F basis of each line.
 
-        Every exponent must be a Niho exponent, e >= 1 with e = 2^j mod q-1,
-        so that x^e at x = lambda*u is lambda^(2^j) * u^e and f(lambda*u) is
-        additive in lambda.  The values f(e_k*u), e_k = 2^k, must lie in F_2;
-        then f(lambda*u) = tr(lambda*gamma(u)), gamma(u) the element whose
-        trace coordinates on the power basis are the f(e_k*u), read from the
-        inverse table of the trace-coordinate map as in recover_g_values.
+        Every exponent must be a Niho exponent (_line_values).  The values
+        f(e_k*u), e_k = 2^k, must lie in F_2; then f(lambda*u) =
+        tr(lambda*gamma(u)), gamma(u) the element whose trace coordinates on
+        the power basis are the f(e_k*u), read from the inverse table of the
+        trace-coordinate map as in recover_g_values.
         """
         P = self.params
-        residues = {(1 << j) % (P.q - 1) for j in range(P.m)}
-        for e, _ in self.terms:
-            if e < 1 or e % (P.q - 1) not in residues:
-                raise BentError(f"exponent {e} is not a Niho exponent")
-        e_k = np.uint32(1) << np.arange(P.m, dtype=np.uint32)
-        basis = np.zeros((P.m, P.q + 1), dtype=np.uint32)  # f(e_k * u_l)
-        for r, c_r in _residue_sums(P, self.terms).items():
-            basis ^= P.kmul_v(P.fpow_v(e_k, r)[:, None], c_r)
+        basis = _line_values(P, self.terms)  # f(e_k * u_l)
         if np.any(basis > 1):
             raise BentError("polynomial is not F_2-valued")
         return BooleanFn(P, _spread_table(P, _from_basis_traces(P, basis)))

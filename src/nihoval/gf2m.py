@@ -128,6 +128,19 @@ def exponent_inverse(e: int, modulus: int) -> int:
         raise FieldError(f"{e} is not invertible modulo {modulus}") from exc
 
 
+def _pow_v(exp: np.ndarray, log: np.ndarray, order: int, x, e: int):
+    """x^e on the exp/log tables of a cyclic group of the given order, with
+    0^0 = 1 and 0^e = 0 for e != 0; e may be negative.
+
+    The log product is formed in int64: the log of 0 is 2*order, so
+    log * (e mod order) passes 2^31 once the order passes 2^15.
+    """
+    if e == 0:
+        return np.ones_like(np.asarray(x), dtype=np.uint32)
+    vals = exp[log[x].astype(np.int64) * (e % order) % order]
+    return np.where(np.asarray(x) == 0, 0, vals)
+
+
 class FieldParams:
     """Parameters and lookup tables for F = GF(2^m) and K = GF(2^{2m}).
 
@@ -245,12 +258,8 @@ class FieldParams:
         return self.f_inv[a]
 
     def fpow_v(self, a, e: int):
-        """Vectorized a^e (0 maps to 0 for e > 0, to 1 for e = 0)."""
-        if e == 0:
-            return np.ones_like(np.asarray(a), dtype=np.uint32)
-        r = e % (self.q - 1)
-        vals = self.f_exp[self.f_log[a].astype(np.int64) * r % (self.q - 1)]
-        return np.where(np.asarray(a) == 0, 0, vals).astype(np.uint32)
+        """Vectorized a^e (0 maps to 0 for e != 0, to 1 for e = 0)."""
+        return _pow_v(self.f_exp, self.f_log, self.q - 1, a, e)
 
     # ------------------------------------------------------------------ K
 
@@ -367,13 +376,11 @@ class FieldParams:
         return self.k_exp[np.subtract(self.q * self.q - 1, self.k_log[x], dtype=np.intp)]
 
     def kpow_v(self, x, e: int):
+        """Vectorized x^e (0 maps to 0 for e != 0, to 1 for e = 0)."""
         if e == 0:
             return np.ones_like(np.asarray(x), dtype=np.uint32)
         self._ensure_k_tables()
-        order = self.q * self.q - 1
-        r = e % order
-        vals = self.k_exp[self.k_log[x].astype(np.int64) * r % order]
-        return np.where(np.asarray(x) == 0, 0, vals).astype(np.uint32)
+        return _pow_v(self.k_exp, self.k_log, self.q * self.q - 1, x, e)
 
     def kconj_v(self, x):
         return x ^ (x >> np.uint32(self.m))

@@ -8,7 +8,10 @@ from nihoval.bent import (BentError, BooleanFn, bent_from_g, dual,
                           dual_lineoval_check, evaluate_trace_form, f_shift,
                           f_translation, f_translation_forms, f_univariate, is_bent,
                           recover_g_values, walsh_spectrum)
-from nihoval.gf2m import exponent_inverse, field_create, spread_i, unit_circle
+from nihoval.gf2m import exponent_inverse, field_create, polar_grid, spread_i, unit_circle
+
+# (m, e) with e not a Niho exponent (e >= 1 with e = 2^j mod q-1)
+NON_NIHO = [(3, 0), (3, 3), (3, 7), (4, 5), (4, 15), (2, 0), (1, 0), (3, -6)]
 
 
 def scalar_map(P):
@@ -350,8 +353,18 @@ def test_sec46_trace_forms_bent(P3, P4):
 
 
 def test_trace_form_rel_requires_base_field_values(P3):
-    with pytest.raises(BentError):
-        evaluate_trace_form(P3, [(2, 3)], mode="rel")  # x^3 is not F-valued
+    with pytest.raises(BentError, match="base field"):
+        evaluate_trace_form(P3, [(1, 1)], mode="rel")  # x itself is not F-valued
+
+
+@pytest.mark.parametrize("m,e", NON_NIHO)
+def test_trace_form_rejects_non_niho_exponents(m, e):
+    P = field_create(m)
+    for mode in ("abs", "rel"):
+        with pytest.raises(BentError, match="Niho exponent"):
+            evaluate_trace_form(P, [(1, e)], mode)
+        with pytest.raises(BentError, match="Niho exponent"):
+            evaluate_trace_form(P, [(1, 1), (1, e)], mode)
 
 
 def test_linear_shift_twists_spectrum(P3):
@@ -407,26 +420,19 @@ def eval_termwise(P, terms):
     return acc
 
 
-def random_terms(P, rng):
-    """Seeded sparse (e, c) terms: e = 0, multiples of q^2-1, e past q^2-1,
-    Niho exponents and arbitrary ones; zero coefficients included."""
-    q, order = P.q, P.q ** 2 - 1
-    pool = [0, order, 2 * order, order + 1, 3 * order + 7,
-            int(rng.integers(q + 1)) * (q - 1) + (1 << int(rng.integers(P.m)))]
-    terms = []
-    for _ in range(int(rng.integers(0, 9))):
-        e = int(rng.choice(pool)) if rng.random() < 0.4 else int(rng.integers(1, 4 * order))
-        terms.append((e, int(rng.integers(q * q))))
-    return terms
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_eval_sparse_matches_termwise(m):
+    # the m values per line of a Niho sum y fix y on all of K: y(lambda*u)
+    # is the XOR of y(e_k*u) over the bits k of lambda on the power basis
     P = field_create(m)
     rng = np.random.default_rng(100 + m)
+    bits = (P.f_exp[:P.q - 1, None] >> np.arange(m)) & 1  # lambda_k on e_k = 2^k
     for _ in range(40):
-        terms = random_terms(P, rng)
-        assert np.array_equal(bent._eval_sparse(P, terms), eval_termwise(P, terms)), terms
+        terms = random_niho_terms(P, rng)
+        vals = bent._line_values(P, terms)
+        spread = np.bitwise_xor.reduce(np.where(bits[:, :, None] == 1, vals, 0), axis=1)
+        acc = eval_termwise(P, terms)
+        assert acc[0] == 0 and np.array_equal(acc[polar_grid(P)], spread), terms
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -434,7 +440,7 @@ def test_trace_forms_match_termwise(m):
     P = field_create(m)
     rng = np.random.default_rng(200 + m)
     for _ in range(20):
-        terms = random_terms(P, rng)
+        terms = random_niho_terms(P, rng)
         acc = eval_termwise(P, terms)
         cterms = [(c, e) for e, c in terms]
         assert np.array_equal(evaluate_trace_form(P, cterms, "abs").table,
@@ -480,13 +486,13 @@ def test_f_univariate_matches_termwise_on_shifted_ovals(m, fam):
         assert f_univariate(P, oval).terms == f_univariate_termwise(P, oval)
 
 
-# -------------------------- Niho polynomials: spread lines vs _eval_sparse
+# ----------------------------- Niho polynomials: spread lines vs termwise
 
 
-def assert_evaluate_matches_eval_sparse(poly):
+def assert_evaluate_matches_termwise(poly):
     """evaluate() raises exactly when sum c*x^e leaves F_2 somewhere, and
-    otherwise agrees with the value table of _eval_sparse."""
-    acc = bent._eval_sparse(poly.params, poly.terms)
+    otherwise agrees with the termwise value table."""
+    acc = eval_termwise(poly.params, poly.terms)
     if np.any(acc > 1):
         with pytest.raises(BentError, match="F_2-valued"):
             poly.evaluate()
@@ -511,9 +517,9 @@ def test_niho_evaluate_matches_eval_sparse_on_catalog(m, modulus, fam, r):
     P = field_create(m, modulus)
     g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
     oval = P.kmul_v(g.S.codes, P.kinv_v(g.values))
-    assert assert_evaluate_matches_eval_sparse(f_univariate(P, oval))
+    assert assert_evaluate_matches_termwise(f_univariate(P, oval))
     for sidx in sorted({0, 1, P.q // 2, P.q}):
-        assert assert_evaluate_matches_eval_sparse(f_shift(g, sidx))
+        assert assert_evaluate_matches_termwise(f_shift(g, sidx))
 
 
 def random_niho_terms(P, rng):
@@ -542,12 +548,12 @@ def random_niho_terms(P, rng):
 def test_niho_evaluate_matches_eval_sparse_on_random_polynomials(m):
     P = field_create(m)
     rng = np.random.default_rng(400 + m)
-    outcomes = [assert_evaluate_matches_eval_sparse(bent.NihoPolynomial(P, random_niho_terms(P, rng)))
+    outcomes = [assert_evaluate_matches_termwise(bent.NihoPolynomial(P, random_niho_terms(P, rng)))
                 for _ in range(60)]
     assert any(outcomes) and (m == 1 or not all(outcomes))
 
 
-@pytest.mark.parametrize("m,e", [(3, 0), (3, 3), (3, 7), (4, 5), (4, 15), (2, 0)])
+@pytest.mark.parametrize("m,e", NON_NIHO)
 def test_niho_evaluate_rejects_non_niho_exponents(m, e):
     P = field_create(m)
     # x^0 = 1 is F_2-valued, yet evaluate takes only Niho exponents

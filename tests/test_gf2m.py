@@ -396,6 +396,19 @@ def test_vector_ops_match_scalar(P5):
                for v, s, t in zip(P5.bform_v(x, y), x, y))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pow_v_matches_scalar(m):
+    # every x, with e = 0, negative e, multiples of the order and e past it
+    P = field_create(m)
+    for scalar, vector, size in ((P.fpow, P.fpow_v, P.q), (P.kpow, P.kpow_v, P.q ** 2)):
+        order = size - 1
+        x = np.arange(size, dtype=np.uint32)
+        for e in (0, 3, -3, order, -2 * order, order + 5):
+            got = vector(x, e)
+            assert got.dtype == np.uint32
+            assert got.tolist() == [scalar(v, e) for v in range(size)], e
+
+
 def test_field_params_golden():
     from conftest import GOLDEN
     for m in range(1, 8):
