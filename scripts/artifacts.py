@@ -8,9 +8,10 @@ DIR/classify_*.json the `classify` reports of the catalog cases below, and
 DIR/gfun_*.csv and DIR/bent_*.{json,bin,txt} the `gfun` table, the `bent` Niho
 polynomial (plain and with `--s-index 1`), the `bent --check` report, the
 `--spectrum` binary and the `--format bits` truth table of every catalog family
-at its smallest valid m, and of Payne at m = 7.  DIR/opoly_*.{csv,json} hold the
-`opoly` table in both formats of each o-polynomial family at its smallest valid
-m, of Subiaco at m = 6 and with an explicit d, and of Adelaide at m = 6.
+at its smallest valid m, and of Payne at m = 7 and 9.  DIR/opoly_*.{csv,json}
+hold the `opoly` table in both formats of each o-polynomial family at its
+smallest valid m, of Subiaco at m = 6 and with an explicit d, and of Adelaide
+at m = 6.
 DIR/trace_*.bin hold the truth tables (BooleanFn.to_bits) of the section 4.6
 trace forms and of the translation bent functions for r = 1..m-1 at m = 5
 and 6.  Two source trees produce the same artifacts iff `diff -r DIR1 DIR2`
@@ -27,12 +28,14 @@ from nihoval.gf2m import field_create, spread_i, unit_circle
 REPRODUCE = ("table1", "table2", "sec4.6", "theorems")
 CLASSIFY = (("cherowitzo", 5), ("subiaco_payne", 5), ("okeefe_penttila", 5),
             ("subiaco2", 6), ("adelaide", 6))
-# (family, m, r): each catalog family at its smallest valid m, plus Payne at m = 7.
+# (family, m, r): each catalog family at its smallest valid m, plus Payne at m = 7 and 9,
+# the one family that g_from_oval builds.
 CATALOG = (("hyperconic", 1, None), ("translation", 2, 1), ("translation", 3, 2),
            ("subiaco2", 2, None), ("glynn1", 3, None), ("glynn2", 3, None),
            ("subiaco", 4, None), ("lunelli_sce", 4, None), ("adelaide", 4, None),
            ("segre", 5, None), ("payne", 5, None), ("subiaco_payne", 5, None),
-           ("cherowitzo", 5, None), ("okeefe_penttila", 5, None), ("payne", 7, None))
+           ("cherowitzo", 5, None), ("okeefe_penttila", 5, None), ("payne", 7, None),
+           ("payne", 9, None))
 # (family, m, options): each o-polynomial family at its smallest valid m, plus
 # Subiaco at m = 6 (d outside GF(4)) and with an explicit d, and Adelaide at m = 6.
 OPOLY = (("hyperconic", 1, ()), ("translation", 2, ("--r", "1")), ("subiaco", 4, ()),

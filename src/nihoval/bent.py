@@ -19,8 +19,7 @@ at the origin the bent function is
 
 and the nucleus shift at s is this polynomial for the shifted oval O_s
 (gfun.shifted_oval_codes).  Only the q+1 sums for 2^j = 1 are formed
-(gf2m.niho_power_sums, shared with gfun.g_from_oval); the others are their
-Frobenius images.
+(gf2m.niho_power_sums); the others are their Frobenius images.
 
 Every table on K is written in polar form x = lambda*u, scattered through
 gf2m.polar_grid (built once per field): f from g, g back from f, and sparse

@@ -45,18 +45,21 @@ def _write(path, data: str | bytes):
             fh.write(data)
 
 
+def _only_for(args, option: str, family: str):
+    if getattr(args, option) is not None and args.family != family:
+        raise CliError(f"--{option.replace('_', '-')} applies only to --family {family}")
+
+
 def _opoly_family(args) -> opoly.OPolyFamily:
-    kwargs = {}
-    if args.family == "translation":
-        if args.r is None:
-            raise CliError("translation needs --r")
-        kwargs["r"] = args.r
-    if args.family == "subiaco" and args.d_hex is not None:
-        kwargs["d"] = args.d_hex
-    return opoly.OPolyFamily(args.family, **kwargs)
+    _only_for(args, "r", "translation")
+    _only_for(args, "d_hex", "subiaco")
+    if args.family == "translation" and args.r is None:
+        raise CliError("translation needs --r")
+    return opoly.OPolyFamily(args.family, r=args.r, d=args.d_hex)
 
 
 def _catalog_g(params, args):
+    _only_for(args, "r", "translation")
     return gfun.g_catalog(params, args.family, r=args.r)
 
 
@@ -89,6 +92,11 @@ def cmd_gfun(args) -> int:
 
 
 def cmd_bent(args) -> int:
+    picked = [opt for opt, on in (("--check", args.check), ("--spectrum", args.spectrum),
+                                  ("--format bits", args.format == "bits"),
+                                  ("--s-index", args.s_index is not None)) if on]
+    if len(picked) > 1:
+        raise CliError(f"{picked[0]} and {picked[1]} select different outputs")
     P = _params(args)
     g = _catalog_g(P, args)
     f = bent.bent_from_g(g)

@@ -13,10 +13,10 @@ In this basis the structure maps are one-liners:
 The unit circle S = {u : u * conj(u) = 1} is the group of (q+1)st roots of
 unity; every nonzero x in K factors uniquely as x = lambda * u with lambda in
 F* and u in S.  This polar map is kept in one place: polar_grid lists the
-codes lambda_k * u_l, polar_v inverts it on the F tables, and
-niho_power_sums forms the power sums over an oval that both the oval -> g
-series and the Niho coefficients are made of, as one flat int32 gather from
-the grid.  trace_windows holds the trace m-sequence s_i = tr(f_exp[i]), so
+codes lambda_k * u_l, polar_v inverts it on the F tables (the oval -> g
+read-off of gfun), and niho_power_sums forms the power sums over an oval that
+the Niho coefficients are made of, as one flat int32 gather from the grid.
+trace_windows holds the trace m-sequence s_i = tr(f_exp[i]), so
 tr(lambda_k * c) for all k is one window of it, at f_log[c].
 
 Multiplication uses exp/log tables (built on the least generator of F*, so

@@ -9,15 +9,15 @@ Constructions:
 
   * from an o-polynomial h:  g(u) = h^{-1}(<i,u>/<1,u>) <1,u> + <i,u>, g(1)=1
   * for a monomial t^s:      g(u) = <i,u>^{1/s} <1,u>^{q-1/s}   (g(1) = 0)
-  * from an oval O in K:     g(u) = sum_i (sum_{v in O} v^{(q-1)i/2-1}) u^{i+1}
+  * from an oval O in K:     g(u) = 1/lambda for the point lambda*u of O
   * nucleus shift at s:      g_s = g_from_oval(O_s) for the oval with nucleus 0
-                             O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)},
-                             read off the polar decomposition of O_s
+                             O_s = {v/g(v) + s/g(s): v != s} u {s/g(s)}
 
-The inner sums are the Niho power sums b_t of gf2m.niho_power_sums at
-t = -i/2 mod q+1, and each term c_i u^{i+1} is one point of the polar grid.  g
-and g + <c,u> describe equivalent ovals; fix_zeros uses this to clear zeros, and
-table comparisons are offered both pointwise and up to such a linear shift.
+Both oval routes read g off the polar decomposition of the points
+(gf2m.polar_v); the paper's series g(u) = sum_i (sum_{v in O} v^{(q-1)i/2-1})
+u^{i+1} gives the same g and is kept as the tests' oracle.  g and g + <c,u>
+describe equivalent ovals; fix_zeros uses this to clear zeros, and table
+comparisons are offered both pointwise and up to such a linear shift.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bent, geometry, opoly
-from .gf2m import (FieldParams, exponent_inverse, niho_power_sums, polar_grid, polar_v,
-                   spread_i, unit_circle)
+from .gf2m import FieldParams, exponent_inverse, polar_v, spread_i, unit_circle
 
 
 class GFunError(ValueError):
@@ -140,27 +139,18 @@ def g_monomial(params: FieldParams, s: int) -> GFunction:
 def g_from_oval(params: FieldParams, oval_codes, provenance: str = "") -> GFunction:
     """The unique g with {u/g(u)} = O, for an oval O in K with nucleus 0.
 
-    The series inverts the map g -> {u/g(u)} on every set O with one point on
-    each line through 0, oval or not; any other set raises GFunError.
+    The read-off inverts the map g -> {u/g(u)} on every set O with one point
+    on each line through 0, oval or not; any other set raises GFunError.
     """
-    O = np.asarray(oval_codes, dtype=np.uint32)
+    O = np.asarray(oval_codes)
     if len(O) != params.q + 1:
         raise GFunError("need q+1 oval points")
+    if O.dtype.kind not in "iu" or np.any(O < 0) or np.any(O >= params.q ** 2):
+        raise GFunError(f"oval points must be K codes in 0..{params.q ** 2 - 1}")
     if np.any(O == 0):
         raise GFunError("0 cannot lie on an oval with nucleus at the origin")
-    q = params.q
-    idx = np.arange(q + 1)
-    # sum_v v^{(q-1)i/2-1} is the power sum b_t at t = -i/2 mod q+1
-    coeffs = niho_power_sums(params, O)[-idx * (q // 2 + 1) % (q + 1)]
-    # c_i = f_exp[k] w^j, so c_i u_l^{i+1} is the grid point (k, j + (i+1)l)
-    i = np.flatnonzero(coeffs)
-    k, j = polar_v(params, coeffs[i])
-    cols = (j[:, None] + (i[:, None] + 1) * idx) % (q + 1)
-    vals = np.bitwise_xor.reduce(polar_grid(params)[k[:, None], cols], axis=0)
-    g = GFunction(params, vals, provenance or "from-oval")
-    if not g.is_zero_free() or not np.array_equal(np.sort(g.oval_codes_k()), np.sort(O)):
-        raise GFunError("the points are not one on each line through 0")
-    return g
+    vals = _oval_g_tables(params, O[None].astype(np.uint32))[0]
+    return GFunction(params, vals, provenance or "from-oval")
 
 
 def g_shift(g: GFunction, s_index: int) -> GFunction:
@@ -171,19 +161,20 @@ def g_shift(g: GFunction, s_index: int) -> GFunction:
 
 def g_shift_tables(g: GFunction, s_indices) -> np.ndarray:
     """The tables of g_s, one row per s in s_indices: what g_from_oval gives
-    for O_s, by one polar decomposition of all the points.
+    for O_s, read off all O_s at once.  Raises GFunError unless each O_s has
+    one point on each line through 0 (g is then no valid g-function)."""
+    return _oval_g_tables(g.params, _shifted_ovals(g, s_indices))
 
-    The point x = lambda*u of O_s on the line through 0 in direction u is
-    u/g_s(u), so g_s(u) = 1/lambda.  Raises GFunError unless O_s has one point
-    on each line through 0 (g is then no valid g-function).
-    """
-    P, q = g.params, g.params.q
-    O = _shifted_ovals(g, s_indices)
-    k, l = polar_v(P, O)
-    if np.any(np.sort(l, axis=1) != np.arange(q + 1)):
+
+def _oval_g_tables(P: FieldParams, ovals: np.ndarray) -> np.ndarray:
+    """The g tables with {u/g(u)} = O, one row per row O of nonzero K codes:
+    the point lambda*u of O in direction u is u/g(u), so g(u) = 1/lambda.
+    Raises GFunError unless each row has one point on each line through 0."""
+    k, l = polar_v(P, ovals)
+    if np.any(np.sort(l, axis=1) != np.arange(P.q + 1)):
         raise GFunError("the points are not one on each line through 0")
-    vals = np.empty_like(O)
-    vals[np.arange(len(O))[:, None], l] = P.f_exp[(q - 1 - k) % (q - 1)]
+    vals = np.empty_like(ovals)
+    vals[np.arange(len(ovals))[:, None], l] = P.f_exp[-k % (P.q - 1)]
     return vals
 
 

@@ -102,6 +102,32 @@ def test_bent_s_index_out_of_range(capsys, s_index):
     assert rc == 2 and "s_index" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bent", "--m", "3", "--s-index", "99", "--format", "bits"],
+     "--format bits and --s-index select different outputs"),
+    (["bent", "--m", "3", "--check", "--spectrum"], "--check and --spectrum select different outputs"),
+    (["bent", "--m", "3", "--check", "--format", "bits"],
+     "--check and --format bits select different outputs"),
+    (["bent", "--m", "3", "--spectrum", "--format", "bits"],
+     "--spectrum and --format bits select different outputs"),
+    (["bent", "--m", "3", "--spectrum", "--s-index", "1"],
+     "--spectrum and --s-index select different outputs"),
+    (["bent", "--m", "3", "--check", "--s-index", "1"],
+     "--check and --s-index select different outputs"),
+    (["gfun", "--family", "hyperconic", "--r", "2"], "--r applies only to --family translation"),
+    (["bent", "--family", "segre", "--r", "2"], "--r applies only to --family translation"),
+    (["classify", "--m", "3", "--r", "1"], "--r applies only to --family translation"),
+    (["opoly", "--family", "hyperconic", "--r", "2"], "--r applies only to --family translation"),
+    (["opoly", "--family", "segre", "--d-hex", "5"], "--d-hex applies only to --family subiaco"),
+    (["opoly", "--family", "translation", "--r", "2", "--d-hex", "5"],
+     "--d-hex applies only to --family subiaco"),
+])
+def test_options_that_would_be_ignored_exit_2(capsys, argv, message):
+    # each option changes what is written, so none is silently dropped
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_classify_report(capsys):
     rc, out, _ = run(capsys, "classify", "--family", "hyperconic", "--m", "3")
     assert rc == 0

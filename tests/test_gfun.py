@@ -204,12 +204,18 @@ def test_g_from_oval_rejects_zero(P3):
         g_from_oval(P3, bad)
 
 
+_SERIES = {}  # (params, oval bytes) -> table: two tests sum the same shifts
+
+
 def series_g_from_oval(P, O):
     """The oval -> g series term by term, one kpow_v per exponent: the
     coefficient of u^{i+1} is sum_{v in O} v^{(q-1)i/2-1}."""
     O = np.asarray(O, dtype=np.uint32)
     if len(O) != P.q + 1 or np.any(O == 0):
         raise GFunError("need q+1 nonzero oval points")
+    key = (P, O.tobytes())
+    if key in _SERIES:
+        return _SERIES[key].copy()
     q, order = P.q, P.q ** 2 - 1
     inv2 = pow(2, P.n - 1, order)
     S = unit_circle(P).codes
@@ -219,7 +225,8 @@ def series_g_from_oval(P, O):
         acc ^= P.kmul_v(np.uint32(c), P.kpow_v(S, i + 1))
     if np.any(acc >> P.m):
         raise GFunError("power series values left the base field")
-    return acc
+    _SERIES[key] = acc
+    return acc.copy()
 
 
 def test_g_from_oval_matches_term_series():
@@ -247,22 +254,34 @@ def test_g_from_oval_error_paths_match_term_series(P3, P4):
         for _ in range(20):
             O = rng.integers(1, P.q ** 2, P.q + 1).astype(np.uint32)
             assert not geo.no_three_collinear(P, geo.k_codes_to_h_codes(P, O, 1).tolist())
-            with pytest.raises(GFunError):
+            with pytest.raises(GFunError, match="one on each line"):
                 g_from_oval(P, O)
 
 
+@pytest.mark.parametrize("code", [8 * 8 + 5, -3])
+def test_g_from_oval_rejects_codes_outside_k(P3, code):
+    # as a list and as an int64 array: no IndexError, no wrap through uint32
+    S = unit_circle(P3).codes
+    for bad in (S.tolist(), S.astype(np.int64)):
+        bad[2] = code
+        with pytest.raises(GFunError, match=r"K codes in 0\.\.63"):
+            g_from_oval(P3, bad)
+
+
 def test_g_shift_is_g_from_oval_of_the_shifted_oval(P3, P4, P5):
-    # the polar read-off equals the series on every nucleus shift of every
-    # catalog case with m <= 6, and raises GFunError where the series does:
-    # a g with zeros, an s off the circle, and a zero-free g that is not
-    # valid, whose shifted ovals meet lines through 0 twice
+    # g_s is the g of O_s: it equals the term series on every nucleus shift
+    # of every catalog case with m <= 6, and it raises GFunError on a g with
+    # zeros, an s off the circle, and a zero-free g that is not valid,
+    # exactly where some O_s meets a line through 0 twice (decided point by
+    # point, as pointset_g does)
     for m, fam, r in catalog_sweep_cases():
         P = field_create(m)
         g = fix_zeros(g_catalog(P, fam, r=r))
         rows = gfun.g_shift_tables(g, np.arange(P.q + 1))
         for sidx in range(P.q + 1):
             gs = g_shift(g, sidx)
-            assert gs == g_from_oval(P, gfun.shifted_oval_codes(g, sidx))
+            assert np.array_equal(gs.values,
+                                  series_g_from_oval(P, gfun.shifted_oval_codes(g, sidx)))
             assert gs.provenance == f"{g.provenance}|shift(s_index={sidx})"
             assert np.array_equal(rows[sidx], gs.values)
     zeros = g_catalog(P5, "subiaco")
@@ -280,31 +299,33 @@ def test_g_shift_is_g_from_oval_of_the_shifted_oval(P3, P4, P5):
             g = GFunction(P, rng.integers(1, P.q, P.q + 1))
             assert not validate_g(g).valid
             for sidx in range(P.q + 1):
-                try:
-                    want = g_from_oval(P, gfun.shifted_oval_codes(g, sidx)).values
-                except GFunError:
+                oval = gfun.shifted_oval_codes(g, sidx)
+                want = pointset_g(P, oval)
+                if want is None:
                     with pytest.raises(GFunError, match="one on each line"):
                         g_shift(g, sidx)
                     raised += 1
                 else:
                     assert np.array_equal(g_shift(g, sidx).values, want)
+                    assert np.array_equal(want, series_g_from_oval(P, oval))
     assert raised > 100
 
 
 def pointset_g(P, codes):
-    """g(u) = 1/lambda at each nonzero point lambda*u, decomposed one by one."""
+    """g(u) = 1/lambda at each nonzero point lambda*u, decomposed one by one;
+    None unless the nonzero points lie one on each line through 0."""
     S = unit_circle(P)
-    vals = np.zeros(P.q + 1, dtype=np.uint32)
-    seen = set()
+    vals = {}
     for c in codes:
         if c:
             lam = P.fsqrt(P.knorm(c))
             idx = S.index(P.kmul(c, P.finv(lam)))
-            assert idx not in seen  # one point per spread direction
-            seen.add(idx)
+            if idx in vals:  # a second point in this spread direction
+                return None
             vals[idx] = P.finv(lam)
-    assert len(seen) == P.q + 1
-    return vals
+    if len(vals) != P.q + 1:
+        return None
+    return np.array([vals[k] for k in range(P.q + 1)], dtype=np.uint32)
 
 
 @pytest.mark.parametrize("m", [5, 7, 9])
@@ -312,6 +333,18 @@ def test_payne_matches_pointset_decomposition(m):
     P = field_create(m)
     g = g_catalog(P, "payne")
     assert np.array_equal(g.values, pointset_g(P, gfun.payne_pointset_codes(P)))
+
+
+@pytest.mark.parametrize("fam,m", [("glynn1", 7), ("glynn2", 7), ("cherowitzo", 9),
+                                   ("adelaide", 10)])
+def test_g_from_oval_roundtrip_at_large_m(fam, m):
+    # the read-off at the m of the large constructions, against the scalar
+    # decomposition of the same oval
+    P = field_create(m)
+    g = fix_zeros(g_catalog(P, fam))
+    oval = g.oval_codes_k()
+    assert g_from_oval(P, oval) == g
+    assert np.array_equal(pointset_g(P, oval), g.values)
 
 
 def test_hyperoval_codes_h_matches_scalar_route():
