@@ -12,10 +12,11 @@ at its smallest valid m, and of Payne at m = 7 and 9.  DIR/opoly_*.{csv,json}
 hold the `opoly` table in both formats of each o-polynomial family at its
 smallest valid m, of Subiaco at m = 6 and with an explicit d, and of Adelaide
 at m = 6.
-DIR/trace_*.bin hold the truth tables (BooleanFn.to_bits) of the section 4.6
-trace forms and of the translation bent functions for r = 1..m-1 at m = 5
-and 6.  Two source trees produce the same artifacts iff `diff -r DIR1 DIR2`
-is empty.
+DIR/trace_{name}.bin hold the truth tables (BooleanFn.to_bits) of the section
+4.6 explicit forms (reference.SEC46_FORMS, one file per name), and
+DIR/trace_translation_m{m}_r{r}.bin those of the translation bent functions
+for r = 1..m-1 at m = 5 and 6.  Two source trees produce the same artifacts iff
+`diff -r DIR1 DIR2` is empty.
 """
 
 import pathlib
@@ -23,7 +24,8 @@ import sys
 
 from make_golden import write_golden
 from nihoval import bent, cli
-from nihoval.gf2m import field_create, spread_i, unit_circle
+from nihoval.gf2m import field_create
+from nihoval.reference import SEC46_FORMS, form_terms
 
 REPRODUCE = ("table1", "table2", "sec4.6", "theorems")
 CLASSIFY = (("cherowitzo", 5), ("subiaco_payne", 5), ("okeefe_penttila", 5),
@@ -42,20 +44,6 @@ OPOLY = (("hyperconic", 1, ()), ("translation", 2, ("--r", "1")), ("subiaco", 4,
          ("adelaide", 4, ()), ("segre", 5, ()), ("payne", 5, ()), ("cherowitzo", 5, ()),
          ("subiaco", 5, ("--d-hex", "5")), ("subiaco", 6, ()), ("adelaide", 6, ()),
          ("glynn1", 7, ()), ("glynn2", 7, ()))
-
-def trace_forms():
-    """(name, params, (coeff, exponent) terms, mode) of the section 4.6 trace
-    forms: tr(x^36) and its sum at m = 3, Tr(a x^136 + ...) at m = 4 with
-    T(a) = 1, and the m = 5 translation exponent set with coefficient omega."""
-    P3, P4, P5 = field_create(3), field_create(4), field_create(5)
-    a4, om = spread_i(P4), unit_circle(P5).omega()
-    return (("x36_m3", P3, [(1, 36)], "rel"),
-            ("x36_x22_x50_m3", P3, [(1, 36), (1, 22), (1, 50)], "rel"),
-            ("ax136_m4", P4, [(a4, 136)], "abs"),
-            ("ax136_x106_x226_x76_m4", P4, [(a4, 136), (1, 106), (1, 226), (1, 76)], "abs"),
-            ("ax136_x226_m4", P4, [(a4, 136), (1, 226)], "abs"),
-            ("translation_exponents_m5", P5,
-             [(om, e) for e in (528, 466, 962, 404, 900, 342, 838)], "abs"))
 
 
 def main(argv=None) -> int:
@@ -94,8 +82,9 @@ def main(argv=None) -> int:
                            "--format", fmt, "--out", str(out / f"{name}.{fmt}")])
             if rc:
                 return rc
-    for name, P, terms, mode in trace_forms():
-        f = bent.evaluate_trace_form(P, terms, mode)
+    for name, m, _, _, mode, terms in SEC46_FORMS:
+        P = field_create(m)
+        f = bent.evaluate_trace_form(P, form_terms(P, terms), mode)
         (out / f"trace_{name}.bin").write_bytes(f.to_bits())
     for m in (5, 6):
         P = field_create(m)

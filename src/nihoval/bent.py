@@ -433,8 +433,7 @@ def f_translation_forms(params: FieldParams, r: int) -> tuple[BooleanFn, Boolean
     num = params.kT_v(params.kpow_v(x, 1 + e))
     den = params.kT_v(params.kpow_v(x, e))
     off_f = params.f_tr[params.fmul_v(num, params.finv_v(den, zero_to_zero=True))]
-    lam = np.zeros(q * q, dtype=np.uint8)  # tr(lambda) at x = lambda*u
-    lam[polar_grid(params)] = params.f_tr[params.f_exp[:q - 1, None]]
+    lam = _spread_table(params, np.ones(q + 1, np.uint32))  # tr(lambda) at x = lambda*u
     piecewise = BooleanFn(params, np.where(den == 0, lam, off_f).astype(np.uint8))
 
     order = q * q - 1

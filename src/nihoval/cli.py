@@ -22,7 +22,8 @@ import numpy as np
 
 from . import bent, equiv, geometry, gfun, opoly
 from .gf2m import FieldError, field_create
-from .reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE1_ORBITS, TABLE2
+from .reference import (SEC46_CASES, SEC46_FORMS, SEC46_HYPERCONIC, TABLE1, TABLE1_ORBITS,
+                        TABLE2, form_terms)
 
 
 class CliError(Exception):
@@ -99,8 +100,8 @@ def cmd_bent(args) -> int:
         raise CliError(f"{picked[0]} and {picked[1]} select different outputs")
     P = _params(args)
     g = _catalog_g(P, args)
-    f = bent.bent_from_g(g)
-    spec = bent.walsh_spectrum(f)
+    if args.check or args.spectrum:
+        spec = bent.walsh_spectrum(bent.bent_from_g(g))
     if args.check:
         v = gfun.validate_g(g)
         report = {"family": g.provenance, "m": P.m, "spectrum": spec.summary(),
@@ -109,7 +110,7 @@ def cmd_bent(args) -> int:
         _write(args.out, json.dumps(report, sort_keys=True))
         return 0 if v.valid else 3
     if args.format == "bits":
-        _write(args.out, f.to_bits())
+        _write(args.out, bent.bent_from_g(g).to_bits())
     elif args.spectrum:
         _write(args.out, spec.to_bytes())
     else:
@@ -182,11 +183,14 @@ def _reproduce_table2():
 
 def _reproduce_sec46():
     rows = []
+    results = {}
 
     def classify(m, fam, r=None):
-        P = field_create(m)
-        g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
-        return equiv.classify_bent(g)
+        if (m, fam, r) not in results:
+            P = field_create(m)
+            g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
+            results[m, fam, r] = equiv.classify_bent(g)
+        return results[m, fam, r]
 
     for m, expect in SEC46_HYPERCONIC:
         res = classify(m, "hyperconic")
@@ -202,7 +206,27 @@ def _reproduce_sec46():
             row["expected_orbits"] = list(orbits)
             row["computed_orbits"] = list(res.orbit_sizes)
         rows.append(row)
-    return rows
+    # each explicit form: bent, and its oval (nucleus marked) in exactly one
+    # class of its hyperoval, a class no other form of that hyperoval lands in
+    forms = []
+    for name, m, fam, r, mode, terms in SEC46_FORMS:
+        P = field_create(m)
+        f = bent.evaluate_trace_form(P, form_terms(P, terms), mode)
+        is_bent = bent.is_bent(f)
+        vals = bent.recover_g_values(f)
+        classes = []
+        if is_bent and vals is not None:
+            oval = gfun.GFunction(P, vals, name).hyperoval_codes_h()
+            classes = [k for k, c in enumerate(classify(m, fam, r).classes)
+                       if equiv.are_equivalent(P, oval, list(c.oval_h_codes),
+                                               marked=(0, 0)) is not None]
+        forms.append({"form": name, "family": fam, "m": m, "bent": is_bent,
+                      "classes": classes})
+    for row in forms:
+        hits = [k for o in forms if (o["m"], o["family"]) == (row["m"], row["family"])
+                for k in o["classes"]]
+        row["ok"] = row["bent"] and len(row["classes"]) == 1 and hits.count(row["classes"][0]) == 1
+    return rows + forms
 
 
 def _reproduce_theorems():
@@ -254,7 +278,8 @@ def cmd_reproduce(args) -> int:
     _write(args.out, json.dumps(report, sort_keys=True, indent=1))
     if not args.quiet:
         for r in rows:
-            label = r.get("check") or r["family"] + (f" m={r['m']}" if "m" in r else "")
+            label = (r.get("check") or r.get("form")
+                     or r["family"] + (f" m={r['m']}" if "m" in r else ""))
             print(f"[{'PASS' if r['ok'] else 'FAIL'}] {target}: {label}", file=sys.stderr)
     return 0 if ok else 3
 

@@ -4,15 +4,17 @@ Each test prints one [PASS]/[FAIL] line (run pytest with -s to see them all).
 Heavy stabilizer computations are memoized across criteria in _STAB.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from nihoval import bent, equiv, geometry as geo, gfun, opoly
-from nihoval.gf2m import field_create, spread_i, unit_circle
-from nihoval.reference import SEC46_CASES, SEC46_HYPERCONIC, TABLE1, TABLE1_ORBITS, TABLE2
+from nihoval import bent, cli, equiv, geometry as geo, gfun, opoly
+from nihoval.gf2m import field_create, unit_circle
+from nihoval.reference import (SEC46_CASES, SEC46_FORMS, SEC46_HYPERCONIC, TABLE1,
+                               TABLE1_ORBITS, TABLE2)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -170,48 +172,29 @@ def test_criterion_5_orbit_structures():
            "Table 1 and Table 2 orbit multisets exact, and the m = 5 class orbits")
 
 
-def _oval_from_trace_form(P, terms, mode):
-    f = bent.evaluate_trace_form(P, terms, mode)
-    assert bent.is_bent(f)
-    vals = bent.recover_g_values(f)
-    assert vals is not None
-    g = gfun.GFunction(P, vals, "recovered")
-    return g.hyperoval_codes_h()
-
-
-def test_criterion_6_explicit_functions():
-    P3, P4, P5 = field_create(3), field_create(4), field_create(5)
-    a4 = spread_i(P4)
-    om = unit_circle(P5).omega()
-    groups = [
-        (3, "hyperconic", None, [
-            ("tr(x^36)", P3, [(1, 36)], "rel"),
-            ("tr(x^36+x^22+x^50)", P3, [(1, 36), (1, 22), (1, 50)], "rel")]),
-        (4, "hyperconic", None, [
-            ("Tr(a x^136)", P4, [(a4, 136)], "abs"),
-            ("Tr(a x^136 + x^106 + x^226 + x^76)", P4,
-             [(a4, 136), (1, 106), (1, 226), (1, 76)], "abs")]),
-        (4, "lunelli_sce", None, [
-            ("Tr(a x^136 + x^226)", P4, [(a4, 136), (1, 226)], "abs")]),
-        (5, "translation", 2, [
-            ("third-class exponent set", P5,
-             [(om, e) for e in (528, 466, 962, 404, 900, 342, 838)], "abs")]),
-    ]
-    for m, fam, r, forms in groups:
-        res = classify(m, fam, r)
-        class_ovals = [list(c.oval_h_codes) for c in res.classes]
-        hit_classes = []
-        for name, P, terms, mode in forms:
-            o = _oval_from_trace_form(P, terms, mode)
-            hits = [k for k, oc in enumerate(class_ovals)
-                    if equiv.are_equivalent(P, o, oc, marked=(0, 0)) is not None]
-            if len(hits) != 1:
-                report("criterion 6 (explicit functions)", False,
-                       f"{name}: matched classes {hits}")
-            hit_classes.append(hits[0])
-        if len(set(hit_classes)) != len(forms):
+def test_criterion_6_explicit_functions(tmp_path):
+    # `reproduce sec4.6` reads g off each explicit form and matches its oval,
+    # nucleus marked, against the classes of the form's hyperoval
+    out = tmp_path / "sec46.json"
+    rc = cli.main(["reproduce", "sec4.6", "--quiet", "--out", str(out)])
+    rows = [r for r in json.loads(out.read_text())["rows"] if "form" in r]
+    if rc != 0 or [r["form"] for r in rows] != [f[0] for f in SEC46_FORMS]:
+        report("criterion 6 (explicit functions)", False,
+               f"exit {rc}, form rows {[r['form'] for r in rows]}")
+    hit_classes = {}
+    for r in rows:
+        if not r["bent"]:
+            report("criterion 6 (explicit functions)", False, f"{r['form']}: not bent")
+        if len(r["classes"]) != 1:     # none: g not recovered or no class matched
             report("criterion 6 (explicit functions)", False,
-                   f"{fam} m={m}: duplicate assignment {hit_classes}")
+                   f"{r['form']}: matched classes {r['classes']}")
+        hit_classes.setdefault((r["m"], r["family"]), []).append(r["classes"][0])
+        if not r["ok"]:
+            report("criterion 6 (explicit functions)", False, f"{r['form']}: not ok")
+    for (m, fam), hits in hit_classes.items():
+        if len(set(hits)) != len(hits):
+            report("criterion 6 (explicit functions)", False,
+                   f"{fam} m={m}: duplicate assignment {hits}")
     report("criterion 6 (explicit functions)", True,
            "m=3, m=4 and the m=5 exponent set all land in distinct classes")
 

@@ -9,6 +9,7 @@ from nihoval.bent import (BentError, BooleanFn, bent_from_g, dual,
                           f_translation, f_translation_forms, f_univariate, is_bent,
                           recover_g_values, walsh_spectrum)
 from nihoval.gf2m import exponent_inverse, field_create, polar_grid, spread_i, unit_circle
+from nihoval.reference import SEC46_FORMS, form_terms
 
 # (m, e) with e not a Niho exponent (e >= 1 with e = 2^j mod q-1)
 NON_NIHO = [(3, 0), (3, 3), (3, 7), (4, 5), (4, 15), (2, 0), (1, 0), (3, -6)]
@@ -329,27 +330,20 @@ def test_f_shift_sampled_m5(P5):
 
 
 def test_example_translation_third_class_polynomial(P5):
-    # published exponent set for m = 5, r = 2, with omega coefficients
-    om = unit_circle(P5).omega()
-    exps = [528, 466, 962, 404, 900, 342, 838]
-    for c in (om, P5.kconj(om)):
-        f = evaluate_trace_form(P5, [(c, e) for e in exps], mode="abs")
-        assert is_bent(f)
+    # published exponent set for m = 5, r = 2, with omega and conj(omega) coefficients
+    (_, m, fam, r, mode, terms), = [f for f in SEC46_FORMS if f[1] == 5]
+    assert (m, fam, r, mode) == (5, "translation", 2, "abs")
+    om_terms = form_terms(P5, terms)
+    for cterms in (om_terms, [(P5.kconj(c), e) for c, e in om_terms]):
+        assert is_bent(evaluate_trace_form(P5, cterms, mode))
     # Niho shape: 2^j part is 1 for all of them
-    assert all((e - 1) % 31 == 0 for e in exps)
+    assert all((e - 1) % 31 == 0 for _, e in terms)
 
 
-def test_sec46_trace_forms_bent(P3, P4):
-    a4 = spread_i(P4)
-    cases = [
-        (P3, [(1, 36)], "rel"),
-        (P3, [(1, 36), (1, 22), (1, 50)], "rel"),
-        (P4, [(a4, 136)], "abs"),
-        (P4, [(a4, 136), (1, 106), (1, 226), (1, 76)], "abs"),
-        (P4, [(a4, 136), (1, 226)], "abs"),
-    ]
-    for P, terms, mode in cases:
-        assert is_bent(evaluate_trace_form(P, terms, mode))
+def test_sec46_trace_forms_bent():
+    for _, m, _, _, mode, terms in SEC46_FORMS:
+        P = field_create(m)
+        assert is_bent(evaluate_trace_form(P, form_terms(P, terms), mode))
 
 
 def test_trace_form_rel_requires_base_field_values(P3):
@@ -421,7 +415,7 @@ def eval_termwise(P, terms):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_eval_sparse_matches_termwise(m):
+def test_line_values_match_termwise(m):
     # the m values per line of a Niho sum y fix y on all of K: y(lambda*u)
     # is the XOR of y(e_k*u) over the bits k of lambda on the power basis
     P = field_create(m)

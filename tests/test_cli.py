@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from nihoval import cli
-from nihoval.reference import TABLE1, TABLE1_ORBITS
+from nihoval import bent, cli
+from nihoval.reference import TABLE1, TABLE1_ORBITS, TABLE2
 from conftest import GOLDEN
 
 
@@ -94,6 +94,19 @@ def test_bent_artifacts(tmp_path):
                      "--out", str(poly)]) == 0
     obj = json.loads(poly.read_text())
     assert all("exp" in t for t in obj)
+
+
+@pytest.mark.parametrize("extra", [[], ["--s-index", "1"]])
+def test_bent_polynomial_skips_the_walsh_transform(capsys, monkeypatch, extra):
+    # the Niho polynomial output never writes the spectrum, so it never forms one
+    argv = ["bent", "--family", "lunelli_sce", "--m", "4", *extra]
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+
+    def no_walsh(f):
+        raise AssertionError("walsh_spectrum called")
+    monkeypatch.setattr(bent, "walsh_spectrum", no_walsh)
+    assert run(capsys, *argv) == (0, want, "")
 
 
 @pytest.mark.parametrize("s_index", ["-1", "9", str(1 << 70)])
@@ -195,10 +208,14 @@ def test_reproduce_stderr_names_m_only_for_rows_that_have_one(capsys, monkeypatc
               "g_is_hyperoval": True, "ok": True}
     sec46 = {"family": "hyperconic", "m": 5, "expected_classes": 2, "computed_classes": 2,
              "ok": True}
+    # an explicit-form row is named by its form, which already carries m
+    form = {"form": "x36_m3", "family": "hyperconic", "m": 3, "bent": True, "classes": [1],
+            "ok": True}
     monkeypatch.setattr(cli, "_reproduce_table1", lambda: [table1])
-    monkeypatch.setattr(cli, "_reproduce_sec46", lambda: [sec46])
     for target, row, line in (("table1", table1, "[PASS] table1: hyperconic"),
-                              ("sec4.6", sec46, "[PASS] sec4.6: hyperconic m=5")):
+                              ("sec4.6", sec46, "[PASS] sec4.6: hyperconic m=5"),
+                              ("sec4.6", form, "[PASS] sec4.6: x36_m3")):
+        monkeypatch.setattr(cli, "_reproduce_sec46", lambda: [row])
         rc, out, err = run(capsys, "reproduce", target)
         assert rc == 0 and err == line + "\n"
         assert out == json.dumps({"target": target, "ok": True, "rows": [row]},
@@ -220,3 +237,15 @@ def test_reproduce_table1_end_to_end(capsys, tmp_path):
     assert [r["computed_orbits"] for r in rep["rows"]] == \
         [list(TABLE1_ORBITS[fam]) for fam, _, _ in TABLE1]
     assert all(r["g_is_hyperoval"] for r in rep["rows"])
+
+
+def test_reproduce_table2_end_to_end(capsys, tmp_path):
+    out = tmp_path / "t2.json"
+    rc = cli.main(["reproduce", "table2", "--quiet", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["ok"] is True
+    assert [r["family"] for r in rep["rows"]] == [fam for fam, _, _ in TABLE2]
+    assert [r["computed_aut"] for r in rep["rows"]] == [aut for _, aut, _ in TABLE2]
+    assert [r["computed_orbits"] for r in rep["rows"]] == \
+        [list(orbits) for _, _, orbits in TABLE2]
