@@ -25,7 +25,11 @@ Adelaide at m = 10), and check each spectrum: flat at +-q, and Parseval.
 `validate m=9` does the same for every call of the two geometric checks of
 `gfun.validate_g`, `geometry.no_three_collinear` and `is_line_oval`, on the
 Cherowitzo g at m = 9, and checks that each returns True; it reports each
-check on its own.
+check on its own.  `polar m=10` times and counts every call of
+`bent.bent_from_g` and `gf2m.niho_power_sums` on the zero-free Adelaide g at
+m = 10: it checks each truth table by its round trip through
+`recover_g_values`, each set of power sums against the first call's, and
+that the first call's Niho polynomial evaluates to the truth table.
 These commands print one JSON line, which the record keeps under
 "reported": the calls, the first pass (or round, or call), and the warm
 calls after it; or the stabilizer time.  Each runs
@@ -215,6 +219,34 @@ def validate_calls(m: int, family: str, calls: int) -> list[str]:
         "print(json.dumps({name: summary(c, 1) for name, c in calls.items()}))\n")]
 
 
+def polar_calls(m: int, family: str, calls: int) -> list[str]:
+    """`calls` rounds of bent_from_g and niho_power_sums on one zero-free
+    catalog g at q = 2^m, every call timed with its minor faults: each
+    table checked by its round trip through recover_g_values, each set of
+    power sums against the first, and the first call's Niho polynomial
+    evaluated to the first table."""
+    return ["-c", _REPORT + (
+        "import numpy as np\n"
+        "from nihoval import bent, gf2m, gfun\n"
+        "from nihoval.gf2m import field_create\n"
+        f"P = field_create({m})\n"
+        f"g = gfun.fix_zeros(gfun.g_catalog(P, '{family}'))\n"
+        "O = g.oval_codes_k()\n"
+        "calls = {'bent_from_g': [], 'niho_power_sums': []}\n"
+        f"for i in range({calls}):\n"
+        "    f = timed_call(calls['bent_from_g'], lambda: bent.bent_from_g(g))\n"
+        "    if not np.array_equal(bent.recover_g_values(f), g.values):\n"
+        "        raise SystemExit('the table does not give back g')\n"
+        "    b = timed_call(calls['niho_power_sums'], lambda: gf2m.niho_power_sums(P, O))\n"
+        "    if i == 0:\n"
+        "        table, sums = f.table, b\n"
+        "        if not np.array_equal(bent.f_univariate(P, O).evaluate().table, table):\n"
+        "            raise SystemExit('the Niho polynomial does not evaluate to the table')\n"
+        "    elif not np.array_equal(b, sums):\n"
+        "        raise SystemExit('the power sums changed between calls')\n"
+        "print(json.dumps({name: summary(c, 1) for name, c in calls.items()}))\n")]
+
+
 COMMANDS.update({"stabilizer translation r=6 q=128": conic_stabilizer(7, "translation"),
                  "stabilizer hyperconic q=128 nucleus first": conic_stabilizer(7, "nucleus"),
                  "stabilizer translation r=7 q=256": conic_stabilizer(8, "translation")})
@@ -224,8 +256,9 @@ COMMANDS.update({"invariants cherowitzo q=32": invariants_of_every_point(5, 30),
                  "invariants in classify-q32": invariants_in_rounds("classify-q32", 10)})
 COMMANDS.update({"walsh m=9": walsh_calls(9, "cherowitzo", 200),
                  "walsh m=10": walsh_calls(10, "adelaide", 50),
-                 "validate m=9": validate_calls(9, "cherowitzo", 100)})
-REPORTING = ("stabilizer ", "invariants ", "walsh ", "validate ")
+                 "validate m=9": validate_calls(9, "cherowitzo", 100),
+                 "polar m=10": polar_calls(10, "adelaide", 50)})
+REPORTING = ("stabilizer ", "invariants ", "walsh ", "validate ", "polar ")
 
 
 def run_child(tree: Path, args: list[str]) -> tuple[float, float, str]:

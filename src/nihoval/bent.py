@@ -21,15 +21,16 @@ and the nucleus shift at s is this polynomial for the shifted oval O_s
 (gfun.shifted_oval_codes).  Only the q+1 sums for 2^j = 1 are formed
 (gf2m.niho_power_sums); the others are their Frobenius images.
 
-Every table on K is written in polar form x = lambda*u, scattered through
-gf2m.polar_grid (built once per field): f from g, g back from f, and sparse
-polynomials.  The line traces tr(lambda_k * c_l) are read from the trace
-m-sequence s_i = tr(f_exp[i]): since tr(lambda_k * c) = s_(k + log c), a
-line is one window of s (gf2m.trace_windows), so f from g is one row gather
-and one scatter.  The Niho power sums are one flat int32 gather from the
-grid, and F inverses one gather from the inverse table.  For
-x^e = lambda^(e mod q-1) * u^(e mod q+1) the terms are summed on the q+1
-points of S, one sum per residue of e mod q-1.  A Niho
+Every table on K is written in polar form x = lambda*u: f from g, g back
+from f, and sparse polynomials.  The line traces tr(lambda_k * c_l) are read
+from the trace m-sequence s_i = tr(f_exp[i]): since tr(lambda_k * c) =
+s_(k + log c), a line is one window of s (gf2m.trace_windows), so f from g
+is one row gather of the q+1 line windows and the zero window, and one
+gather of those rows through gf2m.polar_index (the position of each K code
+on the grid, built once per field).  The Niho power sums are gathered from
+gf2m.polar_grid in row blocks, and F inverses are one gather from the
+inverse table.  For x^e = lambda^(e mod q-1) * u^(e mod q+1) the terms are
+summed on the q+1 points of S, one sum per residue of e mod q-1.  A Niho
 polynomial is additive on every line u*F (each residue is a power 2^j), so
 it is fixed by its m values f(2^k * u) per line: those are m*(q+1) K
 products per residue, and f(lambda*u) = tr(lambda*gamma(u)) is spread over
@@ -49,8 +50,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .gf2m import (FieldParams, niho_power_sums, polar_grid, spread_i, trace_windows,
-                   unit_circle)
+from .gf2m import (FieldParams, gather, niho_power_sums, polar_grid, polar_index, spread_i,
+                   trace_windows, unit_circle)
 from .opoly import table_inverse
 
 
@@ -85,18 +86,16 @@ class BooleanFn:
         return np.packbits(self.table, bitorder="little").tobytes()
 
 
-def _line_traces(P: FieldParams, c) -> np.ndarray:
-    """tr(lambda_k * c_l) on the polar grid, for F values c_l indexed like S:
-    one window of the trace m-sequence per line (gf2m.trace_windows)."""
-    return trace_windows(P)[P.f_log[c]].T
-
-
 def _spread_table(P: FieldParams, c) -> np.ndarray:
     """Truth table of f(lambda*u_l) = tr(lambda*c_l), f(0) = 0, for F values
-    c_l indexed like S, scattered through the polar grid."""
-    table = np.zeros(P.q * P.q, dtype=np.uint8)
-    table[polar_grid(P)] = _line_traces(P, c)
-    return table
+    c_l indexed like S.
+
+    Row l of the (q+2) x (q-1) rows is the window of the trace m-sequence
+    at f_log[c_l] (gf2m.trace_windows), and the last row the zero window at
+    f_log[0]; the table reads them through gf2m.polar_index by one gather.
+    """
+    rows = trace_windows(P)[P.f_log[np.append(c, 0)]]
+    return gather(rows.reshape(-1), polar_index(P))
 
 
 def bent_from_g(g) -> BooleanFn:
@@ -271,7 +270,7 @@ def walsh_spectrum(f: BooleanFn) -> WalshSpectrum:
     is gathered through phi^-1, and the spectrum comes out in b order.
     """
     P = f.params
-    v = f.table.take(_scalar_index_inverse(P)).astype(_sum_dtype(P.n))
+    v = gather(f.table, _scalar_index_inverse(P)).astype(_sum_dtype(P.n))
     v *= -2
     v += 1
     return WalshSpectrum(P, _hadamard_transform(v).astype(np.int32))
@@ -344,18 +343,14 @@ def recover_g_values(f: BooleanFn) -> np.ndarray | None:
     Returns the value table in unit-circle order, or None when some
     restriction of f to a spread line is not F_2-linear (or f(0) != 0).
     g(u) is the element whose trace coordinates on the power basis are the
-    values f(2^j * u), one gather from the inverse trace-coordinate table.
+    values f(2^j * u), one gather from the inverse trace-coordinate table;
+    only those m rows of the grid are read.  f is linear on every line with
+    f(0) = 0 exactly when it is the spread of that g.
     """
     P = f.params
-    if f.table[0]:
-        return None
-    lines = f.table[polar_grid(P)]  # f(lambda_k * u_l)
-    # c_l from f(e_j * u_l) = tr(e_j c_l) on the power basis e_j = 2^j
-    vals = _from_basis_traces(P, lines[P.f_log[1 << np.arange(P.m)]])
-    # verify linearity on every whole line
-    if not np.array_equal(lines, _line_traces(P, vals)):
-        return None
-    return vals
+    basis = f.table[polar_grid(P)[P.f_log[1 << np.arange(P.m)]]]  # f(e_j * u_l)
+    vals = _from_basis_traces(P, basis)
+    return vals if np.array_equal(f.table, _spread_table(P, vals)) else None
 
 
 # --------------------------------------------------------- univariate forms

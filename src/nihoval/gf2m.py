@@ -13,11 +13,14 @@ In this basis the structure maps are one-liners:
 The unit circle S = {u : u * conj(u) = 1} is the group of (q+1)st roots of
 unity; every nonzero x in K factors uniquely as x = lambda * u with lambda in
 F* and u in S.  This polar map is kept in one place: polar_grid lists the
-codes lambda_k * u_l, polar_v inverts it on the F tables (the oval -> g
-read-off of gfun), and niho_power_sums forms the power sums over an oval that
-the Niho coefficients are made of, as one flat int32 gather from the grid.
+codes lambda_k * u_l, polar_index inverts the grid as a table of positions
+(a truth table laid out over the grid is read back on K by one gather
+through it), polar_v inverts it on the F tables (the oval -> g read-off of
+gfun), and niho_power_sums forms the power sums over an oval that the Niho
+coefficients are made of, gathered from the grid in row blocks.
 trace_windows holds the trace m-sequence s_i = tr(f_exp[i]), so
-tr(lambda_k * c) for all k is one window of it, at f_log[c].
+tr(lambda_k * c) for all k is one window of it, at f_log[c].  Every gather
+over q^2 entries runs in pieces of _GATHER_PIECE entries (gather).
 
 Multiplication uses exp/log tables (built on the least generator of F*, so
 any irreducible modulus works), and inversion an inverse table, so finv_v
@@ -63,6 +66,10 @@ DEFAULT_MODULI = {
 MAX_M = 16
 # K exp/log tables need q^2 entries; past this they stop being worth it.
 K_TABLE_MAX_M = 10
+# entries per piece of a gather over q^2 entries (gather): a piece's intp
+# index stays at 128 KiB, where larger temporaries are handed back to the
+# system and faulted in again on every call
+_GATHER_PIECE = 1 << 14
 
 
 class FieldError(ValueError):
@@ -516,6 +523,42 @@ def polar_grid(params: FieldParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def polar_index(params: FieldParams) -> np.ndarray:
+    """pos[x] = l*(q-1) + k for x = lambda_k * u_l, and pos[0] = (q+1)(q-1).
+
+    pos is the flat position of every K code in an l-major (q+2) x (q-1)
+    array of rows, row l over lambda_0..lambda_(q-2) on the line u_l*F and
+    a last row for x = 0, so a table laid out over the grid (transposed) is
+    read on K by one gather through pos.  Filled by scattering the grid in
+    row blocks of at most _GATHER_PIECE entries; built once per field and
+    shared, so the int32 array is read-only.
+    """
+    q = params.q
+    grid = polar_grid(params)
+    pos = np.empty(q * q, dtype=np.int32)
+    pos[0] = (q + 1) * (q - 1)
+    cols = np.arange(q + 1, dtype=np.int32) * np.int32(q - 1)
+    step = max(1, _GATHER_PIECE // (q + 1))
+    for k in range(0, q - 1, step):
+        block = grid[k:k + step]
+        pos[block] = cols + np.arange(k, k + len(block), dtype=np.int32)[:, None]
+    pos.flags.writeable = False
+    return pos
+
+
+def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table.take(index) for a 1-D index, in pieces of _GATHER_PIECE entries.
+
+    take converts an index that is not intp to intp as a whole first; the
+    pieces keep that copy at 128 KiB.
+    """
+    out = np.empty(len(index), dtype=table.dtype)
+    for i in range(0, len(index), _GATHER_PIECE):
+        table.take(index[i:i + _GATHER_PIECE], out=out[i:i + _GATHER_PIECE])
+    return out
+
+
+@lru_cache(maxsize=None)
 def trace_windows(params: FieldParams) -> np.ndarray:
     """Sliding windows of s||s||0, s_i = tr(f_exp[i]) the trace m-sequence.
 
@@ -554,18 +597,25 @@ def niho_power_sums(params: FieldParams, oval_codes) -> np.ndarray:
     """b_t = sum_{v in O} v^-(t(q-1)+1) = sum_v lambda_v^-1 u_v^(2t-1), t = 0..q.
 
     With v = lambda_v * u_v every term is a point of the polar grid, at row
-    -k_v and column (2t-1)*l_v mod q+1, so the (q+1)^2 terms are one gather
-    from the flattened grid.  Its flat indices are built in place, in int32
-    while every intermediate stays below 2^31 (m <= 14), in int64 past that.
+    -k_v and column (2t-1)*l_v mod q+1, so the (q+1)^2 terms are gathered
+    from the flattened grid.  Their intp indices are built, gathered and
+    reduced in blocks of rows t of at most _GATHER_PIECE terms (one row when
+    a row is longer): the columns of row t0 + j are those of row t0 plus
+    2j*l_v, both reduced mod q+1, so one subtraction reduces their sum.
     """
     q = params.q
     k, l = polar_v(params, oval_codes)
-    dtype = np.int32 if (2 * q + 1) * (q + 1) < 1 << 31 else np.int64
-    idx = np.arange(-1, 2 * q, 2, dtype=dtype)[:, None] * l.astype(dtype)
-    idx %= q + 1
-    idx += ((q - 1 - k) % (q - 1) * (q + 1)).astype(dtype)
-    terms = polar_grid(params).reshape(-1)[idx]
-    return np.bitwise_xor.reduce(terms, axis=1)
+    row = (q - 1 - k) % (q - 1) * (q + 1)
+    flat = polar_grid(params).reshape(-1)
+    step = min(q + 1, max(1, _GATHER_PIECE // (q + 1)))
+    steps = np.arange(0, 2 * step, 2, dtype=np.intp)[:, None] * l % (q + 1)
+    out = np.empty(q + 1, dtype=np.uint32)
+    for t in range(0, q + 1, step):
+        idx = steps[:q + 1 - t] + (2 * t - 1) * l % (q + 1)
+        idx -= (idx > q) * (q + 1)
+        idx += row
+        np.bitwise_xor.reduce(flat.take(idx), axis=1, out=out[t:t + step])
+    return out
 
 
 def spread_i(params: FieldParams) -> int:

@@ -507,7 +507,7 @@ def niho_catalog_cases():
 
 
 @pytest.mark.parametrize("m,modulus,fam,r", niho_catalog_cases())
-def test_niho_evaluate_matches_eval_sparse_on_catalog(m, modulus, fam, r):
+def test_niho_evaluate_matches_termwise_on_catalog(m, modulus, fam, r):
     P = field_create(m, modulus)
     g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
     oval = P.kmul_v(g.S.codes, P.kinv_v(g.values))
@@ -566,10 +566,46 @@ def test_line_traces_match_table_arithmetic(m):
         c = rng.integers(0, P.q, P.q + 1).astype(np.uint32)
         c[rng.integers(P.q + 1, size=2)] = 0
         expect = P.f_tr[P.f_exp[k + P.f_log[c]]]  # the gathers the windows replace
-        assert np.array_equal(bent._line_traces(P, c), expect)
+        assert np.array_equal(gf2m.trace_windows(P)[P.f_log[c]].T, expect)
     windows = gf2m.trace_windows(P)
     assert windows is gf2m.trace_windows(P) and not windows.flags.writeable
     assert windows.shape == (2 * P.q - 1, P.q - 1) and not windows[P.f_log[0]].any()
+
+
+def scatter_spread_table(P, c):
+    """The zero-filled table with tr(lambda_k * c_l) scattered through the grid."""
+    table = np.zeros(P.q * P.q, dtype=np.uint8)
+    k = np.arange(P.q - 1)[:, None]
+    table[polar_grid(P)] = P.f_tr[P.fmul_v(P.f_exp[k], np.asarray(c, dtype=np.uint32))]
+    return table
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 11)] + [(4, 0b11111)])
+def test_spread_table_matches_the_scatter(m, modulus):
+    P = field_create(m, modulus)
+    rng = np.random.default_rng(700 + m)
+    for zeros in (0, 1, P.q + 1):
+        c = rng.integers(0, P.q, P.q + 1).astype(np.uint32)
+        c[rng.permutation(P.q + 1)[:zeros]] = 0
+        assert np.array_equal(bent._spread_table(P, c), scatter_spread_table(P, c))
+
+
+@pytest.mark.parametrize("m", [5, 7, 10])
+def test_gathers_do_not_depend_on_the_piece_size(m, monkeypatch):
+    P = field_create(m)
+    g = gfun.fix_zeros(gfun.g_catalog(P, "adelaide" if m % 2 == 0 else "cherowitzo"))
+    O = g.oval_codes_k()
+
+    def outputs():
+        f = bent_from_g(g)
+        return f.table, walsh_spectrum(f).values, gf2m.niho_power_sums(P, O)
+
+    monkeypatch.setattr(gf2m, "_GATHER_PIECE", P.q ** 2)  # one piece: a plain take
+    expect = outputs()
+    for piece in (1, 7, 1 << 14):
+        monkeypatch.setattr(gf2m, "_GATHER_PIECE", piece)
+        for got, want in zip(outputs(), expect):
+            assert np.array_equal(got, want), piece
 
 
 def every_modulus_catalog_cases():
@@ -605,6 +641,8 @@ def test_construction_kernel_memory_m10():
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-    assert peaks["power_sums"] < 10 and peaks["bent_from_g"] < 4, peaks
-    # the 1-byte gather, two float32 buffers and the int32 spectrum
-    assert peaks["walsh_spectrum"] < 10, peaks
+    # every q^2-entry gather runs in pieces (gf2m.gather), so no intp index
+    # of q^2 entries is made: the power sums gather in blocks of rows
+    assert peaks["power_sums"] < 1 and peaks["bent_from_g"] < 4, peaks
+    # two float32 buffers of the transform, or one and the int32 spectrum
+    assert peaks["walsh_spectrum"] < 9, peaks

@@ -7,7 +7,7 @@ import pytest
 
 from nihoval import gf2m
 from nihoval.gf2m import (FieldError, exponent_inverse, field_create, niho_power_sums,
-                          polar_grid, polar_v, spread_i, unit_circle)
+                          polar_grid, polar_index, polar_v, spread_i, unit_circle)
 from nihoval.opoly import OPolyError, dickson_inverse5_table
 
 
@@ -198,6 +198,19 @@ def test_polar_v_matches_scalar_decomposition(m, modulus):
     assert np.array_equal(grid[k, l], x)
     with pytest.raises(FieldError):
         polar_v(P, [1, 0])
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(1, 11)] + [(4, 0b11111)])
+def test_polar_index_inverts_the_grid(m, modulus):
+    P = field_create(m, modulus)
+    q = P.q
+    pos = polar_index(P)
+    assert pos is polar_index(P) and not pos.flags.writeable  # one shared table per field
+    assert pos.dtype == np.int32 and pos.shape == (q * q,)
+    # lambda_k * u_l sits at l*(q-1) + k, the l-major flat grid index
+    k, l = np.indices((q - 1, q + 1))
+    assert np.array_equal(pos[polar_grid(P)], l * (q - 1) + k)
+    assert pos[0] == (q + 1) * (q - 1)  # the first entry of the zero row
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
