@@ -507,7 +507,7 @@ def niho_catalog_cases():
 
 
 @pytest.mark.parametrize("m,modulus,fam,r", niho_catalog_cases())
-def test_niho_evaluate_matches_termwise_on_catalog(m, modulus, fam, r):
+def test_niho_evaluate_matches_eval_sparse_on_catalog(m, modulus, fam, r):
     P = field_create(m, modulus)
     g = gfun.fix_zeros(gfun.g_catalog(P, fam, r=r))
     oval = P.kmul_v(g.S.codes, P.kinv_v(g.values))
